@@ -4,7 +4,9 @@ Exit codes: 0 — success (a checked formula holds); 1 — a checked formula
 fails, a scenario misses its expected verdicts, or the axiom suite finds
 counterexamples in the expected-clean set; 2 — bad input (unparseable
 formula, malformed document, unknown world, frame violation, empty
-product); 3 — an internal invariant broke, which is a bug.
+product); 3 — an internal invariant broke or an exception that is not a
+CheckerError escaped (a RecursionError on a very deep formula, say), which
+is a bug.
 """
 
 from __future__ import annotations
@@ -401,6 +403,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except CheckerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # anything else is a bug, never "the formula fails"
+        print(f"internal error: {type(exc).__name__}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

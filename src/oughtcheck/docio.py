@@ -242,14 +242,22 @@ def actions_to_doc(points: List[DecisionPoint]) -> Dict:
 # -- files -------------------------------------------------------------------------
 
 
+def _read_json(path: str):
+    """A document file's JSON; a file that cannot be read or is not JSON is
+    bad input like any malformed document."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
 def load_model_file(path: str, strict_frame: bool = True):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_doc(json.load(fh), strict_frame=strict_frame)
+    return model_from_doc(_read_json(path), strict_frame=strict_frame)
 
 
 def load_actions_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return actions_from_doc(json.load(fh))
+    return actions_from_doc(_read_json(path))
 
 
 def dump_json(doc: Dict) -> str:

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import NoDecisionContext, NoSuccessors
 from .kripke import GradedKripkeModel, trace_of, world_id
-from .submodel import agent_submodel
+from .submodel import horizon
 
 
 def expected_value(sub: GradedKripkeModel, agent: Optional[str] = None) -> Fraction:
@@ -49,8 +49,8 @@ def expected_value(sub: GradedKripkeModel, agent: Optional[str] = None) -> Fract
 
 def expected_value_at(model: GradedKripkeModel, agent: str, world) -> Fraction:
     """Pointwise form on an arbitrary model: mean desirability of the
-    agent's successors.  Kept for completeness; the submodel form above is
-    the one the rest of the package is built on."""
+    agent's successors.  Kept for completeness; expectation atoms use the
+    submodel form, as component_value below."""
     succ = model.successors(agent, world)
     succ = [u for u in succ if u not in model.eval_only]
     if not succ:
@@ -58,13 +58,22 @@ def expected_value_at(model: GradedKripkeModel, agent: str, world) -> Fraction:
     return Fraction(sum(model.desirability[u] for u in succ), len(succ))
 
 
-def component(carrier: GradedKripkeModel, instance, agent: str) -> GradedKripkeModel:
-    """The agent's action component of an instance inside a carrier model."""
-    return agent_submodel(carrier, instance, agent)
-
-
 def component_value(carrier: GradedKripkeModel, instance, agent: str) -> Fraction:
-    return expected_value(component(carrier, instance, agent), agent)
+    """Expected desirability of the agent's action component of an instance:
+    expected_value(agent_submodel(carrier, instance, agent)), read straight
+    off the carrier (memoized on it) instead of building that submodel —
+    the desirability summed over the instance's horizon, over its successor
+    count."""
+    key = ("value", instance, agent)
+    hit = carrier._cache.get(key)
+    if hit is None:
+        reach = horizon(carrier, instance, agent)
+        hit = Fraction(
+            sum(carrier.desirability[w] for w in reach),
+            len(carrier.successors(agent, instance)),
+        )
+        carrier._cache[key] = hit
+    return hit
 
 
 def rival_instances(carrier: GradedKripkeModel, instance):

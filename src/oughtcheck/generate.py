@@ -30,7 +30,7 @@ schemas are checked at every world of the base model.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .actions import DecisionPoint
@@ -84,7 +84,11 @@ def _partition(rng: random.Random, items: List[str]) -> List[List[str]]:
     return blocks
 
 
-def gen_model(rng: random.Random, params: Optional[GenParams] = None) -> GradedKripkeModel:
+def gen_model(
+    rng: random.Random,
+    params: Optional[GenParams] = None,
+    name: Optional[str] = None,
+) -> GradedKripkeModel:
     p = params or GenParams()
     n = rng.randint(p.min_worlds, p.max_worlds)
     worlds = [f"w{k}" for k in range(1, n + 1)]
@@ -126,6 +130,7 @@ def gen_model(rng: random.Random, params: Optional[GenParams] = None) -> GradedK
         valuation=valuation,
         desirability=desirability,
         frame=p.frame,
+        name=name,
     )
 
 
@@ -556,8 +561,7 @@ def run_axiom_suite(
     frame: str = "S5",
     params: Optional[GenParams] = None,
 ) -> SuiteReport:
-    p = params or GenParams()
-    p.frame = frame
+    p = replace(params or GenParams(), frame=frame)
     report = SuiteReport(trials=trials, seed=seed, frame=frame)
     master = random.Random(seed)
     done = 0
@@ -565,8 +569,7 @@ def run_axiom_suite(
         trial_seed = master.randrange(2**32)
         rng = random.Random(trial_seed)
         try:
-            model = gen_model(rng, p)
-            model.name = f"t{done}"
+            model = gen_model(rng, p, name=f"t{done}")
             env: Dict[str, DecisionPoint] = {}
             env["U"] = gen_decision_point(rng, model, "U", p, env=env)
             env["V"] = gen_decision_point(

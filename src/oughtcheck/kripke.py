@@ -13,7 +13,6 @@ never silently overflow anything downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .errors import UnknownAgent, UnknownWorld, ValidationError
@@ -135,15 +134,6 @@ class GradedKripkeModel:
                 yield (w, u)
 
 
-@dataclass
-class PointedModel:
-    model: GradedKripkeModel
-    world: object
-
-    def __post_init__(self):
-        self.model.require_world(self.world)
-
-
 def _basic_check(m: GradedKripkeModel) -> None:
     if not m.worlds:
         raise ValidationError("a model needs at least one world")
@@ -216,8 +206,3 @@ def frame_violations(m: GradedKripkeModel) -> list:
                 if w not in succ(w):
                     problems.append(f"{a!r} is not reflexive at {world_id(w)}")
     return problems
-
-
-def validate_model(m: GradedKripkeModel) -> list:
-    """Full validation report: structural issues plus frame-class violations."""
-    return frame_violations(m)

@@ -20,7 +20,10 @@ Conventions that matter and are easy to get wrong:
   OWN epistemic horizon: descend through products along all but the last
   step, take the agent submodel there, and update it by the final decision
   point.  (2) is only computed when (1) did not already settle the verdict,
-  so a failing precondition never trips an undefined expectation.
+  so a failing precondition never trips an undefined expectation.  The
+  carrier is built once per (agent, horizon, decision point) and shared by
+  every root inside that horizon (a whole S5 cell); a root outside its own
+  horizon gets its own.
 * A bare expectation atom e{i; s} at a world with trace t resolves in one
   of three ways: s equals t (the current model is the carrier), s strictly
   extends t (run the difference as above), or s is read relative to the
@@ -53,7 +56,7 @@ from .formula import (
 )
 from .kripke import GradedKripkeModel, extend_world, trace_of, world_id
 from .product import product
-from .submodel import agent_submodel
+from .submodel import agent_submodel, horizon
 
 
 def _resolve(env: Dict, dp_id: str):
@@ -149,8 +152,14 @@ def _atom_remainder(world, f: ExpAtom):
 
 def _atom_route(model, world, agent: str, rest, env, report=False):
     """Carrier construction shared by obligations and bare atoms: descend all
-    but the last step through products, build the agent submodel, update by
-    the final decision point, and judge the instance there."""
+    but the last step through products, update the agent's submodel there
+    by the final decision point, and judge the instance in that carrier.
+
+    A root inside its own horizon H generates the same submodel as every
+    other root of H up to the root itself, which the update never reads, so
+    the carrier is shared per (agent, H, decision point): one per
+    information cell in S5.  A root outside its horizon is retained in its
+    submodel as an evaluation point and gets a carrier of its own."""
     cur_m, cur_w = model, world
     for dp_id, ev in rest[:-1]:
         if not evaluate_plain(cur_m, cur_w, _pre_of(env, dp_id, ev), env):
@@ -163,8 +172,12 @@ def _atom_route(model, world, agent: str, rest, env, report=False):
     point = _resolve(env, dp_id)
     if ev not in point.pre:
         raise UnknownEvent(f"decision point {dp_id!r} has no event {ev!r}")
-    sub = agent_submodel(cur_m, cur_w, agent)
-    carrier = product(sub, point)
+    h = horizon(cur_m, cur_w, agent)
+    key = ("carrier", agent, h if cur_w in h else cur_w, point)
+    carrier = cur_m._cache.get(key)
+    if carrier is None:
+        carrier = product(agent_submodel(cur_m, cur_w, agent), point)
+        cur_m._cache[key] = carrier
     instance = extend_world(cur_w, ((dp_id, ev),))
     if not carrier.has_world(instance):
         raise UnknownProductWorld(

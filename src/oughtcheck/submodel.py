@@ -10,7 +10,10 @@ expected values, but it contributes to no sums and is never anyone's rival.
 
 agent_submodel reaches along one agent's relation only, yet keeps every
 agent's edges inside the carved-out domain — other agents' knowledge inside
-someone's epistemic horizon is still meaningful.
+someone's epistemic horizon is still meaningful.  That domain, the agent's
+horizon of the root, is also what expectation carriers are shared by and
+what component values sum over, so `horizon` states the isolated-root rule
+for all three.
 """
 
 from __future__ import annotations
@@ -89,17 +92,27 @@ def generated_submodel(model: GradedKripkeModel, root) -> GradedKripkeModel:
     return hit
 
 
-def agent_submodel(model: GradedKripkeModel, root, agent: str) -> GradedKripkeModel:
-    """Submodel generated from root along one agent's relation."""
+def horizon(model: GradedKripkeModel, root, agent: str) -> frozenset:
+    """What `agent` reaches from root in one or more steps (memoized on the
+    model).  An empty horizon is an isolated root."""
     model.require_world(root)
-    key = ("sub", root, agent)
+    key = ("horizon", root, agent)
     hit = model._cache.get(key)
     if hit is None:
-        domain = _reach(model, root, agent)
-        if not domain:
+        hit = frozenset(_reach(model, root, agent))
+        if not hit:
             raise IsolatedRoot(
                 f"agent {agent!r} reaches nothing from {world_id(root)}"
             )
-        hit = _restrict(model, root, domain, agent)
+        model._cache[key] = hit
+    return hit
+
+
+def agent_submodel(model: GradedKripkeModel, root, agent: str) -> GradedKripkeModel:
+    """Submodel generated from root along one agent's relation."""
+    key = ("sub", root, agent)
+    hit = model._cache.get(key)
+    if hit is None:
+        hit = _restrict(model, root, horizon(model, root, agent), agent)
         model._cache[key] = hit
     return hit

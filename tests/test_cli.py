@@ -259,3 +259,23 @@ def test_internal_errors_have_their_own_exit_code(capsys, scenario_docs, monkeyp
     code, _, err = run(capsys, "translate", "--actions", ap, "--formula", "p")
     assert code == 3
     assert "internal error: boom" in err
+
+
+def test_uncaught_exceptions_exit_3_not_1(capsys, scenario_docs):
+    mp, ap = scenario_docs["miners"]
+    code, out, err = run(
+        capsys, "check", "--model", mp, "--actions", ap, "--formula", "!" * 3000 + "A",
+    )
+    assert code == 3
+    assert err.strip() == "internal error: RecursionError"
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_unreadable_documents_are_bad_input(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for path in (str(bad), str(tmp_path / "missing.json")):
+        code, _, err = run(capsys, "check", "--model", path, "--formula", "p")
+        assert code == 2
+        assert err.startswith("error: cannot read")

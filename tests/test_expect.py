@@ -11,7 +11,6 @@ from oughtcheck.errors import NoDecisionContext, NoSuccessors, Unsatisfiable
 from oughtcheck.expect import (
     atom_holds,
     atom_report,
-    component,
     component_value,
     expected_value,
     expected_value_at,
@@ -84,8 +83,13 @@ def test_components(line_model, pick):
     assert component_value(pm, ("w2", (("P", "lo"),)), "x") == Fraction(5, 2)
     assert component_value(pm, w0hi, "y") == Fraction(1)
     assert component_value(pm, w0lo, "y") == Fraction(3, 2)
-    c = component(pm, w0lo, "x")
+    c = agent_submodel(pm, w0lo, "x")
     assert set(c.worlds) == {w0lo, ("w1", (("P", "lo"),))}
+    for w in pm.worlds:
+        for agent in pm.agents:
+            assert component_value(pm, w, agent) == expected_value(
+                agent_submodel(pm, w, agent), agent
+            )
 
 
 def test_rivals(line_model, pick):

@@ -147,3 +147,28 @@ def test_suite_is_deterministic_per_seed():
     a = run_axiom_suite(trials=10, seed=42).as_dict()
     b = run_axiom_suite(trials=10, seed=42).as_dict()
     assert a == b
+
+
+def test_suite_leaves_its_params_alone():
+    g = GenParams(max_worlds=4)
+    run_axiom_suite(1, 3, frame="K", params=g)
+    assert g == GenParams(max_worlds=4)
+    assert g.frame == "S5"
+
+
+def test_suite_names_its_models_at_construction(monkeypatch):
+    import oughtcheck.generate as generate
+
+    made = []
+
+    def recording_gen_model(rng, params=None, name=None):
+        m = gen_model(rng, params, name=name)
+        made.append((name, m))
+        return m
+
+    monkeypatch.setattr(generate, "gen_model", recording_gen_model)
+    run_axiom_suite(3, 5)
+    assert made and all(name is not None and m.name == name for name, m in made)
+    # a model is named once, by its trial number; redrawn trials reuse it
+    assert made[-1][0] == "t2"
+    assert gen_model(random.Random(1), name="mine").name == "mine"

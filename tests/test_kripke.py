@@ -6,7 +6,6 @@ from oughtcheck.errors import UnknownAgent, UnknownWorld, ValidationError
 from oughtcheck.kripke import (
     GradedKripkeModel,
     MAX_DESIRABILITY,
-    PointedModel,
     base_of,
     extend_world,
     frame_violations,
@@ -92,13 +91,6 @@ def test_construction_validations():
 def test_desirability_bound_is_inclusive():
     m = _tiny(desirability={"u": MAX_DESIRABILITY, "v": -MAX_DESIRABILITY})
     assert m.value_of("u") == MAX_DESIRABILITY
-
-
-def test_pointed_model_checks_world():
-    m = _tiny()
-    PointedModel(m, "u")
-    with pytest.raises(UnknownWorld):
-        PointedModel(m, "zz")
 
 
 def test_frame_violations_s5():

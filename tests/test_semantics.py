@@ -2,6 +2,7 @@
 agreement with the brute-force oracle on random instances."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,8 +11,16 @@ from oughtcheck.actions import DecisionPoint, env_of
 from oughtcheck.errors import (
     CheckerError,
     InternalError,
+    UnknownEvent,
     UnknownProductWorld,
     ValidationError,
+)
+from oughtcheck.expect import (
+    atom_holds,
+    atom_report,
+    component_value,
+    expected_value,
+    rival_instances,
 )
 from oughtcheck.formula import (
     And,
@@ -23,12 +32,13 @@ from oughtcheck.formula import (
     Not,
     Ought,
     TRUE,
+    to_text,
 )
 from oughtcheck.generate import GenParams, gen_decision_point, gen_formula, gen_model
 from oughtcheck.errors import Unsatisfiable
-from oughtcheck.kripke import GradedKripkeModel
+from oughtcheck.kripke import GradedKripkeModel, extend_world, world_id
 from oughtcheck.product import product
-from oughtcheck.semantics import evaluate, evaluate_plain, holds_globally
+from oughtcheck.semantics import _atom_route, evaluate, evaluate_plain, holds_globally
 from oughtcheck.submodel import agent_submodel
 
 
@@ -290,3 +300,211 @@ def _assert_agree(m, om, w, f, env):
     except OracleError:
         b = "error"
     assert a == b, f"{f} at {w}: package={a} oracle={b}"
+
+
+# --- shared expectation carriers -----------------------------------------------
+
+
+def _per_root_carrier(m, w, agent, steps, env):
+    """Test-only reference for the expectation route: the carrier built per
+    root, product(agent_submodel(m, w, agent), point).  Returns (carrier,
+    instance)."""
+    for dp_id, ev in steps[:-1]:
+        if not evaluate_plain(m, w, env[dp_id].pre[ev], env):
+            raise UnknownProductWorld(f"{w} does not survive {dp_id}.{ev}")
+        m, w = product(m, env[dp_id]), extend_world(w, ((dp_id, ev),))
+    dp_id, ev = steps[-1]
+    point = env[dp_id]
+    if ev not in point.pre:
+        raise UnknownEvent(ev)
+    carrier = product(agent_submodel(m, w, agent), point)
+    instance = extend_world(w, ((dp_id, ev),))
+    if not carrier.has_world(instance):
+        raise UnknownProductWorld(f"{w} does not survive {dp_id}.{ev}")
+    return carrier, instance
+
+
+def _per_root_route(m, w, agent, steps, env):
+    """(plain verdict, (verdict, own, {rival id: value})) on the per-root
+    carrier, each an error class name where it raises.  Every component value
+    is also checked against a built component submodel."""
+    carrier, instance = _per_root_carrier(m, w, agent, steps, env)
+    for x in [instance] + rival_instances(carrier, instance):
+        assert _outcome(lambda: component_value(carrier, x, agent)) == _outcome(
+            lambda: expected_value(agent_submodel(carrier, x, agent), agent)
+        )
+
+    def report():
+        verdict, own, rivals = atom_report(carrier, instance, agent)
+        return verdict, own, {world_id(r): v for r, v in rivals.items()}
+
+    return _outcome(lambda: atom_holds(carrier, instance, agent)), _outcome(report)
+
+
+def _sharing_route(m, w, agent, steps, env):
+    """The carrier the package's route judges the atom in."""
+    return _atom_route(m, w, agent, steps, env, report=True)[3]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except CheckerError as exc:
+        return type(exc).__name__
+
+
+def _shared_instance(seed, frame):
+    """A seeded gen_model instance with a generated decision point U and a
+    point W whose preconditions look past the root: another agent's
+    knowledge, an expectation atom on U and an after-run diamond, all read
+    inside the restricted horizon when W updates a submodel."""
+    rng = random.Random(seed)
+    params = GenParams(max_worlds=6, frame=frame)
+    m = gen_model(rng, params)
+    env = {}
+    env["U"] = gen_decision_point(rng, m, "U", params, env=env)
+    j, k = rng.choice(m.agents), rng.choice(m.agents)
+    u_ev = rng.choice(env["U"].events)
+    p = Atom(rng.choice(m.atoms))
+    env["W"] = DecisionPoint(
+        "W", rng.choice(m.agents), ["x", "y", "z"],
+        {
+            "x": Know(j, p),
+            "y": And(Not(p), ExpAtom(k, (("U", u_ev),))),
+            "z": Not(Diamond((("U", u_ev),), Know(k, p))),
+        },
+        agents=list(m.agents), env=env,
+    )
+    return m, env
+
+
+@pytest.mark.parametrize("frame", ["S5", "KD45", "K"])
+def test_shared_carriers_match_per_root_carriers(frame):
+    compared = valued = shared = 0
+    classes = Counter()
+    for seed in range(40):
+        try:
+            ref_m, ref_env = _shared_instance(seed, frame)
+        except Unsatisfiable:
+            continue
+        # a second, identical copy, so the two routes share no cache
+        m, env = _shared_instance(seed, frame)
+        p = Atom(m.atoms[0])
+        runs = [(("U", e),) for e in env["U"].events] + [(("U", "nope"),)]
+        runs += [(("W", e),) for e in env["W"].events]
+        runs += [(("U", env["U"].events[0]), ("W", e)) for e in env["W"].events]
+        carriers = {}
+        for w in list(m.worlds) + ["nowhere"]:
+            for agent in list(m.agents) + ["nobody"]:
+                for steps in runs:
+                    if w == "nowhere" and len(steps) > 1:
+                        continue  # a precondition at an unknown world raises KeyError
+                    ref = _outcome(lambda: _per_root_route(ref_m, w, agent, steps, ref_env))
+                    atom = ExpAtom(agent, steps)
+                    plain = _outcome(lambda: evaluate_plain(m, w, atom, env))
+                    told = _outcome(lambda: evaluate(m, w, atom, env))
+                    where = f"seed {seed} {frame}: {to_text(atom)} at {w}"
+                    ref_plain, ref_told = (ref, ref) if isinstance(ref, str) else ref
+                    classes.update(x for x in (ref_plain, ref_told) if isinstance(x, str))
+                    assert plain == ref_plain, where
+                    if isinstance(ref_told, str):
+                        assert told == ref_told, where
+                    else:
+                        got = (told.holds, told.values["own"], told.values["rivals"])
+                        assert got == ref_told, where
+                        valued += 1
+                        if len(steps) == 1:
+                            c = _sharing_route(m, w, agent, steps, env)
+                            roots, ids = carriers.setdefault((agent, steps[0][0]), (set(), set()))
+                            roots.add(w)
+                            ids.add(id(c))
+                    if agent == env[steps[-1][0]].owner and w != "nowhere":
+                        ought = Ought(agent, steps, p)
+                        run = Diamond(steps, p)
+                        want = _outcome(lambda: evaluate_plain(ref_m, w, run, ref_env))
+                        if want is True:
+                            want = ref_plain
+                        assert _outcome(lambda: evaluate_plain(m, w, ought, env)) == want, where
+                    compared += 1
+        shared += sum(len(roots) - len(ids) for roots, ids in carriers.values())
+    print(f"[carriers] {frame}: {compared} atoms, {valued} valued, {shared} shared", dict(classes))
+    assert compared > 2000 and valued > 300
+    assert {
+        "UnknownEvent", "UnknownWorld", "UnknownAgent", "UnknownProductWorld", "EmptyProduct"
+    } <= set(classes)
+    if frame != "S5":
+        assert classes["IsolatedRoot"]
+    if frame != "K":
+        assert shared > 0  # roots of one cell did share carriers
+
+
+def test_one_s5_cell_shares_one_carrier(line_model, pick_env):
+    steps = (("P", "lo"),)
+    c0 = _sharing_route(line_model, "w0", "x", steps, pick_env)
+    assert _sharing_route(line_model, "w1", "x", steps, pick_env) is c0
+    c2 = _sharing_route(line_model, "w2", "x", steps, pick_env)
+    assert c2 is not c0
+    assert _sharing_route(line_model, "w3", "x", steps, pick_env) is c2
+    # y's single cell is the whole model: one carrier for every root
+    cy = {id(_sharing_route(line_model, w, "y", steps, pick_env)) for w in line_model.worlds}
+    assert len(cy) == 1
+
+
+def test_kd45_root_outside_its_horizon_gets_its_own_carrier():
+    m = GradedKripkeModel(
+        agents=["i"], atoms=["p"], worlds=["u", "v", "w"],
+        relations={"i": {w: {"v", "w"} for w in ["u", "v", "w"]}},
+        valuation={"u": {"p"}, "v": set(), "w": {"p"}},
+        desirability={"u": 9, "v": 1, "w": 4},
+        frame="KD45",
+    )
+    env = env_of([DecisionPoint("T", "i", ["l", "r"], {"l": TRUE, "r": Atom("p")})])
+    steps = (("T", "l"),)
+    cu = _sharing_route(m, "u", "i", steps, env)
+    cv = _sharing_route(m, "v", "i", steps, env)
+    assert cu is not cv
+    assert _sharing_route(m, "w", "i", steps, env) is cv
+    assert _sharing_route(m, "u", "i", steps, env) is cu
+    # u is kept in its own carrier only as an evaluation point
+    assert cu.eval_only == {("u", (("T", "l"),)), ("u", (("T", "r"),))}
+    assert not cv.eval_only
+    assert evaluate_plain(m, "u", ExpAtom("i", steps), env) == (
+        _per_root_route(m, "u", "i", steps, env)[0]
+    )
+
+
+def test_carriers_per_decision_point_do_not_grow_with_roots(monkeypatch):
+    # 400 worlds in 5 S5 cells: 5 submodels and 5 carriers, not one per root
+    worlds = [f"w{k}" for k in range(400)]
+    cells = [worlds[c::5] for c in range(5)]
+    m = GradedKripkeModel(
+        agents=["i"], atoms=["p", "q"], worlds=worlds,
+        relations={"i": {w: set(cell) for cell in cells for w in cell}},
+        valuation={w: {"p"} if k % 2 else {"q"} for k, w in enumerate(worlds)},
+        desirability={w: k % 10 for k, w in enumerate(worlds)},
+        frame="S5",
+    )
+    env = env_of(
+        [DecisionPoint("U", "i", ["a", "b", "c"], {"a": Atom("p"), "b": Atom("q"), "c": TRUE})]
+    )
+    built = []
+    init = GradedKripkeModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(len(self.worlds))
+        # fail fast instead of building a carrier per root
+        assert len(built) <= 10, "more than one carrier per information cell"
+
+    monkeypatch.setattr(GradedKripkeModel, "__init__", counting_init)
+    carriers = set()
+    for w in worlds:
+        for ev in ("a", "c"):
+            steps = (("U", ev),)
+            try:
+                evaluate_plain(m, w, ExpAtom("i", steps), env)
+            except UnknownProductWorld:
+                continue
+            carriers.add(id(_sharing_route(m, w, "i", steps, env)))
+    assert len(carriers) == 5
+    assert sorted(built) == [80] * 5 + [160] * 5  # submodels, then carriers
