@@ -28,6 +28,10 @@ anything beyond the identity is flagged in the returned notes.  A
 precondition may mention decision points declared *earlier* in the same
 document: a reference to the point itself or a later one raises
 CyclicPrecondition, an undeclared id raises UnknownEvent.
+
+Both loaders check the shape of what they read (objects, lists of strings,
+pairs, integer values) and raise ValidationError on anything else, so no
+JSON value can make them fail with a non-CheckerError exception.
 """
 
 from __future__ import annotations
@@ -50,28 +54,67 @@ from .parser import parse
 # -- models ---------------------------------------------------------------------
 
 
+def _require(ok: bool, message: str) -> None:
+    """Reject a malformed document shape."""
+    if not ok:
+        raise ValidationError(message)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _is_pairs(value) -> bool:
+    """A list of two-string lists, as relation pairs are written."""
+    return isinstance(value, list) and all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and all(isinstance(x, str) for x in p)
+        for p in value
+    )
+
+
 def model_from_doc(doc: Dict, strict_frame: bool = True) -> Tuple[GradedKripkeModel, Optional[str]]:
     """Build a model from a document; returns (model, designated point)."""
+    _require(isinstance(doc, dict), "a model document is a JSON object")
     for key in ("agents", "atoms", "worlds", "relations"):
         if key not in doc:
             raise ValidationError(f"model document lacks {key!r}")
+    for key in ("agents", "atoms", "eval_only"):
+        _require(_is_strings(doc.get(key, [])), f"{key!r} is a list of strings")
+    for key in ("root", "agent_filter", "point"):
+        _require(doc.get(key) is None or isinstance(doc[key], str), f"{key!r} is a string")
+    _require(isinstance(doc["worlds"], list), "'worlds' is a list")
+    _require(isinstance(doc["relations"], dict), "'relations' is a JSON object")
     world_ids: List[str] = []
     valuation = {}
     desirability = {}
     for entry in doc["worlds"]:
+        _require(
+            isinstance(entry, dict) and isinstance(entry.get("id"), str),
+            f"world entry {entry!r} is an object with a string 'id'",
+        )
         wid = entry["id"]
+        true_atoms = entry.get("true_atoms", [])
+        _require(_is_strings(true_atoms), f"'true_atoms' of {wid!r} is a list of strings")
+        value = entry.get("value", 0)
+        _require(
+            isinstance(value, int) and not isinstance(value, bool),
+            f"'value' of {wid!r} is not an integer: {value!r}",
+        )
         world_ids.append(wid)
-        valuation[wid] = frozenset(entry.get("true_atoms", ()))
-        desirability[wid] = entry.get("value", 0)
+        valuation[wid] = frozenset(true_atoms)
+        desirability[wid] = value
     known = set(world_ids)
     relations: Dict[str, Dict[str, set]] = {}
     for agent, pairs in doc["relations"].items():
         if agent not in doc["agents"]:
             raise UnknownAgent(f"relation for undeclared agent {agent!r}")
+        _require(isinstance(pairs, list), f"relation of {agent!r} is a list of pairs")
         adj: Dict[str, set] = {w: set() for w in world_ids}
         for pair in pairs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValidationError(f"relation pair {pair!r} is not a pair of world ids")
             w, u = pair
-            if w not in known or u not in known:
+            if not (isinstance(w, str) and isinstance(u, str) and w in known and u in known):
                 raise UnknownWorld(f"relation pair {pair!r} mentions an unknown world")
             adj[w].add(u)
         relations[agent] = adj
@@ -173,6 +216,36 @@ def _check_pre_references(formula, env: Dict, declared: set, where: str) -> None
         _check_pre_references(formula.body, env, declared, where)
 
 
+def _check_point_shape(entry) -> None:
+    _require(isinstance(entry, dict), f"decision point {entry!r} is a JSON object")
+    for key in ("id", "owner", "events"):
+        if key not in entry:
+            raise ValidationError(f"decision point document lacks {key!r}")
+    _require(
+        isinstance(entry["id"], str) and isinstance(entry["owner"], str),
+        "a decision point's 'id' and 'owner' are strings",
+    )
+    events = entry["events"]
+    _require(
+        isinstance(events, list)
+        and all(
+            isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("pre"), str)
+            for e in events
+        ),
+        f"'events' of {entry['id']!r} is a list of objects with string 'name' and 'pre'",
+    )
+    relations = entry.get("relations")
+    _require(
+        relations is None
+        or (isinstance(relations, dict) and all(map(_is_pairs, relations.values()))),
+        f"'relations' of {entry['id']!r} maps agents to lists of event-name pairs",
+    )
+    _require(
+        entry.get("agents") is None or _is_strings(entry["agents"]),
+        f"'agents' of {entry['id']!r} is a list of strings",
+    )
+
+
 def actions_from_doc(doc) -> Tuple[List[DecisionPoint], List[str]]:
     """Load decision points in declaration order; returns (points, notes)."""
     if isinstance(doc, dict) and "actions" in doc:
@@ -180,9 +253,14 @@ def actions_from_doc(doc) -> Tuple[List[DecisionPoint], List[str]]:
     elif isinstance(doc, dict):
         entries = [doc]
     else:
-        entries = list(doc)
+        entries = doc
+    _require(
+        isinstance(entries, (list, tuple)),
+        "an actions document is a decision point, a list of them, or {\"actions\": [...]}",
+    )
     declared = set()
     for entry in entries:
+        _check_point_shape(entry)
         if entry["id"] in declared:
             raise ValidationError(f"duplicate decision point id {entry['id']!r}")
         declared.add(entry["id"])

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NoDecisionContext, NoSuccessors
+from .errors import CheckerError, NoDecisionContext, NoSuccessors
 from .kripke import GradedKripkeModel, trace_of, world_id
 from .submodel import horizon
 
@@ -63,53 +63,93 @@ def component_value(carrier: GradedKripkeModel, instance, agent: str) -> Fractio
     expected_value(agent_submodel(carrier, instance, agent)), read straight
     off the carrier (memoized on it) instead of building that submodel —
     the desirability summed over the instance's horizon, over its successor
-    count."""
+    count.  Instances that share a horizon share its sum."""
     key = ("value", instance, agent)
     hit = carrier._cache.get(key)
     if hit is None:
         reach = horizon(carrier, instance, agent)
-        hit = Fraction(
-            sum(carrier.desirability[w] for w in reach),
-            len(carrier.successors(agent, instance)),
-        )
+        sums = carrier._cache.setdefault("sums", {})
+        total = sums.get(reach)
+        if total is None:
+            total = sums[reach] = _desirability_sum(carrier, reach)
+        hit = Fraction(total, len(carrier.successors(agent, instance)))
         carrier._cache[key] = hit
     return hit
 
 
-def rival_instances(carrier: GradedKripkeModel, instance):
-    """Surviving rivals of an instance: same prefix, same final decision
-    point, different final event.  Evaluation-only worlds never count."""
+def _desirability_sum(carrier: GradedKripkeModel, worlds) -> int:
+    return sum(carrier.desirability[w] for w in worlds)
+
+
+def _final_step(instance):
+    """(prefix, (decision point, event)) of an instance's trace."""
     trace = trace_of(instance)
     if not trace:
         raise NoDecisionContext(
             f"{world_id(instance)} carries no trace, so it has no rivals"
         )
-    prefix, (final_dp, final_ev) = trace[:-1], trace[-1]
-    out = []
-    for w in carrier.worlds:
-        if w in carrier.eval_only:
-            continue
-        t = trace_of(w)
-        if len(t) != len(trace) or t[:-1] != prefix:
-            continue
-        dp, ev = t[-1]
-        if dp == final_dp and ev != final_ev:
-            out.append(w)
-    return out
+    return trace[:-1], trace[-1]
+
+
+def rival_instances(carrier: GradedKripkeModel, instance):
+    """Surviving rivals of an instance: same prefix, same final decision
+    point, different final event.  Evaluation-only worlds never count."""
+    prefix, (final_dp, final_ev) = _final_step(instance)
+    groups = carrier._cache.get("rival_groups")
+    if groups is None:
+        # surviving instances by (prefix, final decision point), world order
+        groups = {}
+        for w in carrier.worlds:
+            t = trace_of(w)
+            if t and w not in carrier.eval_only:
+                groups.setdefault((t[:-1], t[-1][0]), []).append(w)
+        carrier._cache["rival_groups"] = groups
+    return [
+        w for w in groups.get((prefix, final_dp), ()) if trace_of(w)[-1][1] != final_ev
+    ]
+
+
+def _rival_bound(carrier: GradedKripkeModel, instance, agent: str):
+    """What atom_holds compares against, shared by every instance with the
+    same prefix and final step: the best rival value before the first rival
+    in world order whose value is undefined, and that rival's error as
+    (class, args) (None when every rival is defined; best is None when no
+    rival comes first)."""
+    prefix, step = _final_step(instance)
+    key = ("bound", prefix, step, agent)
+    hit = carrier._cache.get(key)
+    if hit is None:
+        best = error = None
+        for rival in rival_instances(carrier, instance):
+            try:
+                value = component_value(carrier, rival, agent)
+            except CheckerError as exc:
+                error = (type(exc), exc.args)  # no traceback, so no frames kept
+                break
+            if best is None or best < value:
+                best = value
+        hit = carrier._cache[key] = (best, error)
+    return hit
 
 
 def atom_holds(carrier: GradedKripkeModel, instance, agent: str) -> bool:
-    """Truth of the expectation atom for `agent` at `instance` in `carrier`."""
+    """Truth of the expectation atom for `agent` at `instance` in `carrier`.
+
+    The verdict is that of walking the rivals in world order and stopping at
+    the first one more valuable than the instance (False) or with an
+    undefined value (its error): one comparison against _rival_bound."""
     carrier.require_world(instance)
     key = ("atom", instance, agent)
     hit = carrier._cache.get(key)
     if hit is None:
         mine = component_value(carrier, instance, agent)
-        hit = True
-        for rival in rival_instances(carrier, instance):
-            if mine < component_value(carrier, rival, agent):
-                hit = False
-                break
+        best, error = _rival_bound(carrier, instance, agent)
+        if best is not None and mine < best:
+            hit = False
+        elif error is not None:
+            raise error[0](*error[1])
+        else:
+            hit = True
         carrier._cache[key] = hit
     return hit
 

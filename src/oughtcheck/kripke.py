@@ -52,7 +52,8 @@ def world_id(world) -> str:
 class GradedKripkeModel:
     """Immutable-by-convention graded Kripke model.
 
-    relations: agent -> world -> frozenset of successor worlds.
+    relations: agent -> world -> frozenset of successor worlds, one object
+    per distinct set (valuations likewise).
     """
 
     def __init__(
@@ -72,10 +73,18 @@ class GradedKripkeModel:
         self.agents = tuple(agents)
         self.atoms = tuple(atoms)
         self.worlds = tuple(worlds)
-        self.valuation: Dict = {w: frozenset(valuation[w]) for w in self.worlds}
+        # one frozenset object per distinct set: an S5 cell's worlds share
+        # their successor set, which also lets frame_violations skip them
+        shared: Dict = {}
+
+        def one(items) -> FrozenSet:
+            s = frozenset(items)
+            return shared.setdefault(s, s)
+
+        self.valuation: Dict = {w: one(valuation[w]) for w in self.worlds}
         self.desirability: Dict = {w: int(desirability[w]) for w in self.worlds}
         self.relations: Dict[str, Dict] = {
-            a: {w: frozenset(relations.get(a, {}).get(w, ())) for w in self.worlds}
+            a: {w: one(relations.get(a, {}).get(w, ())) for w in self.worlds}
             for a in self.agents
         }
         self.frame = frame
@@ -175,34 +184,32 @@ def frame_violations(m: GradedKripkeModel) -> list:
     """
     problems = []
     core = [w for w in m.worlds if w not in m.eval_only]
-    core_set = set(core)
+    core_set = frozenset(core)
     for a in m.agents:
         rel = m.relations[a]
-
-        def succ(w):
-            return rel[w] & core_set
-
+        succ = rel if not m.eval_only else {w: rel[w] & core_set for w in core}
         if m.frame in ("KD45", "S5"):
             for w in core:
-                if not succ(w):
+                if not succ[w]:
                     problems.append(f"{a!r} is not serial at {world_id(w)}")
             for w in core:
-                for u in succ(w):
-                    if not succ(u) <= succ(w):
+                targets = succ[w]
+                for u in targets:
+                    if succ[u] is not targets and not succ[u] <= targets:
                         problems.append(
                             f"{a!r} is not transitive at {world_id(w)} -> {world_id(u)}"
                         )
                         break
             for w in core:
-                targets = succ(w)
+                targets = succ[w]
                 for u in targets:
-                    if not targets <= succ(u):
+                    if succ[u] is not targets and not targets <= succ[u]:
                         problems.append(
                             f"{a!r} is not euclidean at {world_id(w)} -> {world_id(u)}"
                         )
                         break
         if m.frame == "S5":
             for w in core:
-                if w not in succ(w):
+                if w not in succ[w]:
                     problems.append(f"{a!r} is not reflexive at {world_id(w)}")
     return problems

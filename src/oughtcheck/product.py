@@ -33,11 +33,14 @@ def product(model: GradedKripkeModel, action) -> GradedKripkeModel:
             if evaluate_plain(model, w, action.pre_formula(key), env):
                 survives.setdefault(w, []).append(key)
 
+    # each surviving key once: (base, event key) -> product world
+    images = {
+        w: [(key, extend_world(w, key)) for key in w_keys] for w, w_keys in survives.items()
+    }
     worlds = []
     eval_only = set()
     for w in model.worlds:
-        for key in survives.get(w, ()):
-            pw = extend_world(w, key)
+        for _, pw in images.get(w, ()):
             worlds.append(pw)
             if w in model.eval_only:
                 eval_only.add(pw)
@@ -49,27 +52,31 @@ def product(model: GradedKripkeModel, action) -> GradedKripkeModel:
 
     agents = model.agents
     relations = {a: {} for a in agents}
-    for w in model.worlds:
-        w_keys = survives.get(w, ())
-        if not w_keys:
-            continue
-        for a in agents:
+    for a in agents:
+        related = {k1: {k2 for k2 in keys if action.q_related(a, k1, k2)} for k1 in keys}
+        rel = relations[a]
+        targets_of = {}  # (base successor set, event key) -> product successors
+        for w in model.worlds:
+            w_images = images.get(w)
+            if not w_images:
+                continue
             succ_w = model.successors(a, w)
-            for key in w_keys:
-                targets = []
-                for u in succ_w:
-                    for ukey in survives.get(u, ()):
-                        if action.q_related(a, key, ukey):
-                            targets.append(extend_world(u, ukey))
-                relations[a][extend_world(w, key)] = frozenset(targets)
+            for key, pw in w_images:
+                memo_key = (id(succ_w), key)
+                targets = targets_of.get(memo_key)
+                if targets is None:
+                    ok = related[key]
+                    targets = targets_of[memo_key] = frozenset(
+                        [upw for u in succ_w for ukey, upw in images.get(u, ()) if ukey in ok]
+                    )
+                rel[pw] = targets
 
     valuation = {}
     desirability = {}
-    for pw in worlds:
-        base_len = len(trace_of(pw)) - len(keys[0])
-        parent = (pw[0], pw[1][:base_len]) if base_len else pw[0]
-        valuation[pw] = model.valuation[parent]
-        desirability[pw] = model.desirability[parent]
+    for w, w_images in images.items():
+        for _, pw in w_images:
+            valuation[pw] = model.valuation[w]
+            desirability[pw] = model.desirability[w]
 
     out = GradedKripkeModel(
         agents=agents,

@@ -79,11 +79,14 @@ def evaluate_plain(model: GradedKripkeModel, world, f: Formula, env: Dict) -> bo
     if isinstance(f, Atom):
         if f.name not in model.atoms:
             raise ValidationError(f"atom {f.name!r} is not declared in this model")
-        return f.name in model.valuation[world]
-    if isinstance(f, Truth):
-        return True
-    if isinstance(f, Falsity):
-        return False
+        try:
+            return f.name in model.valuation[world]
+        except KeyError:
+            model.require_world(world)  # raises UnknownWorld
+            raise
+    if isinstance(f, (Truth, Falsity)):
+        model.require_world(world)
+        return isinstance(f, Truth)
     if isinstance(f, Not):
         return not evaluate_plain(model, world, f.sub, env)
     if isinstance(f, And):
@@ -255,11 +258,15 @@ def _explain(model, world, f, env, fcn) -> Verdict:
     if isinstance(f, Atom):
         if f.name not in model.atoms:
             raise ValidationError(f"atom {f.name!r} is not declared in this model")
-        return _v(f.name in model.valuation[world], f, world, "atom")
-    if isinstance(f, Truth):
-        return _v(True, f, world, "constant")
-    if isinstance(f, Falsity):
-        return _v(False, f, world, "constant")
+        try:
+            holds = f.name in model.valuation[world]
+        except KeyError:
+            model.require_world(world)  # raises UnknownWorld
+            raise
+        return _v(holds, f, world, "atom")
+    if isinstance(f, (Truth, Falsity)):
+        model.require_world(world)
+        return _v(isinstance(f, Truth), f, world, "constant")
     if isinstance(f, Not):
         child = _explain(model, world, f.sub, env, fcn)
         return _v(not child.holds, f, world, "negation", children=[child])

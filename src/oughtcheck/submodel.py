@@ -92,19 +92,67 @@ def generated_submodel(model: GradedKripkeModel, root) -> GradedKripkeModel:
     return hit
 
 
+def _representatives(model: GradedKripkeModel, agent: str) -> dict:
+    """Map every world to one world of its strongly connected component
+    under `agent`'s relation: Tarjan's algorithm (1972), with an explicit
+    stack so that long chains cannot overflow the interpreter's."""
+    rel = model.relations[agent]
+    index = {}
+    low = {}
+    rep = {}
+    pending = []
+    for start in model.worlds:
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        pending.append(start)
+        path = [(start, iter(rel[start]))]
+        while path:
+            w, succ = path[-1]
+            for u in succ:
+                if u not in index:
+                    index[u] = low[u] = len(index)
+                    pending.append(u)
+                    path.append((u, iter(rel[u])))
+                    break
+                if u not in rep and index[u] < low[w]:
+                    low[w] = index[u]  # u is still on the pending stack
+            else:
+                path.pop()
+                if path and low[w] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[w]
+                if low[w] == index[w]:
+                    while True:
+                        u = pending.pop()
+                        rep[u] = w
+                        if u == w:
+                            break
+    return rep
+
+
 def horizon(model: GradedKripkeModel, root, agent: str) -> frozenset:
-    """What `agent` reaches from root in one or more steps (memoized on the
-    model).  An empty horizon is an isolated root."""
+    """What `agent` reaches from root in one or more steps.  An empty
+    horizon is an isolated root.
+
+    Every world of a cycle reaches the same worlds, itself included, so the
+    horizon is memoized on the model per strongly connected component: the
+    worlds of an S5 cell or a KD45 cluster share one frozenset.  A world on
+    no cycle is its own component."""
     model.require_world(root)
-    key = ("horizon", root, agent)
-    hit = model._cache.get(key)
+    memo = model._cache.get(("horizons", agent))
+    if memo is None:
+        model.successors(agent, root)  # an unknown agent raises here
+        memo = model._cache[("horizons", agent)] = (_representatives(model, agent), {})
+    reps, by_rep = memo
+    rep = reps[root]
+    hit = by_rep.get(rep)
     if hit is None:
-        hit = frozenset(_reach(model, root, agent))
+        hit = frozenset(_reach(model, rep, agent))
         if not hit:
             raise IsolatedRoot(
                 f"agent {agent!r} reaches nothing from {world_id(root)}"
             )
-        model._cache[key] = hit
+        by_rep[rep] = hit
     return hit
 
 

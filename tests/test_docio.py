@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oughtcheck.docio import (
     actions_from_doc,
@@ -15,6 +16,7 @@ from oughtcheck.docio import (
     to_dot,
 )
 from oughtcheck.errors import (
+    CheckerError,
     CyclicPrecondition,
     UnknownAgent,
     UnknownEvent,
@@ -241,3 +243,135 @@ def test_dot_quotes_awkward_ids():
     )
     dot = to_dot(m)
     assert '"w \\"q\\""' in dot
+
+
+def test_malformed_shapes_are_validation_errors():
+    for doc in (3, None, "worlds", [], {"agents": "a", "atoms": [], "worlds": [], "relations": {}}):
+        with pytest.raises(ValidationError):
+            model_from_doc(doc)
+    base = {"agents": ["a"], "atoms": ["p"], "worlds": [{"id": "u"}], "relations": {}}
+    for change in (
+        {"worlds": [{"id": ["u"]}]},
+        {"worlds": [{"id": "u", "true_atoms": "p"}]},
+        {"worlds": [{"id": "u", "value": "many"}]},
+        {"worlds": [{"id": "u", "value": float("nan")}]},
+        {"worlds": [{"id": "u", "value": 1.9}]},
+        {"worlds": [{"id": "u", "value": 2.0}]},
+        {"worlds": [{"id": "u", "value": "12"}]},
+        {"worlds": [{"id": "u", "value": True}]},
+        {"relations": {"a": [["u"]]}},
+        {"relations": {"a": 5}},
+        {"root": ["u"]},
+        {"eval_only": [["u"]]},
+        {"point": {"u": 1}},
+    ):
+        with pytest.raises(ValidationError):
+            model_from_doc(dict(base, **change))
+    loaded, _ = model_from_doc(dict(base, worlds=[{"id": "u", "value": -3}]))
+    assert loaded.value_of("u") == -3
+    # an id that is not a string names no world
+    with pytest.raises(UnknownWorld):
+        model_from_doc(dict(base, relations={"a": [["u", ["u"]]]}))
+    for doc in (3, "U", None, {"worlds": 5}, {"actions": 5}, [{"id": "U"}]):
+        with pytest.raises(ValidationError):
+            actions_from_doc(doc)
+    point = {"id": "U", "owner": "i", "events": [{"name": "x", "pre": "true"}, {"name": "y", "pre": "p"}]}
+    for change in (
+        {"id": 5},
+        {"events": [{"name": "x", "pre": 3}, {"name": "y", "pre": "p"}]},
+        {"events": "xy"},
+        {"relations": {"i": [["x"]]}},
+        {"relations": [["x", "y"]]},
+        {"agents": "i"},
+    ):
+        with pytest.raises(ValidationError):
+            actions_from_doc(dict(point, **change))
+
+
+# JSON-shaped values: what json.load can return (NaN and infinities included)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["u", "v", "a", "i", "p", "x", "U", "true", "S5"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3) | st.sampled_from(["id", "name", "a"]), inner, max_size=3),
+    max_leaves=10,
+)
+_GOOD_MODEL = {
+    "agents": ["a"], "atoms": ["p"], "frame": "K", "point": "u",
+    "worlds": [{"id": "u", "true_atoms": ["p"], "value": 1}, {"id": "v", "value": 2}],
+    "relations": {"a": [["u", "v"], ["v", "v"]]},
+}
+_GOOD_ACTIONS = {
+    "actions": [
+        {"id": "U", "owner": "a", "events": [{"name": "x", "pre": "true"}, {"name": "y", "pre": "p"}]},
+        {
+            "id": "W", "owner": "a", "agents": ["a"],
+            "events": [{"name": "x", "pre": "<U.x> p"}, {"name": "y", "pre": "true"}],
+            "relations": {"a": [["x", "y"]]},
+        },
+    ]
+}
+
+
+def _paths(doc, extra_keys):
+    """Every position inside a document, plus optional keys it leaves out."""
+    out = [()]
+    if isinstance(doc, dict):
+        keys = list(doc) + [k for k in extra_keys if k not in doc]
+        for k in keys:
+            out += [(k,) + p for p in (_paths(doc[k], extra_keys) if k in doc else [()])]
+    elif isinstance(doc, list):
+        for i, x in enumerate(doc):
+            out += [(i,) + p for p in _paths(x, extra_keys)]
+    return out
+
+
+def _put(doc, path, value):
+    """doc with the value at path replaced (or added); a path that an
+    earlier replacement cut off leaves doc as it is."""
+    if not path:
+        return value
+    target = doc
+    try:
+        for step in path[:-1]:
+            target = target[step]
+        if isinstance(target, dict) or isinstance(path[-1], int) and isinstance(target, list):
+            target[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+    return doc
+
+
+def _mutants(good, extra_keys):
+    """The good document with one or two positions replaced by arbitrary
+    JSON values, so that every field is reached with the others intact."""
+
+    def apply(changes):
+        doc = json.loads(json.dumps(good))
+        for path, value in changes:
+            doc = _put(doc, path, value)
+        return doc
+
+    paths = st.sampled_from(_paths(good, extra_keys))
+    return st.lists(st.tuples(paths, _json), min_size=1, max_size=2).map(apply)
+
+
+_fuzz = settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+
+
+@_fuzz
+@given(_mutants(_GOOD_MODEL, ("root", "agent_filter", "eval_only", "name", "true_atoms", "id")))
+def test_model_loader_fuzz_raises_only_checker_errors(doc):
+    try:
+        model_from_doc(doc)
+    except CheckerError:
+        pass
+
+
+@_fuzz
+@given(_mutants(_GOOD_ACTIONS, ("relations", "agents", "name", "pre")))
+def test_actions_loader_fuzz_raises_only_checker_errors(doc):
+    try:
+        actions_from_doc(doc)
+    except CheckerError:
+        pass

@@ -1,13 +1,20 @@
 """Expected values, components, rivals, and expectation atoms."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from oracles import o_atom, omodel
 from oughtcheck.actions import DecisionPoint
-from oughtcheck.errors import NoDecisionContext, NoSuccessors, Unsatisfiable
+from oughtcheck.errors import (
+    CheckerError,
+    IsolatedRoot,
+    NoDecisionContext,
+    NoSuccessors,
+    Unsatisfiable,
+)
 from oughtcheck.expect import (
     atom_holds,
     atom_report,
@@ -18,7 +25,7 @@ from oughtcheck.expect import (
 )
 from oughtcheck.formula import TRUE
 from oughtcheck.generate import GenParams, gen_decision_point, gen_model
-from oughtcheck.kripke import GradedKripkeModel
+from oughtcheck.kripke import GradedKripkeModel, trace_of
 from oughtcheck.product import product
 from oughtcheck.submodel import agent_submodel, generated_submodel
 
@@ -184,3 +191,103 @@ def test_against_oracle():
                     continue
                 assert mine == o_atom(opm, w, agent)
         done += 1
+
+
+# --- the per-rival walk that atom_holds replaced, kept as a reference ---------
+
+
+def _scanned_rivals(carrier, instance):
+    """Reference: rivals by a scan of every carrier world."""
+    trace = trace_of(instance)
+    out = []
+    for w in carrier.worlds:
+        t = trace_of(w)
+        if w in carrier.eval_only or len(t) != len(trace) or t[:-1] != trace[:-1]:
+            continue
+        if t[-1][0] == trace[-1][0] and t[-1][1] != trace[-1][1]:
+            out.append(w)
+    return out
+
+
+def _walked_atom(carrier, instance, agent):
+    """Reference: walk the rivals in world order, stop at the first better
+    one (False) or the first undefined one (its error)."""
+    mine = component_value(carrier, instance, agent)
+    for rival in _scanned_rivals(carrier, instance):
+        if mine < component_value(carrier, rival, agent):
+            return False
+    return True
+
+
+def _outcome(call):
+    try:
+        return call()
+    except CheckerError as exc:
+        return type(exc).__name__
+
+
+def _two_event_carrier(values, successors):
+    """K model on worlds a, b, c updated by T with events l and r (both
+    always available), so the rivals of (x, T.l) are (a|b|c, T.r) in world
+    order.  A world without successors gives undefined component values."""
+    worlds = ["a", "b", "c"]
+    m = GradedKripkeModel(
+        agents=["i"], atoms=[], worlds=worlds,
+        relations={"i": successors},
+        valuation={w: () for w in worlds},
+        desirability=dict(zip(worlds, values)),
+    )
+    return product(m, DecisionPoint("T", "i", ["l", "r"], {"l": TRUE, "r": TRUE}))
+
+
+def test_undefined_rival_after_a_better_one_is_never_reached():
+    # (b, T.r) is worth 5 > 0 and comes before the undefined (c, T.r)
+    pm = _two_event_carrier([0, 5, 0], {"a": {"a"}, "b": {"b"}})
+    inst = ("a", (("T", "l"),))
+    assert _outcome(lambda: _walked_atom(pm, inst, "i")) is False
+    assert atom_holds(pm, inst, "i") is False
+
+
+def test_undefined_rival_before_a_better_one_raises():
+    # (b, T.r) is undefined and comes before the better (c, T.r)
+    pm = _two_event_carrier([0, 0, 5], {"a": {"a"}, "c": {"c"}})
+    for base in ("a", "c"):
+        inst = (base, (("T", "l"),))
+        assert _outcome(lambda: _walked_atom(pm, inst, "i")) == "IsolatedRoot"
+        with pytest.raises(IsolatedRoot):
+            atom_holds(pm, inst, "i")
+    # an instance whose own value is undefined raises before any rival
+    with pytest.raises(IsolatedRoot):
+        atom_holds(pm, ("b", (("T", "l"),)), "i")
+
+
+@pytest.mark.parametrize("frame", ["S5", "KD45", "K"])
+def test_atoms_match_the_per_rival_walk(frame):
+    rng = random.Random(f"walk:{frame}")
+    params = GenParams(max_worlds=6, frame=frame)
+    outcomes = Counter()
+    done = 0
+    while done < 60:
+        m = gen_model(rng, params)
+        try:
+            dp = gen_decision_point(rng, m, "U", params)
+        except Unsatisfiable:
+            continue
+        # agent submodels add eval-only roots, which are never rivals
+        carriers = [product(m, dp)]
+        for w in m.worlds:
+            try:
+                carriers.append(product(agent_submodel(m, w, dp.owner), dp))
+            except CheckerError:
+                pass
+        for pm in carriers:
+            for w in pm.worlds:
+                assert rival_instances(pm, w) == _scanned_rivals(pm, w)
+                for agent in pm.agents:
+                    want = _outcome(lambda: _walked_atom(pm, w, agent))
+                    assert _outcome(lambda: atom_holds(pm, w, agent)) == want
+                    outcomes[want] += 1
+        done += 1
+    assert outcomes[True] and outcomes[False]
+    if frame == "K":
+        assert outcomes["IsolatedRoot"]

@@ -5,12 +5,13 @@ import random
 import pytest
 
 from oracles import o_eval, o_product, omodel
-from oughtcheck.actions import DecisionPoint
-from oughtcheck.errors import EmptyProduct, Unsatisfiable
+from oughtcheck.actions import DecisionPoint, compose
+from oughtcheck.errors import EmptyProduct, IsolatedRoot, Unsatisfiable
 from oughtcheck.formula import Atom, Not, TRUE
 from oughtcheck.generate import GenParams, gen_decision_point, gen_model
 from oughtcheck.kripke import extend_world
 from oughtcheck.product import apply_sequence, product
+from oughtcheck.semantics import evaluate_plain
 from oughtcheck.submodel import agent_submodel
 
 
@@ -191,3 +192,67 @@ def test_oracle_empty_matches_package_empty(line_model):
         except EmptyProduct:
             raised = True
         assert raised == brute_empty
+
+
+def _per_edge_relations(model, action):
+    """Reference: the product's edges by one q_related call per base edge
+    and pair of surviving events, as product computed them before it built
+    event-relatedness tables."""
+    env = getattr(action, "env", None) or {}
+    survives = {
+        w: [k for k in action.event_keys if evaluate_plain(model, w, action.pre_formula(k), env)]
+        for w in model.worlds
+    }
+    relations = {a: {} for a in model.agents}
+    for w in model.worlds:
+        for a in model.agents:
+            for key in survives[w]:
+                relations[a][extend_world(w, key)] = frozenset(
+                    extend_world(u, ukey)
+                    for u in model.successors(a, w)
+                    for ukey in survives[u]
+                    if action.q_related(a, key, ukey)
+                )
+    return relations
+
+
+def _with_extra_edges(rng, dp, agents):
+    """The decision point with random event relations beyond the identity,
+    declared for some agents only (the others can tell every event apart)."""
+    declared = rng.sample(agents, rng.randint(1, len(agents)))
+    relations = {
+        a: [(e1, e2) for e1 in dp.events for e2 in dp.events if rng.random() < 0.4]
+        for a in declared
+    }
+    return DecisionPoint(dp.id, dp.owner, dp.events, dp.pre, relations=relations, agents=declared)
+
+
+@pytest.mark.parametrize("frame", ["S5", "KD45", "K"])
+def test_edges_match_the_per_edge_loop(frame):
+    rng = random.Random(f"edges:{frame}")
+    params = GenParams(max_worlds=6, frame=frame)
+    extra = done = 0
+    while done < 40:
+        m = gen_model(rng, params)
+        try:
+            u = _with_extra_edges(rng, gen_decision_point(rng, m, "U", params), list(m.agents))
+            v = gen_decision_point(rng, m, "V", params)
+        except Unsatisfiable:
+            continue
+        extra += u.extra_edges
+        cases = [(m, u), (m, compose(u, v))]
+        try:
+            cases.append((agent_submodel(m, m.worlds[0], u.owner), u))
+        except IsolatedRoot:
+            pass
+        for base, action in cases:
+            try:
+                pm = product(base, action)
+            except EmptyProduct:
+                continue
+            want = _per_edge_relations(base, action)
+            for a in pm.agents:
+                assert list(pm.relations[a]) == list(want[a]) == list(pm.worlds)
+                assert pm.relations[a] == want[a]
+        done += 1
+    assert extra > 20

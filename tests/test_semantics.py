@@ -13,6 +13,7 @@ from oughtcheck.errors import (
     InternalError,
     UnknownEvent,
     UnknownProductWorld,
+    UnknownWorld,
     ValidationError,
 )
 from oughtcheck.expect import (
@@ -38,8 +39,11 @@ from oughtcheck.generate import GenParams, gen_decision_point, gen_formula, gen_
 from oughtcheck.errors import Unsatisfiable
 from oughtcheck.kripke import GradedKripkeModel, extend_world, world_id
 from oughtcheck.product import product
+from oughtcheck.parser import parse
 from oughtcheck.semantics import _atom_route, evaluate, evaluate_plain, holds_globally
 from oughtcheck.submodel import agent_submodel
+import oughtcheck.expect
+import oughtcheck.submodel
 
 
 @pytest.fixture
@@ -63,6 +67,14 @@ def test_propositional_basics(line_model, pick_env):
 def test_undeclared_atom_is_an_error(line_model, pick_env):
     with pytest.raises(ValidationError):
         evaluate_plain(line_model, "w0", Atom("zz"), pick_env)
+
+
+def test_unknown_world_is_an_error(line_model, pick_env):
+    for f in (Atom("p"), Not(And(TRUE, Atom("q"))), FALSE, Diamond((("P", "lo"),), TRUE)):
+        with pytest.raises(UnknownWorld):
+            evaluate_plain(line_model, "nowhere", f, pick_env)
+        with pytest.raises(UnknownWorld):
+            evaluate(line_model, "nowhere", f, pick_env)
 
 
 def test_knowledge(line_model, pick_env):
@@ -397,8 +409,6 @@ def test_shared_carriers_match_per_root_carriers(frame):
         for w in list(m.worlds) + ["nowhere"]:
             for agent in list(m.agents) + ["nobody"]:
                 for steps in runs:
-                    if w == "nowhere" and len(steps) > 1:
-                        continue  # a precondition at an unknown world raises KeyError
                     ref = _outcome(lambda: _per_root_route(ref_m, w, agent, steps, ref_env))
                     atom = ExpAtom(agent, steps)
                     plain = _outcome(lambda: evaluate_plain(m, w, atom, env))
@@ -473,8 +483,8 @@ def test_kd45_root_outside_its_horizon_gets_its_own_carrier():
     )
 
 
-def test_carriers_per_decision_point_do_not_grow_with_roots(monkeypatch):
-    # 400 worlds in 5 S5 cells: 5 submodels and 5 carriers, not one per root
+def _five_cells():
+    """400 worlds in 5 S5 cells of agent i, and the sweep's decision point."""
     worlds = [f"w{k}" for k in range(400)]
     cells = [worlds[c::5] for c in range(5)]
     m = GradedKripkeModel(
@@ -487,6 +497,13 @@ def test_carriers_per_decision_point_do_not_grow_with_roots(monkeypatch):
     env = env_of(
         [DecisionPoint("U", "i", ["a", "b", "c"], {"a": Atom("p"), "b": Atom("q"), "c": TRUE})]
     )
+    return m, cells, env
+
+
+def test_carriers_per_decision_point_do_not_grow_with_roots(monkeypatch):
+    # 400 worlds in 5 S5 cells: 5 submodels and 5 carriers, not one per root
+    m, _, env = _five_cells()
+    worlds = m.worlds
     built = []
     init = GradedKripkeModel.__init__
 
@@ -508,3 +525,42 @@ def test_carriers_per_decision_point_do_not_grow_with_roots(monkeypatch):
             carriers.add(id(_sharing_route(m, w, "i", steps, env)))
     assert len(carriers) == 5
     assert sorted(built) == [80] * 5 + [160] * 5  # submodels, then carriers
+
+
+def test_sweep_derives_each_horizon_and_sum_once(monkeypatch):
+    # the sweep formula at every world of 5 S5 cells: one reach per cell on
+    # the base model and one per event clique in each carrier, one
+    # desirability sum per distinct horizon
+    m, cells, env = _five_cells()
+    f = parse("O{i}(U.a | K{i} p) | O{i}(U.c | q)", env)
+    reaches, sums = Counter(), Counter()
+    reach, total = oughtcheck.submodel._reach, oughtcheck.expect._desirability_sum
+
+    def counting_reach(model, root, agent):
+        reaches[model] += 1
+        return reach(model, root, agent)
+
+    def counting_sum(carrier, worlds):
+        sums[carrier, worlds] += 1
+        return total(carrier, worlds)
+
+    monkeypatch.setattr(oughtcheck.submodel, "_reach", counting_reach)
+    monkeypatch.setattr(oughtcheck.expect, "_desirability_sum", counting_sum)
+    verdicts = Counter(evaluate_plain(m, w, f, env) for w in m.worlds)
+    assert verdicts[True] and verdicts[False]
+    assert reaches.pop(m) == 5
+    # 5 carriers, each with one clique of instances per event a, b, c
+    assert sorted(reaches.values()) == [3] * 5
+    assert set(sums.values()) == {1} and len(sums) == 15
+    for cell in cells:
+        assert len({id(m.successors("i", w)) for w in cell}) == 1
+        assert len({id(m.valuation[w]) for w in cell}) == 2  # {p} and {q}
+
+
+def test_unknown_world_in_an_expectation_atom():
+    m, env = _shared_instance(1, "S5")
+    atom = ExpAtom(m.agents[0], (("U", env["U"].events[0]), ("W", "x")))
+    with pytest.raises(UnknownWorld):
+        evaluate_plain(m, "nowhere", atom, env)
+    with pytest.raises(UnknownWorld):
+        evaluate(m, "nowhere", atom, env)

@@ -1,14 +1,16 @@
 """Reachability submodels and retained evaluation roots."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from oracles import o_reach, o_submodel, omodel
-from oughtcheck.errors import IsolatedRoot
-from oughtcheck.generate import GenParams, gen_model
+from oughtcheck.errors import EmptyProduct, IsolatedRoot, UnknownAgent, UnknownWorld, Unsatisfiable
+from oughtcheck.generate import GenParams, gen_decision_point, gen_model
 from oughtcheck.kripke import GradedKripkeModel
-from oughtcheck.submodel import agent_submodel, generated_submodel
+from oughtcheck.product import product
+from oughtcheck.submodel import agent_submodel, generated_submodel, horizon
 
 
 def _chain():
@@ -138,3 +140,94 @@ def test_against_oracle():
             assert pairs == osub["rel"][a]
         for w in sub.worlds:
             assert sub.desirability[w] == osub["des"][w]
+
+
+def _seeded_models(frame, count=30):
+    """Seeded gen_model instances, their products by a generated decision
+    point, and every agent submodel of both (eval-only roots included)."""
+    rng = random.Random(f"horizons:{frame}")
+    params = GenParams(max_worlds=7, frame=frame)
+    for _ in range(count):
+        bases = [gen_model(rng, params)]
+        try:
+            bases.append(product(bases[0], gen_decision_point(rng, bases[0], "U", params)))
+        except (Unsatisfiable, EmptyProduct):
+            pass
+        out = list(bases)
+        for m in bases:
+            for w in m.worlds:
+                for a in m.agents:
+                    try:
+                        out.append(agent_submodel(m, w, a))
+                    except IsolatedRoot:
+                        pass
+        yield from out
+
+
+@pytest.mark.parametrize("frame", ["S5", "KD45", "K"])
+def test_horizons_match_the_oracle(frame):
+    isolated = cyclic = eval_only = 0
+    for m in _seeded_models(frame):
+        om = omodel(m)
+        eval_only += bool(m.eval_only)
+        for a in m.agents:
+            want = {w: o_reach(om, w, a) for w in m.worlds}
+            for w in m.worlds:
+                if not want[w]:
+                    isolated += 1
+                    with pytest.raises(IsolatedRoot):
+                        horizon(m, w, a)
+                    continue
+                assert horizon(m, w, a) == want[w], (m.name, w, a)
+            # the worlds of one cycle share one horizon object
+            for w in m.worlds:
+                for u in want[w]:
+                    if w in want[u]:
+                        cyclic += 1
+                        assert horizon(m, u, a) is horizon(m, w, a), (m.name, w, u, a)
+    assert cyclic
+    if frame != "S5":
+        assert eval_only  # S5 roots always reach themselves
+    if frame == "K":
+        assert isolated
+
+
+def test_horizon_checks_world_then_agent():
+    m = _chain()
+    with pytest.raises(UnknownWorld):
+        horizon(m, "nowhere", "nobody")
+    with pytest.raises(UnknownAgent):
+        horizon(m, "u", "nobody")
+
+
+def _line(n):
+    """w0 -> w1 -> ... -> w{n-1} for agent i: no cycle anywhere."""
+    worlds = [f"w{k}" for k in range(n)]
+    return GradedKripkeModel(
+        agents=["i"], atoms=[], worlds=worlds,
+        relations={"i": {w: {u} for w, u in zip(worlds, worlds[1:])}},
+        valuation={w: () for w in worlds},
+        desirability={w: 0 for w in worlds},
+    )
+
+
+def test_one_root_on_a_long_chain_stays_small():
+    # the horizon of one root is one reach, not a table of every world's
+    # horizon (which holds about n*n/2 worlds on a chain)
+    m = _line(3000)
+    tracemalloc.start()
+    try:
+        h = horizon(m, "w0", "i")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(h) == 2999
+    assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB traced for one horizon"
+
+
+def test_a_very_long_chain_needs_no_deep_recursion():
+    m = _line(10_000)
+    assert len(horizon(m, "w0", "i")) == 9_999
+    assert horizon(m, "w9998", "i") == {"w9999"}
+    with pytest.raises(IsolatedRoot):
+        horizon(m, "w9999", "i")
