@@ -27,7 +27,13 @@ from .docio import (
     model_to_doc,
     to_dot,
 )
-from .errors import CheckerError, InternalError, ValidationError
+from .errors import (
+    CheckerError,
+    EmptyProduct,
+    InternalError,
+    UnknownProductWorld,
+    ValidationError,
+)
 from .formula import to_text, trace_text
 from .generate import (
     AMBIGUOUS,
@@ -42,7 +48,7 @@ from .parser import parse
 from .product import apply_sequence
 from .reduce import MODES, translate
 from .scenarios import SCENARIO_NAMES, run_scenario
-from .semantics import Verdict, evaluate, holds_globally
+from .semantics import Verdict, atom_carrier, evaluate, holds_globally
 
 
 def _frac(value: Fraction) -> str:
@@ -141,7 +147,7 @@ def cmd_update(args) -> int:
 
 
 def cmd_expect(args) -> int:
-    model, point, points, _ = _load(args, need_actions=True)
+    model, point, points, env = _load(args, need_actions=True)
     root = args.at if args.at is not None else point
     if root is None:
         raise ValidationError(
@@ -150,13 +156,14 @@ def cmd_expect(args) -> int:
     model.require_world(root)
     if args.agent not in model.agents:
         raise ValidationError(f"no agent {args.agent!r} in the model")
-    updated = apply_sequence(model, points)
-    composed = compose_all(points)
     rows = []
-    for key in composed.event_keys:
-        instance = (root, key)
-        if updated.has_world(instance):
-            rows.append((key, component_value(updated, instance, args.agent)))
+    for key in compose_all(points).event_keys:
+        # valued in the agent's own carrier, as atoms and obligations are
+        try:
+            carrier, instance = atom_carrier(model, root, args.agent, key, env)
+        except (UnknownProductWorld, EmptyProduct):
+            continue  # the run does not survive at root, or nowhere in its carrier
+        rows.append((key, component_value(carrier, instance, args.agent)))
     if not rows:
         print(f"no run survives at {world_id(root)}", file=sys.stderr)
         return 1
@@ -338,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--first-conjunct-note", action="store_true",
                    help="annotate failed run availability with the loose reading")
-    p.add_argument("--semantics", choices=["strict"], default="strict",
-                   help="run availability reading (only the strict one exists)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("update", help="print the model after running the actions")

@@ -112,23 +112,25 @@ def rival_instances(carrier: GradedKripkeModel, instance):
 def _rival_bound(carrier: GradedKripkeModel, instance, agent: str):
     """What atom_holds compares against, shared by every instance with the
     same prefix and final step: the best rival value before the first rival
-    in world order whose value is undefined, and that rival's error as
-    (class, args) (None when every rival is defined; best is None when no
-    rival comes first)."""
+    in world order whose value is undefined, that rival's error as
+    (class, args), and how many rivals were compared (error is None when
+    every rival is defined; best is None when no rival comes first)."""
     prefix, step = _final_step(instance)
     key = ("bound", prefix, step, agent)
     hit = carrier._cache.get(key)
     if hit is None:
         best = error = None
+        compared = 0
         for rival in rival_instances(carrier, instance):
             try:
                 value = component_value(carrier, rival, agent)
             except CheckerError as exc:
                 error = (type(exc), exc.args)  # no traceback, so no frames kept
                 break
+            compared += 1
             if best is None or best < value:
                 best = value
-        hit = carrier._cache[key] = (best, error)
+        hit = carrier._cache[key] = (best, error, compared)
     return hit
 
 
@@ -143,7 +145,7 @@ def atom_holds(carrier: GradedKripkeModel, instance, agent: str) -> bool:
     hit = carrier._cache.get(key)
     if hit is None:
         mine = component_value(carrier, instance, agent)
-        best, error = _rival_bound(carrier, instance, agent)
+        best, error, _ = _rival_bound(carrier, instance, agent)
         if best is not None and mine < best:
             hit = False
         elif error is not None:
@@ -155,13 +157,12 @@ def atom_holds(carrier: GradedKripkeModel, instance, agent: str) -> bool:
 
 
 def atom_report(carrier: GradedKripkeModel, instance, agent: str):
-    """Like atom_holds, but returns (verdict, own value, {rival: value})."""
-    mine = component_value(carrier, instance, agent)
-    rivals = {}
-    verdict = True
-    for rival in rival_instances(carrier, instance):
-        rv = component_value(carrier, rival, agent)
-        rivals[rival] = rv
-        if mine < rv:
-            verdict = False
-    return verdict, mine, rivals
+    """atom_holds' verdict with the values behind it: (verdict, own value,
+    {rival: value}) over the rivals that atom_holds compared."""
+    verdict = atom_holds(carrier, instance, agent)
+    compared = _rival_bound(carrier, instance, agent)[2]
+    rivals = {
+        rival: component_value(carrier, rival, agent)
+        for rival in rival_instances(carrier, instance)[:compared]
+    }
+    return verdict, component_value(carrier, instance, agent), rivals

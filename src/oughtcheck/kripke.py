@@ -93,6 +93,7 @@ class GradedKripkeModel:
         self.eval_only = frozenset(eval_only)
         self.name = name
         self._world_set = frozenset(self.worlds)
+        self._ordered: Dict = {}  # successor set -> its worlds in world order
         self._cache: Dict = {}
         _basic_check(self)
 
@@ -116,6 +117,14 @@ class GradedKripkeModel:
         except KeyError:
             raise UnknownWorld(f"no world {world_id(world)!r} in this model") from None
 
+    def ordered_successors(self, agent: str, world) -> Tuple:
+        """successors() in world order, sorted once per distinct set."""
+        succ = self.successors(agent, world)
+        hit = self._ordered.get(succ)
+        if hit is None:
+            hit = self._ordered[succ] = tuple(sorted(succ, key=self.world_index))
+        return hit
+
     def atoms_at(self, world) -> FrozenSet[str]:
         return self.valuation[world]
 
@@ -137,9 +146,8 @@ class GradedKripkeModel:
 
     def pairs(self, agent: str):
         """Relation pairs in deterministic (world order, then world order) order."""
-        rel = self.relations[agent]
         for w in self.worlds:
-            for u in sorted(rel[w], key=self.world_index):
+            for u in self.ordered_successors(agent, w):
                 yield (w, u)
 
 

@@ -4,14 +4,19 @@ Evaluation happens at (model, world) pairs.  The model is the current
 ambient structure: updates replace it by product models, so a world's key
 always carries the trace of updates that produced it.
 
+One walker states every clause.  evaluate_plain runs it for a bare verdict
+and evaluate runs it with a trail that records the explanation, so the two
+give the same verdict, or raise the same error, on every input.
+
 Conventions that matter and are easy to get wrong:
 
 * Conjunction short-circuits: when the left conjunct is false the right one
   is not evaluated.  Rewrites rely on this to guard expectation atoms with
   preconditions.
 * Knowledge does not short-circuit: the body is evaluated at every
-  successor, so an undefined instance inside someone's horizon raises no
-  matter how the successor set happens to be ordered.
+  successor, in world order, so an undefined instance inside someone's
+  horizon always raises, and the error raised is that of the first
+  erroring successor in world order.
 * The after-run diamond is strict: every step's precondition must hold at
   the current world before descending.
 * An obligation O{i}(t | phi) is the conjunction of (1) <t> phi at the
@@ -74,131 +79,6 @@ def _pre_of(env: Dict, dp_id: str, ev: str) -> Formula:
         raise UnknownEvent(f"decision point {dp_id!r} has no event {ev!r}") from None
 
 
-def evaluate_plain(model: GradedKripkeModel, world, f: Formula, env: Dict) -> bool:
-    """Truth value of f at (model, world); no explanation structure."""
-    if isinstance(f, Atom):
-        if f.name not in model.atoms:
-            raise ValidationError(f"atom {f.name!r} is not declared in this model")
-        try:
-            return f.name in model.valuation[world]
-        except KeyError:
-            model.require_world(world)  # raises UnknownWorld
-            raise
-    if isinstance(f, (Truth, Falsity)):
-        model.require_world(world)
-        return isinstance(f, Truth)
-    if isinstance(f, Not):
-        return not evaluate_plain(model, world, f.sub, env)
-    if isinstance(f, And):
-        return evaluate_plain(model, world, f.left, env) and evaluate_plain(
-            model, world, f.right, env
-        )
-    if isinstance(f, Know):
-        # evaluated over the whole horizon, not lazily: whether a dead
-        # instance in the body raises must not depend on set order
-        results = [
-            evaluate_plain(model, u, f.sub, env)
-            for u in model.successors(f.agent, world)
-        ]
-        return all(results)
-    if isinstance(f, Diamond):
-        cur_m, cur_w = model, world
-        for dp_id, ev in f.steps:
-            if not evaluate_plain(cur_m, cur_w, _pre_of(env, dp_id, ev), env):
-                return False
-            cur_m = product(cur_m, _resolve(env, dp_id))
-            cur_w = extend_world(cur_w, ((dp_id, ev),))
-        return evaluate_plain(cur_m, cur_w, f.sub, env)
-    if isinstance(f, ExpAtom):
-        rest = _atom_remainder(world, f)
-        if rest is None:
-            return atom_holds(model, world, f.agent)
-        return _atom_route(model, world, f.agent, rest, env)
-    if isinstance(f, Ought):
-        _check_ought_owner(env, f)
-        if not evaluate_plain(model, world, Diamond(f.steps, f.body), env):
-            return False
-        return _atom_route(model, world, f.agent, f.steps, env)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _check_ought_owner(env: Dict, f: Ought) -> None:
-    point = _resolve(env, f.steps[-1][0])
-    if point.owner != f.agent:
-        raise ValidationError(
-            f"obligation agent {f.agent!r} does not own {f.steps[-1][0]}."
-            f"{f.steps[-1][1]} (owner {point.owner!r})"
-        )
-
-
-def _atom_remainder(world, f: ExpAtom):
-    """Which steps still have to be run for a bare expectation atom.
-
-    None    -> the atom talks about the world's own trace: current model is
-               the carrier.
-    steps   -> run these from the current world (the agent-submodel step
-               happens at the last one).
-    """
-    t = trace_of(world)
-    s = f.steps
-    if s == t:
-        return None
-    if len(s) > len(t) and s[: len(t)] == t:
-        return s[len(t):]
-    if t and t[-1][0] == s[0][0]:
-        raise ValidationError(
-            f"expectation atom {to_text(f)} would repeat decision point "
-            f"{s[0][0]!r} right after {world_id(world)}"
-        )
-    return s
-
-
-def _atom_route(model, world, agent: str, rest, env, report=False):
-    """Carrier construction shared by obligations and bare atoms: descend all
-    but the last step through products, update the agent's submodel there
-    by the final decision point, and judge the instance in that carrier.
-
-    A root inside its own horizon H generates the same submodel as every
-    other root of H up to the root itself, which the update never reads, so
-    the carrier is shared per (agent, H, decision point): one per
-    information cell in S5.  A root outside its horizon is retained in its
-    submodel as an evaluation point and gets a carrier of its own."""
-    cur_m, cur_w = model, world
-    for dp_id, ev in rest[:-1]:
-        if not evaluate_plain(cur_m, cur_w, _pre_of(env, dp_id, ev), env):
-            raise UnknownProductWorld(
-                f"{world_id(cur_w)} does not survive {dp_id}.{ev}"
-            )
-        cur_m = product(cur_m, _resolve(env, dp_id))
-        cur_w = extend_world(cur_w, ((dp_id, ev),))
-    dp_id, ev = rest[-1]
-    point = _resolve(env, dp_id)
-    if ev not in point.pre:
-        raise UnknownEvent(f"decision point {dp_id!r} has no event {ev!r}")
-    h = horizon(cur_m, cur_w, agent)
-    key = ("carrier", agent, h if cur_w in h else cur_w, point)
-    carrier = cur_m._cache.get(key)
-    if carrier is None:
-        carrier = product(agent_submodel(cur_m, cur_w, agent), point)
-        cur_m._cache[key] = carrier
-    instance = extend_world(cur_w, ((dp_id, ev),))
-    if not carrier.has_world(instance):
-        raise UnknownProductWorld(
-            f"{world_id(cur_w)} does not survive {dp_id}.{ev}"
-        )
-    if report:
-        return atom_report(carrier, instance, agent) + (carrier, instance)
-    return atom_holds(carrier, instance, agent)
-
-
-def holds_globally(model: GradedKripkeModel, f: Formula, env: Dict) -> bool:
-    """True when f holds at every world of the model's domain (retained
-    evaluation roots are outside the quantification range)."""
-    return all(evaluate_plain(model, w, f, env) for w in model.domain_worlds())
-
-
-# --- explained evaluation ----------------------------------------------------
-
 @dataclass
 class Verdict:
     holds: bool
@@ -238,6 +118,26 @@ class Verdict:
         return "\n".join(lines)
 
 
+class _Trail:
+    """Where an explained walk records a clause's Verdict.  Each node's
+    children go to a trail of their own; `loose` adds the first-conjunct
+    reading to the note of a run that is not available."""
+
+    __slots__ = ("nodes", "loose")
+
+    def __init__(self, loose: bool):
+        self.nodes: List[Verdict] = []
+        self.loose = loose
+
+    def sub(self) -> "_Trail":
+        return _Trail(self.loose)
+
+
+def evaluate_plain(model: GradedKripkeModel, world, f: Formula, env: Dict) -> bool:
+    """Truth value of f at (model, world); no explanation structure."""
+    return _walk(model, world, f, env, None)
+
+
 def evaluate(
     model: GradedKripkeModel,
     world,
@@ -245,16 +145,33 @@ def evaluate(
     env: Dict,
     first_conjunct_note: bool = False,
 ) -> Verdict:
-    """Evaluate with a full explanation tree.  Same verdicts as
-    evaluate_plain on every input (property-tested)."""
-    return _explain(model, world, f, env, first_conjunct_note)
+    """Evaluate with a full explanation tree: the walk of evaluate_plain,
+    recorded."""
+    trail = _Trail(first_conjunct_note)
+    _walk(model, world, f, env, trail)
+    return trail.nodes[0]
 
 
-def _v(holds, f, world, clause, **kw) -> Verdict:
-    return Verdict(holds, to_text(f), world_id(world), clause, **kw)
+def holds_globally(model: GradedKripkeModel, f: Formula, env: Dict) -> bool:
+    """True when f holds at every world of the model's domain (retained
+    evaluation roots are outside the quantification range)."""
+    return all(evaluate_plain(model, w, f, env) for w in model.domain_worlds())
 
 
-def _explain(model, world, f, env, fcn) -> Verdict:
+def _node(rec, holds, f, world, clause, kids=None, note="", values=None) -> bool:
+    """Record f's Verdict at world when there is a trail; return holds."""
+    if rec is not None:
+        children = kids.nodes if kids is not None else []
+        rec.nodes.append(
+            Verdict(holds, to_text(f), world_id(world), clause, note, values, children)
+        )
+    return holds
+
+
+def _walk(model, world, f, env, rec) -> bool:
+    """Truth of f at (model, world).  rec is None for a bare verdict, or the
+    _Trail that receives f's Verdict."""
+    kids = None if rec is None else rec.sub()
     if isinstance(f, Atom):
         if f.name not in model.atoms:
             raise ValidationError(f"atom {f.name!r} is not declared in this model")
@@ -263,106 +180,161 @@ def _explain(model, world, f, env, fcn) -> Verdict:
         except KeyError:
             model.require_world(world)  # raises UnknownWorld
             raise
-        return _v(holds, f, world, "atom")
+        return _node(rec, holds, f, world, "atom")
     if isinstance(f, (Truth, Falsity)):
         model.require_world(world)
-        return _v(isinstance(f, Truth), f, world, "constant")
+        return _node(rec, isinstance(f, Truth), f, world, "constant")
     if isinstance(f, Not):
-        child = _explain(model, world, f.sub, env, fcn)
-        return _v(not child.holds, f, world, "negation", children=[child])
+        holds = not _walk(model, world, f.sub, env, kids)
+        return _node(rec, holds, f, world, "negation", kids)
     if isinstance(f, And):
-        left = _explain(model, world, f.left, env, fcn)
-        if not left.holds:
-            return _v(
-                False, f, world, "conjunction",
-                note="right conjunct skipped", children=[left],
-            )
-        right = _explain(model, world, f.right, env, fcn)
-        return _v(right.holds, f, world, "conjunction", children=[left, right])
+        if not _walk(model, world, f.left, env, kids):
+            return _node(rec, False, f, world, "conjunction", kids, "right conjunct skipped")
+        holds = _walk(model, world, f.right, env, kids)
+        return _node(rec, holds, f, world, "conjunction", kids)
     if isinstance(f, Know):
-        children = []
-        for u in sorted(model.successors(f.agent, world), key=model.world_index):
-            child = _explain(model, u, f.sub, env, fcn)
-            if not child.holds and not children:
-                children.append(child)
-        holds = not children
-        return _v(
-            holds, f, world, "knowledge",
-            note="" if holds else f"fails at successor {children[0].where}",
-            children=children,
-        )
+        # evaluated over the whole horizon, not lazily, and in world order:
+        # which successor's error raises must not depend on set order
+        witness = None
+        for u in model.ordered_successors(f.agent, world):
+            sub = None if rec is None else rec.sub()
+            if not _walk(model, u, f.sub, env, sub) and witness is None:
+                witness, kids = u, sub
+        if witness is None:
+            return _node(rec, True, f, world, "knowledge")
+        note = f"fails at successor {world_id(witness)}"
+        return _node(rec, False, f, world, "knowledge", kids, note)
     if isinstance(f, Diamond):
-        return _explain_diamond(model, world, f.steps, f.sub, env, fcn, f)
+        return _after_run(rec, f, model, world, f.steps, f.sub, env)
     if isinstance(f, ExpAtom):
         rest = _atom_remainder(world, f)
         if rest is None:
-            verdict, own, rivals = atom_report(model, world, f.agent)
-            return _v(
-                verdict, f, world, "expectation",
-                values={
-                    "own": own,
-                    "instance": world_id(world),
-                    "rivals": {world_id(k): v for k, v in rivals.items()},
-                },
-            )
-        verdict, own, rivals, carrier, instance = _atom_route(
-            model, world, f.agent, rest, env, report=True
-        )
-        return _v(
-            verdict, f, world, "expectation",
-            values={
-                "own": own,
-                "instance": world_id(instance),
-                "rivals": {world_id(k): v for k, v in rivals.items()},
-            },
-        )
+            return _expectation(rec, f, world, model, world, f.agent)
+        carrier, instance = atom_carrier(model, world, f.agent, rest, env)
+        return _expectation(rec, f, world, carrier, instance, f.agent)
     if isinstance(f, Ought):
         _check_ought_owner(env, f)
-        conj1 = _explain_diamond(model, world, f.steps, f.body, env, fcn, f)
-        conj1.note = (conj1.note + " " if conj1.note else "") + "(goal conjunct)"
-        if not conj1.holds:
-            return _v(
-                False, f, world, "obligation",
-                note="expectation conjunct skipped", children=[conj1],
+        if not _after_run(kids, f, model, world, f.steps, f.body, env, "(goal conjunct)"):
+            return _node(
+                rec, False, f, world, "obligation", kids, "expectation conjunct skipped"
             )
-        atom = ExpAtom(f.agent, f.steps)
-        verdict, own, rivals, carrier, instance = _atom_route(
-            model, world, f.agent, f.steps, env, report=True
+        carrier, instance = atom_carrier(model, world, f.agent, f.steps, env)
+        atom = None if rec is None else ExpAtom(f.agent, f.steps)
+        holds = _expectation(
+            kids, atom, world, carrier, instance, f.agent, "(expectation conjunct)"
         )
-        conj2 = Verdict(
-            verdict,
-            to_text(atom),
-            world_id(world),
-            "expectation",
-            note="(expectation conjunct)",
-            values={
-                "own": own,
-                "instance": world_id(instance),
-                "rivals": {world_id(k): v for k, v in rivals.items()},
-            },
-        )
-        return _v(verdict, f, world, "obligation", children=[conj1, conj2])
+        return _node(rec, holds, f, world, "obligation", kids)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _explain_diamond(model, world, steps, sub, env, fcn, outer) -> Verdict:
-    children = []
-    cur_m, cur_w = model, world
+def _run(model, world, steps, env, rec):
+    """Run the steps from (model, world), each only where its precondition
+    holds; a trail records each precondition's Verdict.  Returns the model
+    and world reached and None, or the model and world where the run stops
+    and the step that is not available there."""
     for dp_id, ev in steps:
-        pre = _pre_of(env, dp_id, ev)
-        pre_verdict = _explain(cur_m, cur_w, pre, env, fcn)
-        pre_verdict.clause = f"precondition {dp_id}.{ev}"
-        children.append(pre_verdict)
-        if not pre_verdict.holds:
-            note = f"{dp_id}.{ev} is not available at {world_id(cur_w)}"
-            if fcn:
-                note += (
-                    "; a loose first-conjunct reading would treat the run as"
-                    " available, the strict semantics does not"
-                )
-            return _v(False, outer, world, "after-run", note=note, children=children)
-        cur_m = product(cur_m, _resolve(env, dp_id))
-        cur_w = extend_world(cur_w, ((dp_id, ev),))
-    body = _explain(cur_m, cur_w, sub, env, fcn)
-    children.append(body)
-    return _v(body.holds, outer, world, "after-run", children=children)
+        available = _walk(model, world, _pre_of(env, dp_id, ev), env, rec)
+        if rec is not None:
+            rec.nodes[-1].clause = f"precondition {dp_id}.{ev}"
+        if not available:
+            return model, world, (dp_id, ev)
+        model = product(model, _resolve(env, dp_id))
+        world = extend_world(world, ((dp_id, ev),))
+    return model, world, None
+
+
+def _after_run(rec, f, model, world, steps, body, env, tag="") -> bool:
+    """<steps> body at (model, world), recorded as f's after-run node; tag
+    ends the node's note."""
+    kids = None if rec is None else rec.sub()
+    end_m, end_w, stuck = _run(model, world, steps, env, kids)
+    if stuck is None:
+        holds = _walk(end_m, end_w, body, env, kids)
+        return _node(rec, holds, f, world, "after-run", kids, tag)
+    if rec is None:
+        return False
+    note = f"{stuck[0]}.{stuck[1]} is not available at {world_id(end_w)}"
+    if rec.loose:
+        note += (
+            "; a loose first-conjunct reading would treat the run as"
+            " available, the strict semantics does not"
+        )
+    return _node(rec, False, f, world, "after-run", kids, f"{note} {tag}".strip())
+
+
+def _expectation(rec, f, world, carrier, instance, agent, note="") -> bool:
+    """The expectation atom at instance of carrier, recorded as f's node at
+    world with the values the verdict compared."""
+    if rec is None:
+        return atom_holds(carrier, instance, agent)
+    holds, own, rivals = atom_report(carrier, instance, agent)
+    values = {
+        "own": own,
+        "instance": world_id(instance),
+        "rivals": {world_id(k): v for k, v in rivals.items()},
+    }
+    return _node(rec, holds, f, world, "expectation", note=note, values=values)
+
+
+def _check_ought_owner(env: Dict, f: Ought) -> None:
+    point = _resolve(env, f.steps[-1][0])
+    if point.owner != f.agent:
+        raise ValidationError(
+            f"obligation agent {f.agent!r} does not own {f.steps[-1][0]}."
+            f"{f.steps[-1][1]} (owner {point.owner!r})"
+        )
+
+
+def _atom_remainder(world, f: ExpAtom):
+    """Which steps still have to be run for a bare expectation atom.
+
+    None    -> the atom talks about the world's own trace: current model is
+               the carrier.
+    steps   -> run these from the current world (the agent-submodel step
+               happens at the last one).
+    """
+    t = trace_of(world)
+    s = f.steps
+    if s == t:
+        return None
+    if len(s) > len(t) and s[: len(t)] == t:
+        return s[len(t):]
+    if t and t[-1][0] == s[0][0]:
+        raise ValidationError(
+            f"expectation atom {to_text(f)} would repeat decision point "
+            f"{s[0][0]!r} right after {world_id(world)}"
+        )
+    return s
+
+
+def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
+    """(carrier, instance) in which obligations and bare atoms judge running
+    `steps` from (model, world): descend all but the last step through
+    products, and update the agent's submodel there by the final decision
+    point.  UnknownProductWorld means the run does not survive.
+
+    A root inside its own horizon H generates the same submodel as every
+    other root of H up to the root itself, which the update never reads, so
+    the carrier is shared per (agent, H, decision point): one per
+    information cell in S5.  A root outside its horizon is retained in its
+    submodel as an evaluation point and gets a carrier of its own."""
+    cur_m, cur_w, stuck = _run(model, world, steps[:-1], env, None)
+    if stuck is not None:
+        raise UnknownProductWorld(
+            f"{world_id(cur_w)} does not survive {stuck[0]}.{stuck[1]}"
+        )
+    dp_id, ev = steps[-1]
+    _pre_of(env, dp_id, ev)  # an unknown decision point or event raises here
+    point = env[dp_id]
+    h = horizon(cur_m, cur_w, agent)
+    key = ("carrier", agent, h if cur_w in h else cur_w, point)
+    carrier = cur_m._cache.get(key)
+    if carrier is None:
+        carrier = product(agent_submodel(cur_m, cur_w, agent), point)
+        cur_m._cache[key] = carrier
+    instance = extend_world(cur_w, ((dp_id, ev),))
+    if not carrier.has_world(instance):
+        raise UnknownProductWorld(
+            f"{world_id(cur_w)} does not survive {dp_id}.{ev}"
+        )
+    return carrier, instance

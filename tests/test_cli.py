@@ -145,6 +145,52 @@ def test_expect_no_surviving_run(capsys, tmp_path):
     assert "no run survives at u" in err
 
 
+def test_expect_values_runs_in_the_agents_own_carrier(capsys, tmp_path):
+    """U.a needs K{j} p.  In the whole model j also sees w2 (no p) from w0,
+    so U.a does not survive there; in i's horizon {w0, w1} it does, and the
+    atoms and obligations value it there."""
+    model = {
+        "agents": ["i", "j"],
+        "atoms": ["p"],
+        "frame": "K",
+        "worlds": [
+            {"id": "w0", "true_atoms": ["p"], "value": 5},
+            {"id": "w1", "true_atoms": ["p"], "value": 1},
+            {"id": "w2", "value": 0},
+        ],
+        "relations": {
+            "i": [["w0", "w0"], ["w0", "w1"], ["w1", "w0"], ["w1", "w1"], ["w2", "w2"]],
+            "j": [["w0", "w0"], ["w0", "w2"], ["w1", "w1"], ["w2", "w2"]],
+        },
+    }
+    actions = {
+        "actions": [
+            {
+                "id": "U",
+                "owner": "i",
+                "events": [{"name": "a", "pre": "K{j} p"}, {"name": "b", "pre": "p"}],
+            }
+        ]
+    }
+    mp = tmp_path / "m.json"
+    ap = tmp_path / "a.json"
+    mp.write_text(json.dumps(model))
+    ap.write_text(json.dumps(actions))
+    for root in ("w0", "w1"):
+        code, out, _ = run(
+            capsys, "expect", "--model", str(mp), "--actions", str(ap),
+            "--agent", "i", "--at", root,
+        )
+        assert code == 0
+        assert out.splitlines() == ["E[i; U.a] = 3/1", "E[i; U.b] = 3/1"]
+        code, out, _ = run(
+            capsys, "check", "--model", str(mp), "--actions", str(ap),
+            "--formula", "e{i; U.a}", "--at", root, "--explain",
+        )
+        assert code == 0
+        assert "value 3 vs" in out
+
+
 def test_translate_plain(capsys, scenario_docs):
     _, ap = scenario_docs["allergy"]
     code, out, err = run(

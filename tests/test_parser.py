@@ -4,8 +4,8 @@ and the print/parse round trip."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oughtcheck.actions import env_of
-from oughtcheck.errors import ParseError, UnknownEvent, ValidationError
+from oughtcheck.actions import DecisionPoint, env_of
+from oughtcheck.errors import CheckerError, ParseError, UnknownEvent, ValidationError
 from oughtcheck.formula import (
     And,
     Atom,
@@ -157,3 +157,26 @@ def test_parse_inverts_print(f):
     again = parse(text)
     assert again == f
     assert to_text(again) == text
+
+
+# --- fuzzing: any text parses or raises a CheckerError ---------------------------
+
+_SOUP_ENV = {"U": DecisionPoint("U", "i", ["a", "b"], {"a": Atom("p"), "b": TRUE})}
+_SOUP_TOKENS = (
+    "true", "false", "p", "q", "i", "j", "U", "V", "a", "b", "c", "K", "e", "O",
+    "!", "&", "|", "->", "(", ")", "{", "}", "<", ">", "[", "]", ";", ".", "-", "'",
+)
+_SOUP = st.builds(
+    lambda sep, toks: sep.join(toks),
+    st.sampled_from(["", " "]),
+    st.lists(st.sampled_from(_SOUP_TOKENS), max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=60), _SOUP), st.booleans())
+def test_parse_fuzz_raises_only_checker_errors(text, with_env):
+    try:
+        parse(text, _SOUP_ENV if with_env else None)
+    except CheckerError:
+        pass

@@ -11,6 +11,7 @@ from oughtcheck.actions import DecisionPoint, env_of
 from oughtcheck.errors import (
     CheckerError,
     InternalError,
+    IsolatedRoot,
     UnknownEvent,
     UnknownProductWorld,
     UnknownWorld,
@@ -40,7 +41,7 @@ from oughtcheck.errors import Unsatisfiable
 from oughtcheck.kripke import GradedKripkeModel, extend_world, world_id
 from oughtcheck.product import product
 from oughtcheck.parser import parse
-from oughtcheck.semantics import _atom_route, evaluate, evaluate_plain, holds_globally
+from oughtcheck.semantics import atom_carrier, evaluate, evaluate_plain, holds_globally
 from oughtcheck.submodel import agent_submodel
 import oughtcheck.expect
 import oughtcheck.submodel
@@ -187,24 +188,62 @@ def test_holds_globally_skips_eval_only(pick_env):
 
 def test_explanation_mirrors_plain(line_model, pick, second):
     """The explained evaluator must agree with the plain one everywhere,
-    including on which errors it raises."""
-    env = env_of([pick, second])
+    including on which errors it raises.  Besides line_model, the inputs are
+    seeded generated models of every frame class with two generated decision
+    points, at base worlds and in product contexts: their isolated roots
+    make atoms and rival values undefined."""
+    line_env = env_of([pick, second])
+    contexts = [(line_model, line_env, None), (product(line_model, pick), line_env, "P")]
     rng = random.Random(31)
-    models = [line_model, product(line_model, pick)]
-    for _ in range(150):
-        m = rng.choice(models)
-        w = rng.choice(list(m.worlds))
-        banned = w[1][-1][0] if isinstance(w, tuple) else None
+    for frame in ("S5", "KD45", "K"):
+        params = GenParams(max_worlds=6, frame=frame)
+        made = 0
+        while made < 12:
+            m = gen_model(rng, params)
+            try:
+                env = {}
+                env["U"] = gen_decision_point(rng, m, "U", params, env=env)
+                env["V"] = gen_decision_point(rng, m, "V", params, env=env)
+            except Unsatisfiable:
+                continue
+            contexts += [(m, env, None), (product(m, env["U"]), env, "U")]
+            made += 1
+    classes = Counter()
+    for _ in range(1500):
+        m, env, banned = rng.choice(contexts)
+        w = rng.choice(m.worlds)
         f = gen_formula(rng, m, env, depth=3, banned_dp=banned)
-        try:
-            a = evaluate_plain(m, w, f, env)
-        except CheckerError as exc:
-            a = type(exc).__name__
-        try:
-            b = evaluate(m, w, f, env).holds
-        except CheckerError as exc:
-            b = type(exc).__name__
-        assert a == b, f"{f} at {w}: plain={a} explained={b}"
+        a = _outcome(lambda: evaluate_plain(m, w, f, env))
+        b = _outcome(lambda: evaluate(m, w, f, env).holds)
+        assert a == b, f"{to_text(f)} at {world_id(w)}: plain={a} explained={b}"
+        classes[a] += 1
+    assert {True, False, "IsolatedRoot", "UnknownProductWorld"} <= set(classes), classes
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_knowledge_raises_the_first_successor_error_in_world_order(reverse):
+    """K{i} e{j; U.a} at r, whose i-successors s and t both leave the atom
+    undefined: j reaches nothing from s (IsolatedRoot), and U.a does not
+    survive at t (UnknownProductWorld).  Listing the worlds in the opposite
+    order flips which error comes first."""
+    worlds = ["r", "s", "t"]
+    m = GradedKripkeModel(
+        agents=["i", "j"], atoms=["p"], worlds=worlds[::-1] if reverse else worlds,
+        relations={"i": {"r": {"s", "t"}}, "j": {"r": {"r"}, "t": {"t"}}},
+        valuation={"r": set(), "s": {"p"}, "t": set()},
+        desirability={"r": 0, "s": 1, "t": 2},
+    )
+    env = {"U": DecisionPoint("U", "j", ["a", "b"], {"a": Atom("p"), "b": TRUE})}
+    f = Know("i", ExpAtom("j", (("U", "a"),)))
+    if reverse:
+        error, names_first = UnknownProductWorld, "t does not survive U.a"
+    else:
+        error, names_first = IsolatedRoot, "reaches nothing from s"
+    for run in (lambda: evaluate_plain(m, "r", f, env), lambda: evaluate(m, "r", f, env)):
+        with pytest.raises(CheckerError) as caught:
+            run()
+        assert type(caught.value) is error
+        assert names_first in str(caught.value)
 
 
 def test_conjunction_short_circuit_is_visible(line_model, pick_env):
@@ -355,7 +394,7 @@ def _per_root_route(m, w, agent, steps, env):
 
 def _sharing_route(m, w, agent, steps, env):
     """The carrier the package's route judges the atom in."""
-    return _atom_route(m, w, agent, steps, env, report=True)[3]
+    return atom_carrier(m, w, agent, steps, env)[0]
 
 
 def _outcome(call):
