@@ -38,7 +38,7 @@ from .errors import (
     Unsatisfiable,
     ValidationError,
 )
-from .expect import component_value, expected_value, expected_value_at
+from .expect import component_value, expected_value
 from .formula import (
     And,
     Atom,
@@ -84,7 +84,7 @@ __all__ = [
     "ValidationError", "Verdict", "actions_from_doc", "actions_to_doc",
     "agent_submodel", "apply_sequence", "complexity", "component_value",
     "compose_all", "env_of", "evaluate", "evaluate_plain",
-    "expected_value", "expected_value_at", "frame_violations", "gen_decision_point",
+    "expected_value", "frame_violations", "gen_decision_point",
     "gen_formula", "gen_model", "generated_submodel", "holds_globally",
     "load_actions_file", "load_model_file", "model_from_doc",
     "model_to_doc", "parse", "product", "run_axiom_suite", "run_scenario",

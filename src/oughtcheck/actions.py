@@ -15,6 +15,7 @@ very same model as updating twice, which the tests assert as equality.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, Optional, Tuple
 
 from .errors import ValidationError, OughtInPrecondition, UnknownEvent
@@ -28,6 +29,7 @@ class DecisionPoint:
     pre: event name -> precondition Formula (obligation-free).
     relations: agent -> set of (event, event) pairs; the identity is always
     included.  `extra_edges` records whether anything beyond it was given.
+    pre and relations are read-only, as memoized products are keyed by points.
     """
 
     def __init__(self, dp_id, owner, events, pre, relations=None, agents=None, env=None):
@@ -44,21 +46,19 @@ class DecisionPoint:
             )
         if len(set(self.events)) != len(self.events):
             raise ValidationError(f"duplicate event names in {self.id!r}")
-        self.pre: Dict[str, Formula] = {}
         for ev in self.events:
             if ev not in pre:
                 raise ValidationError(f"event {ev!r} of {self.id!r} has no precondition")
-            f = pre[ev]
-            if contains_ought(f):
+            if contains_ought(pre[ev]):
                 raise OughtInPrecondition(
                     f"precondition of {self.id}.{ev} contains an obligation"
                 )
-            self.pre[ev] = f
+        self.pre = MappingProxyType({ev: pre[ev] for ev in self.events})
         self.agents = tuple(agents) if agents is not None else (self.owner,)
         if self.owner not in self.agents:
             self.agents = self.agents + (self.owner,)
         identity = frozenset((e, e) for e in self.events)
-        self.relations: Dict[str, frozenset] = {}
+        relations_map: Dict[str, frozenset] = {}
         self.extra_edges = False
         for a in self.agents:
             given = frozenset(tuple(p) for p in (relations or {}).get(a, ()))
@@ -69,7 +69,8 @@ class DecisionPoint:
                     )
             if given - identity:
                 self.extra_edges = True
-            self.relations[a] = identity | given
+            relations_map[a] = identity | given
+        self.relations = MappingProxyType(relations_map)
 
     # Every action-like object exposes: event_keys, pre_formula, q_related, owner.
 

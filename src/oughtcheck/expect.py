@@ -30,32 +30,20 @@ def expected_value(sub: GradedKripkeModel, agent: Optional[str] = None) -> Fract
         raise NoDecisionContext("no agent given and the submodel fixes none")
     if sub.root is None:
         raise NoDecisionContext("expected value needs a rooted submodel")
-    key = ("ev", agent)
-    hit = sub._cache.get(key)
-    if hit is None:
-        divisor = len(sub.successors(agent, sub.root))
-        if divisor == 0:
-            raise NoSuccessors(
-                f"agent {agent!r} has no successors of {world_id(sub.root)} here"
-            )
-        total = 0
-        for w in sub.worlds:
-            if w not in sub.eval_only:
-                total += sub.desirability[w]
-        hit = Fraction(total, divisor)
-        sub._cache[key] = hit
-    return hit
+    return sub.memo(("ev", agent), _expected_value, sub, agent)
 
 
-def expected_value_at(model: GradedKripkeModel, agent: str, world) -> Fraction:
-    """Pointwise form on an arbitrary model: mean desirability of the
-    agent's successors.  Kept for completeness; expectation atoms use the
-    submodel form, as component_value below."""
-    succ = model.successors(agent, world)
-    succ = [u for u in succ if u not in model.eval_only]
-    if not succ:
-        raise NoSuccessors(f"agent {agent!r} has no successors at {world_id(world)}")
-    return Fraction(sum(model.desirability[u] for u in succ), len(succ))
+def _expected_value(sub: GradedKripkeModel, agent: str) -> Fraction:
+    divisor = len(sub.successors(agent, sub.root))
+    if divisor == 0:
+        raise NoSuccessors(
+            f"agent {agent!r} has no successors of {world_id(sub.root)} here"
+        )
+    total = 0
+    for w in sub.worlds:
+        if w not in sub.eval_only:
+            total += sub.desirability[w]
+    return Fraction(total, divisor)
 
 
 def component_value(carrier: GradedKripkeModel, instance, agent: str) -> Fraction:
@@ -65,16 +53,13 @@ def component_value(carrier: GradedKripkeModel, instance, agent: str) -> Fractio
     the desirability summed over the instance's horizon, over its successor
     count.  Instances that share a horizon share its sum."""
     key = ("value", instance, agent)
-    hit = carrier._cache.get(key)
-    if hit is None:
-        reach = horizon(carrier, instance, agent)
-        sums = carrier._cache.setdefault("sums", {})
-        total = sums.get(reach)
-        if total is None:
-            total = sums[reach] = _desirability_sum(carrier, reach)
-        hit = Fraction(total, len(carrier.successors(agent, instance)))
-        carrier._cache[key] = hit
-    return hit
+    return carrier.memo(key, _component_value, carrier, instance, agent)
+
+
+def _component_value(carrier: GradedKripkeModel, instance, agent: str) -> Fraction:
+    reach = horizon(carrier, instance, agent)
+    total = carrier.memo(("sum", reach), _desirability_sum, carrier, reach)
+    return Fraction(total, len(carrier.successors(agent, instance)))
 
 
 def _desirability_sum(carrier: GradedKripkeModel, worlds) -> int:
@@ -95,18 +80,20 @@ def rival_instances(carrier: GradedKripkeModel, instance):
     """Surviving rivals of an instance: same prefix, same final decision
     point, different final event.  Evaluation-only worlds never count."""
     prefix, (final_dp, final_ev) = _final_step(instance)
-    groups = carrier._cache.get("rival_groups")
-    if groups is None:
-        # surviving instances by (prefix, final decision point), world order
-        groups = {}
-        for w in carrier.worlds:
-            t = trace_of(w)
-            if t and w not in carrier.eval_only:
-                groups.setdefault((t[:-1], t[-1][0]), []).append(w)
-        carrier._cache["rival_groups"] = groups
+    groups = carrier.memo(("rival_groups",), _rival_groups, carrier)
     return [
         w for w in groups.get((prefix, final_dp), ()) if trace_of(w)[-1][1] != final_ev
     ]
+
+
+def _rival_groups(carrier: GradedKripkeModel) -> dict:
+    """Surviving instances by (prefix, final decision point), in world order."""
+    groups = {}
+    for w in carrier.worlds:
+        t = trace_of(w)
+        if t and w not in carrier.eval_only:
+            groups.setdefault((t[:-1], t[-1][0]), []).append(w)
+    return groups
 
 
 def _rival_bound(carrier: GradedKripkeModel, instance, agent: str):
@@ -115,23 +102,23 @@ def _rival_bound(carrier: GradedKripkeModel, instance, agent: str):
     in world order whose value is undefined, that rival's error as
     (class, args), and how many rivals were compared (error is None when
     every rival is defined; best is None when no rival comes first)."""
-    prefix, step = _final_step(instance)
-    key = ("bound", prefix, step, agent)
-    hit = carrier._cache.get(key)
-    if hit is None:
-        best = error = None
-        compared = 0
-        for rival in rival_instances(carrier, instance):
-            try:
-                value = component_value(carrier, rival, agent)
-            except CheckerError as exc:
-                error = (type(exc), exc.args)  # no traceback, so no frames kept
-                break
-            compared += 1
-            if best is None or best < value:
-                best = value
-        hit = carrier._cache[key] = (best, error, compared)
-    return hit
+    key = ("bound", *_final_step(instance), agent)
+    return carrier.memo(key, _compare_rivals, carrier, instance, agent)
+
+
+def _compare_rivals(carrier: GradedKripkeModel, instance, agent: str):
+    best = error = None
+    compared = 0
+    for rival in rival_instances(carrier, instance):
+        try:
+            value = component_value(carrier, rival, agent)
+        except CheckerError as exc:
+            error = (type(exc), exc.args)  # no traceback, so no frames kept
+            break
+        compared += 1
+        if best is None or best < value:
+            best = value
+    return best, error, compared
 
 
 def atom_holds(carrier: GradedKripkeModel, instance, agent: str) -> bool:
@@ -140,20 +127,19 @@ def atom_holds(carrier: GradedKripkeModel, instance, agent: str) -> bool:
     The verdict is that of walking the rivals in world order and stopping at
     the first one more valuable than the instance (False) or with an
     undefined value (its error): one comparison against _rival_bound."""
-    carrier.require_world(instance)
     key = ("atom", instance, agent)
-    hit = carrier._cache.get(key)
-    if hit is None:
-        mine = component_value(carrier, instance, agent)
-        best, error, _ = _rival_bound(carrier, instance, agent)
-        if best is not None and mine < best:
-            hit = False
-        elif error is not None:
-            raise error[0](*error[1])
-        else:
-            hit = True
-        carrier._cache[key] = hit
-    return hit
+    return carrier.memo(key, _atom_verdict, carrier, instance, agent)
+
+
+def _atom_verdict(carrier: GradedKripkeModel, instance, agent: str) -> bool:
+    carrier.require_world(instance)
+    mine = component_value(carrier, instance, agent)
+    best, error, _ = _rival_bound(carrier, instance, agent)
+    if best is not None and mine < best:
+        return False
+    if error is not None:
+        raise error[0](*error[1])
+    return True
 
 
 def atom_report(carrier: GradedKripkeModel, instance, agent: str):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import ValidationError
+from .errors import UnknownEvent, ValidationError
 
 Step = Tuple[str, str]
 Trace = Tuple[Step, ...]
@@ -187,6 +187,24 @@ def to_text(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
+# --- decision points named by a trace ----------------------------------------
+
+def point_of(env, dp_id: str):
+    """The decision point env maps dp_id to; UnknownEvent when there is none."""
+    try:
+        return env[dp_id]
+    except KeyError:
+        raise UnknownEvent(f"unknown decision point {dp_id!r}") from None
+
+
+def pre_of(env, dp_id: str, ev: str) -> Formula:
+    """The precondition of event ev of decision point dp_id in env."""
+    try:
+        return point_of(env, dp_id).pre[ev]
+    except KeyError:
+        raise UnknownEvent(f"decision point {dp_id!r} has no event {ev!r}") from None
+
+
 # --- complexity --------------------------------------------------------------
 
 def trace_pre_complexity(steps: Trace, env) -> int:
@@ -197,8 +215,7 @@ def trace_pre_complexity(steps: Trace, env) -> int:
     """
     acc = None
     for dp_id, ev in steps:
-        point = env[dp_id]
-        single = complexity(point.pre[ev], env)
+        single = complexity(pre_of(env, dp_id, ev), env)
         acc = single if acc is None else (4 + acc) * single
     return acc
 

@@ -287,6 +287,11 @@ EXPECTED_CLEAN = (
 REPORTED_RED = ("R3",)
 INFORMATIONAL = ("R3+e", "K-O-pointwise")
 AMBIGUOUS = ("R4", "AM4-standard-reading", "AM4-two-readings")
+_BUCKET_OF = {
+    **dict.fromkeys(EXPECTED_CLEAN + REPORTED_RED, "axioms"),
+    **dict.fromkeys(INFORMATIONAL, "informational"),
+    **dict.fromkeys(AMBIGUOUS, "ambiguities"),
+}
 
 
 @dataclass
@@ -298,7 +303,9 @@ class SuiteReport:
     informational: Dict[str, SchemaResult] = field(default_factory=dict)
     ambiguities: Dict[str, SchemaResult] = field(default_factory=dict)
 
-    def result(self, bucket: Dict[str, SchemaResult], name: str) -> SchemaResult:
+    def result(self, name: str) -> SchemaResult:
+        """The result of schema `name`, in the bucket its list assigns it."""
+        bucket = getattr(self, _BUCKET_OF[name])
         if name not in bucket:
             bucket[name] = SchemaResult()
         return bucket[name]
@@ -378,35 +385,35 @@ def _check_obligation_rules(rng, model, env, report: SuiteReport):
                 for w in sub.worlds:
                     where = f"{model.name or 'model'} {sub.root}->{w} {dp.id}.{ev}"
                     _compare(
-                        report.result(report.axioms, "R1"),
+                        report.result("R1"),
                         sub, w,
                         Ought(i, st, p_atom),
                         And(And(pre, p_atom), e_self),
                         env, where,
                     )
                     _compare(
-                        report.result(report.axioms, "R2"),
+                        report.result("R2"),
                         sub, w,
                         Ought(i, st, And(phi, psi)),
                         And(Ought(i, st, phi), Ought(i, st, psi)),
                         env, where,
                     )
                     _compare(
-                        report.result(report.axioms, "R3"),
+                        report.result("R3"),
                         sub, w,
                         Ought(i, st, Not(phi)),
                         And(pre, Not(Ought(i, st, phi))),
                         env, where,
                     )
                     _compare(
-                        report.result(report.informational, "R3+e"),
+                        report.result("R3+e"),
                         sub, w,
                         Ought(i, st, Not(phi)),
                         And(And(pre, Not(Ought(i, st, phi))), e_self),
                         env, where,
                     )
                     _compare(
-                        report.result(report.ambiguities, "R4"),
+                        report.result("R4"),
                         sub, w,
                         Ought(i, st, Know(i, phi)),
                         Know(i, Ought(i, st, phi)),
@@ -416,21 +423,21 @@ def _check_obligation_rules(rng, model, env, report: SuiteReport):
                         ev2 = rng.choice(list(partner.events))
                         st2 = ((partner.id, ev2),)
                         _compare(
-                            report.result(report.axioms, "R5"),
+                            report.result("R5"),
                             sub, w,
                             Ought(i, st, Diamond(st2, tail_phi)),
                             And(Diamond(st + st2, tail_phi), e_self),
                             env, where,
                         )
                         _compare(
-                            report.result(report.axioms, "R6"),
+                            report.result("R6"),
                             sub, w,
                             Ought(i, st, Ought(i, st2, tail_phi)),
                             And(Ought(i, st + st2, tail_phi), e_self),
                             env, where,
                         )
                 o_form = Ought(i, st, phi)
-                k_res = report.result(report.axioms, "K-O")
+                k_res = report.result("K-O")
                 try:
                     g1 = holds_globally(sub, o_form, env)
                     g2 = holds_globally(sub, Know(i, o_form), env)
@@ -439,7 +446,7 @@ def _check_obligation_rules(rng, model, env, report: SuiteReport):
                     k_res.record_error()
                 for w in sub.worlds:
                     _compare(
-                        report.result(report.informational, "K-O-pointwise"),
+                        report.result("K-O-pointwise"),
                         sub, w, o_form, Know(i, o_form), env,
                         f"{sub.root}->{w} {dp.id}.{ev}",
                     )
@@ -456,7 +463,7 @@ def _check_expectation_axioms(rng, model, env, report: SuiteReport):
             stages.append((pm2, points[1].owner))
     except CheckerError:
         pass
-    e1 = report.result(report.axioms, "E1")
+    e1 = report.result("E1")
     for pm, owner in stages:
         groups: Dict[Tuple, List] = {}
         for x in pm.domain_worlds():
@@ -475,8 +482,8 @@ def _check_expectation_axioms(rng, model, env, report: SuiteReport):
                 e1.record_error()
                 continue
             e1.record(ok, f"{model.name or 'model'} prefix {prefix!r}")
-        e2 = report.result(report.axioms, "E2")
-        ke = report.result(report.axioms, "K-E")
+        e2 = report.result("E2")
+        ke = report.result("K-E")
         for x in pm.domain_worlds():
             atom = ExpAtom(owner, trace_of(x))
             try:
@@ -509,21 +516,21 @@ def _check_update_axioms(rng, model, env, report: SuiteReport):
         for w in model.worlds:
             where = f"{w} {dp.id}.{ev}"
             _compare(
-                report.result(report.axioms, "AM1"),
+                report.result("AM1"),
                 model, w,
                 Box(st, p_atom),
                 Implies(pre, p_atom),
                 env, where,
             )
             _compare(
-                report.result(report.axioms, "AM2"),
+                report.result("AM2"),
                 model, w,
                 Box(st, Not(phi)),
                 Implies(pre, Not(Box(st, phi))),
                 env, where,
             )
             _compare(
-                report.result(report.axioms, "AM3"),
+                report.result("AM3"),
                 model, w,
                 Box(st, And(phi, psi)),
                 And(Box(st, phi), Box(st, psi)),
@@ -536,18 +543,18 @@ def _check_update_axioms(rng, model, env, report: SuiteReport):
             std = Implies(pre, big_and(alts))
             lit = Implies(pre, Know(j, Box(st, phi)))
             _compare(
-                report.result(report.ambiguities, "AM4-standard-reading"),
+                report.result("AM4-standard-reading"),
                 model, w, Box(st, Know(j, phi)), std, env, where,
             )
             _compare(
-                report.result(report.ambiguities, "AM4-two-readings"),
+                report.result("AM4-two-readings"),
                 model, w, std, lit, env, where,
             )
             if dp2 is not None:
                 ev2 = rng.choice(list(dp2.events))
                 st2 = ((dp2.id, ev2),)
                 _compare(
-                    report.result(report.axioms, "AM5"),
+                    report.result("AM5"),
                     model, w,
                     Diamond(st, Diamond(st2, phi5)),
                     Diamond(st + st2, phi5),

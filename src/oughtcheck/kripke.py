@@ -13,6 +13,7 @@ never silently overflow anything downstream.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .errors import UnknownAgent, UnknownWorld, ValidationError
@@ -50,10 +51,12 @@ def world_id(world) -> str:
 
 
 class GradedKripkeModel:
-    """Immutable-by-convention graded Kripke model.
+    """Immutable graded Kripke model.
 
     relations: agent -> world -> frozenset of successor worlds, one object
-    per distinct set (valuations likewise).
+    per distinct set (valuations likewise).  relations (outer and per
+    agent), valuation and desirability are read-only mappings, so that
+    what memo stores stays sound.
     """
 
     def __init__(
@@ -81,21 +84,32 @@ class GradedKripkeModel:
             s = frozenset(items)
             return shared.setdefault(s, s)
 
-        self.valuation: Dict = {w: one(valuation[w]) for w in self.worlds}
-        self.desirability: Dict = {w: int(desirability[w]) for w in self.worlds}
-        self.relations: Dict[str, Dict] = {
-            a: {w: one(relations.get(a, {}).get(w, ())) for w in self.worlds}
+        self.valuation = MappingProxyType({w: one(valuation[w]) for w in self.worlds})
+        self.desirability = MappingProxyType({w: int(desirability[w]) for w in self.worlds})
+        self.relations = MappingProxyType({
+            a: MappingProxyType(
+                {w: one(relations.get(a, {}).get(w, ())) for w in self.worlds}
+            )
             for a in self.agents
-        }
+        })
         self.frame = frame
         self.root = root
         self.agent_filter = agent_filter
         self.eval_only = frozenset(eval_only)
         self.name = name
         self._world_set = frozenset(self.worlds)
-        self._ordered: Dict = {}  # successor set -> its worlds in world order
         self._cache: Dict = {}
         _basic_check(self)
+
+    def memo(self, key, build, *args):
+        """The result stored under key, or on first use build(*args), stored.
+        Every result derived from the model is memoized here and lives as
+        long as the model; keys are tuples that name the kind of result
+        first.  An error raised by build propagates and stores nothing."""
+        hit = self._cache.get(key)
+        if hit is None and key not in self._cache:  # a stored None is a hit
+            hit = self._cache[key] = build(*args)
+        return hit
 
     # -- access ---------------------------------------------------------------
 
@@ -120,10 +134,7 @@ class GradedKripkeModel:
     def ordered_successors(self, agent: str, world) -> Tuple:
         """successors() in world order, sorted once per distinct set."""
         succ = self.successors(agent, world)
-        hit = self._ordered.get(succ)
-        if hit is None:
-            hit = self._ordered[succ] = tuple(sorted(succ, key=self.world_index))
-        return hit
+        return self.memo(("ordered", succ), _in_world_order, self, succ)
 
     def atoms_at(self, world) -> FrozenSet[str]:
         return self.valuation[world]
@@ -138,17 +149,21 @@ class GradedKripkeModel:
         return tuple(w for w in self.worlds if w not in self.eval_only)
 
     def world_index(self, world) -> int:
-        idx = self._cache.get("world_index")
-        if idx is None:
-            idx = {w: i for i, w in enumerate(self.worlds)}
-            self._cache["world_index"] = idx
-        return idx[world]
+        return self.memo(("world_index",), _index_of, self.worlds)[world]
 
     def pairs(self, agent: str):
         """Relation pairs in deterministic (world order, then world order) order."""
         for w in self.worlds:
             for u in self.ordered_successors(agent, w):
                 yield (w, u)
+
+
+def _index_of(worlds) -> Dict:
+    return {w: i for i, w in enumerate(worlds)}
+
+
+def _in_world_order(model: GradedKripkeModel, worlds) -> Tuple:
+    return tuple(sorted(worlds, key=model.world_index))
 
 
 def _basic_check(m: GradedKripkeModel) -> None:

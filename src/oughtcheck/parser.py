@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .errors import ParseError, UnknownEvent, ValidationError
+from .errors import ParseError, ValidationError
 from .formula import (
     And,
     Atom,
@@ -38,6 +38,7 @@ from .formula import (
     Ought,
     TRUE,
     make_trace,
+    pre_of,
 )
 
 _TOKEN = re.compile(
@@ -198,11 +199,7 @@ class _Parser:
         self.expect(".")
         ev = self.ident("an event name")
         if self.env is not None:
-            if dp not in self.env:
-                raise UnknownEvent(f"unknown decision point {dp!r}")
-            point = self.env[dp]
-            if ev not in point.events:
-                raise UnknownEvent(f"decision point {dp!r} has no event {ev!r}")
+            pre_of(self.env, dp, ev)  # an unknown decision point or event raises here
         return (dp, ev)
 
     def _check_owner(self, agent: str, steps, what: str) -> None:

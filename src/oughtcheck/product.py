@@ -18,11 +18,10 @@ from .kripke import GradedKripkeModel, extend_world, trace_of, world_id
 
 def product(model: GradedKripkeModel, action) -> GradedKripkeModel:
     """The update of `model` by `action` (memoized on the model)."""
-    cache_key = ("product", action)
-    hit = model._cache.get(cache_key)
-    if hit is not None:
-        return hit
+    return model.memo(("product", action), _update, model, action)
 
+
+def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
     from .semantics import evaluate_plain  # late import: semantics uses products
 
     env = getattr(action, "env", None) or {}
@@ -90,7 +89,6 @@ def product(model: GradedKripkeModel, action) -> GradedKripkeModel:
         name=f"{model.name or 'model'}*{getattr(action, 'id', '?')}",
     )
     _check_traces(model, out, keys[0])
-    model._cache[cache_key] = out
     return out
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Dict, List
 
-from .errors import NonTermination, UnknownEvent, ValidationError
+from .errors import NonTermination, ValidationError
 from .formula import (
     And,
     Atom,
@@ -52,6 +52,8 @@ from .formula import (
     Truth,
     big_and,
     complexity,
+    point_of,
+    pre_of,
     to_text,
 )
 
@@ -89,11 +91,7 @@ class Translation:
 
 def pre_formula(steps, env) -> Formula:
     """The (composed) precondition of a trace's final event as a formula."""
-    dp_id, ev = steps[-1]
-    try:
-        last = env[dp_id].pre[ev]
-    except KeyError:
-        raise UnknownEvent(f"unknown event {dp_id}.{ev}") from None
+    last = pre_of(env, *steps[-1])
     if len(steps) == 1:
         return last
     return Diamond(steps[:-1], last)
@@ -104,6 +102,7 @@ def q_event_alternatives(steps, agent: str, env):
     event relations; identity when the agent is not mentioned)."""
     per_step = []
     for dp_id, ev in steps:
+        pre_of(env, dp_id, ev)  # an unknown decision point or event raises here
         point = env[dp_id]
         rel = point.relations.get(agent)
         if rel is None:
@@ -184,7 +183,7 @@ class _Rewriter:
             self.log("D-and", f, after, False)
             return self.rec(after)
         if isinstance(body, Know):
-            owner = self.env[steps[-1][0]].owner
+            owner = point_of(self.env, steps[-1][0]).owner
             if self.mode == "literal" and body.agent == owner:
                 after = And(pre, body)
                 self.log("D-K-drop", f, after, False)

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .errors import UnknownEvent, UnknownProductWorld, ValidationError
+from .errors import UnknownProductWorld, ValidationError
 from .expect import atom_holds, atom_report
 from .formula import (
     And,
@@ -57,26 +57,13 @@ from .formula import (
     Not,
     Ought,
     Truth,
+    point_of,
+    pre_of,
     to_text,
 )
 from .kripke import GradedKripkeModel, extend_world, trace_of, world_id
 from .product import product
 from .submodel import agent_submodel, horizon
-
-
-def _resolve(env: Dict, dp_id: str):
-    try:
-        return env[dp_id]
-    except KeyError:
-        raise UnknownEvent(f"unknown decision point {dp_id!r}") from None
-
-
-def _pre_of(env: Dict, dp_id: str, ev: str) -> Formula:
-    point = _resolve(env, dp_id)
-    try:
-        return point.pre[ev]
-    except KeyError:
-        raise UnknownEvent(f"decision point {dp_id!r} has no event {ev!r}") from None
 
 
 @dataclass
@@ -233,12 +220,12 @@ def _run(model, world, steps, env, rec):
     and world reached and None, or the model and world where the run stops
     and the step that is not available there."""
     for dp_id, ev in steps:
-        available = _walk(model, world, _pre_of(env, dp_id, ev), env, rec)
+        available = _walk(model, world, pre_of(env, dp_id, ev), env, rec)
         if rec is not None:
             rec.nodes[-1].clause = f"precondition {dp_id}.{ev}"
         if not available:
             return model, world, (dp_id, ev)
-        model = product(model, _resolve(env, dp_id))
+        model = product(model, point_of(env, dp_id))
         world = extend_world(world, ((dp_id, ev),))
     return model, world, None
 
@@ -277,7 +264,7 @@ def _expectation(rec, f, world, carrier, instance, agent, note="") -> bool:
 
 
 def _check_ought_owner(env: Dict, f: Ought) -> None:
-    point = _resolve(env, f.steps[-1][0])
+    point = point_of(env, f.steps[-1][0])
     if point.owner != f.agent:
         raise ValidationError(
             f"obligation agent {f.agent!r} does not own {f.steps[-1][0]}."
@@ -324,17 +311,18 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
             f"{world_id(cur_w)} does not survive {stuck[0]}.{stuck[1]}"
         )
     dp_id, ev = steps[-1]
-    _pre_of(env, dp_id, ev)  # an unknown decision point or event raises here
+    pre_of(env, dp_id, ev)  # an unknown decision point or event raises here
     point = env[dp_id]
     h = horizon(cur_m, cur_w, agent)
     key = ("carrier", agent, h if cur_w in h else cur_w, point)
-    carrier = cur_m._cache.get(key)
-    if carrier is None:
-        carrier = product(agent_submodel(cur_m, cur_w, agent), point)
-        cur_m._cache[key] = carrier
+    carrier = cur_m.memo(key, _carrier, cur_m, cur_w, agent, point)
     instance = extend_world(cur_w, ((dp_id, ev),))
     if not carrier.has_world(instance):
         raise UnknownProductWorld(
             f"{world_id(cur_w)} does not survive {dp_id}.{ev}"
         )
     return carrier, instance
+
+
+def _carrier(model: GradedKripkeModel, root, agent: str, point) -> GradedKripkeModel:
+    return product(agent_submodel(model, root, agent), point)

@@ -53,15 +53,9 @@ def _restrict(model: GradedKripkeModel, root, domain, agent_filter):
         worlds.append(root)
     eval_only = frozenset() if root_in else frozenset([root])
 
-    relations = {}
-    for a in model.agents:
-        rel = {}
-        for w in worlds:
-            if w == root and not root_in:
-                rel[w] = model.successors(a, root) & domain
-            else:
-                rel[w] = model.successors(a, w) & domain
-        relations[a] = rel
+    relations = {
+        a: {w: model.successors(a, w) & domain for w in worlds} for a in model.agents
+    }
 
     return GradedKripkeModel(
         agents=model.agents,
@@ -79,23 +73,24 @@ def _restrict(model: GradedKripkeModel, root, domain, agent_filter):
 
 
 def generated_submodel(model: GradedKripkeModel, root) -> GradedKripkeModel:
-    """Submodel generated from root along all agents' relations."""
+    """Submodel generated from root along all agents' relations.  No verdict
+    reads it; it stays public because bench/spans.py traces it by name."""
     model.require_world(root)
-    key = ("sub", root, None)
-    hit = model._cache.get(key)
-    if hit is None:
-        domain = _reach(model, root, None)
-        if not domain:
-            raise IsolatedRoot(f"nothing is reachable from {world_id(root)}")
-        hit = _restrict(model, root, domain, None)
-        model._cache[key] = hit
-    return hit
+    return model.memo(("sub", root, None), _generated, model, root)
+
+
+def _generated(model: GradedKripkeModel, root) -> GradedKripkeModel:
+    domain = _reach(model, root, None)
+    if not domain:
+        raise IsolatedRoot(f"nothing is reachable from {world_id(root)}")
+    return _restrict(model, root, domain, None)
 
 
 def _representatives(model: GradedKripkeModel, agent: str) -> dict:
     """Map every world to one world of its strongly connected component
     under `agent`'s relation: Tarjan's algorithm (1972), with an explicit
     stack so that long chains cannot overflow the interpreter's."""
+    model.successors(agent, model.worlds[0])  # an unknown agent raises here
     rel = model.relations[agent]
     index = {}
     low = {}
@@ -139,28 +134,20 @@ def horizon(model: GradedKripkeModel, root, agent: str) -> frozenset:
     worlds of an S5 cell or a KD45 cluster share one frozenset.  A world on
     no cycle is its own component."""
     model.require_world(root)
-    memo = model._cache.get(("horizons", agent))
-    if memo is None:
-        model.successors(agent, root)  # an unknown agent raises here
-        memo = model._cache[("horizons", agent)] = (_representatives(model, agent), {})
-    reps, by_rep = memo
-    rep = reps[root]
-    hit = by_rep.get(rep)
-    if hit is None:
-        hit = frozenset(_reach(model, rep, agent))
-        if not hit:
-            raise IsolatedRoot(
-                f"agent {agent!r} reaches nothing from {world_id(root)}"
-            )
-        by_rep[rep] = hit
-    return hit
+    rep = model.memo(("components", agent), _representatives, model, agent)[root]
+    return model.memo(("horizon", agent, rep), _horizon_of, model, rep, agent)
+
+
+def _horizon_of(model: GradedKripkeModel, rep, agent: str) -> frozenset:
+    reach = frozenset(_reach(model, rep, agent))
+    if not reach:
+        # a world that reaches nothing is on no cycle: rep is the root itself
+        raise IsolatedRoot(f"agent {agent!r} reaches nothing from {world_id(rep)}")
+    return reach
 
 
 def agent_submodel(model: GradedKripkeModel, root, agent: str) -> GradedKripkeModel:
     """Submodel generated from root along one agent's relation."""
-    key = ("sub", root, agent)
-    hit = model._cache.get(key)
-    if hit is None:
-        hit = _restrict(model, root, horizon(model, root, agent), agent)
-        model._cache[key] = hit
-    return hit
+    return model.memo(
+        ("sub", root, agent), _restrict, model, root, horizon(model, root, agent), agent
+    )

@@ -149,3 +149,14 @@ def test_env_threading_through_declarations():
     )
     assert v.env["U"] is u
     assert v.env["V"] is v
+
+
+def test_decision_point_mappings_are_read_only():
+    d = _dp(agents=("i", "j"))
+    with pytest.raises(TypeError):
+        d.pre["a"] = Atom("p")
+    with pytest.raises(TypeError):
+        del d.pre["b"]
+    with pytest.raises(TypeError):
+        d.relations["i"] = frozenset()
+    assert d.pre["a"] == TRUE and d.q_related("i", (("U", "a"),), (("U", "a"),))

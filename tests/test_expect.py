@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import oughtcheck.expect
 from oracles import o_atom, omodel
 from oughtcheck.actions import DecisionPoint
 from oughtcheck.errors import (
@@ -20,7 +21,6 @@ from oughtcheck.expect import (
     atom_report,
     component_value,
     expected_value,
-    expected_value_at,
     rival_instances,
 )
 from oughtcheck.formula import TRUE
@@ -71,14 +71,6 @@ def test_no_successors():
     # y has no edge out of u
     with pytest.raises(NoSuccessors):
         expected_value(sub, "y")
-
-
-def test_expected_value_at():
-    m = _chain()
-    assert expected_value_at(m, "y", "v") == Fraction(11, 2)
-    assert expected_value_at(m, "x", "u") == Fraction(5)
-    with pytest.raises(NoSuccessors):
-        expected_value_at(m, "x", "w")
 
 
 def test_components(line_model, pick):
@@ -259,6 +251,23 @@ def test_undefined_rival_before_a_better_one_raises():
     # an instance whose own value is undefined raises before any rival
     with pytest.raises(IsolatedRoot):
         atom_holds(pm, ("b", (("T", "l"),)), "i")
+
+
+def test_an_undefined_atom_is_not_memoized(monkeypatch):
+    pm = _two_event_carrier([0, 0, 5], {"a": {"a"}, "c": {"c"}})
+    verdicts = []
+    verdict = oughtcheck.expect._atom_verdict
+
+    def counting_verdict(carrier, instance, agent):
+        verdicts.append(instance)
+        return verdict(carrier, instance, agent)
+
+    monkeypatch.setattr(oughtcheck.expect, "_atom_verdict", counting_verdict)
+    inst = ("a", (("T", "l"),))
+    for _ in range(2):
+        with pytest.raises(IsolatedRoot):
+            atom_holds(pm, inst, "i")
+    assert verdicts == [inst, inst]
 
 
 @pytest.mark.parametrize("frame", ["S5", "KD45", "K"])

@@ -135,3 +135,47 @@ def test_relations_are_frozen_copies():
     m = _tiny(relations=rel)
     rel["a"]["u"].add("u")
     assert m.successors("a", "u") == frozenset({"v"})
+
+
+def test_model_mappings_are_read_only():
+    m = _tiny()
+    with pytest.raises(TypeError):
+        m.relations["b"] = {}
+    with pytest.raises(TypeError):
+        m.relations["a"]["u"] = frozenset()
+    with pytest.raises(TypeError):
+        del m.relations["a"]["v"]
+    with pytest.raises(TypeError):
+        m.valuation["u"] = frozenset()
+    with pytest.raises(TypeError):
+        m.desirability["u"] = 5
+    assert m.successors("a", "u") == frozenset({"v"}) and m.value_of("u") == 1
+
+
+def test_memo_builds_each_entry_once():
+    m = _tiny()
+    built = []
+
+    def build(x):
+        built.append(x)
+        return None if x == 0 else [x]  # a stored None is still a hit
+
+    first = m.memo(("test", 1), build, 1)
+    assert m.memo(("test", 1), build, 1) is first
+    assert m.memo(("test", 0), build, 0) is None
+    assert m.memo(("test", 0), build, 0) is None
+    assert built == [1, 0]
+
+
+def test_memo_stores_nothing_when_the_build_raises():
+    m = _tiny()
+    built = []
+
+    def build():
+        built.append(1)
+        raise UnknownWorld("nowhere")
+
+    for _ in range(2):
+        with pytest.raises(UnknownWorld):
+            m.memo(("test",), build)
+    assert len(built) == 2

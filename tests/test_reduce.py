@@ -19,6 +19,7 @@ from oughtcheck.formula import (
     Not,
     Ought,
     TRUE,
+    complexity,
     contains_diamond,
     contains_ought,
     to_text,
@@ -250,6 +251,26 @@ def test_unknown_event_is_an_input_error(allergy):
     _, env = allergy
     with pytest.raises(UnknownEvent):
         translate(Diamond((("W", "x"),), TRUE), env)
+
+
+@pytest.mark.parametrize("via", ["translate", "complexity", "evaluate_plain"])
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("unknown", ["point", "event"])
+@pytest.mark.parametrize("form", ["diamond", "obligation"])
+def test_unknown_step_of_a_run_raises_unknown_event(allergy, via, position, unknown, form):
+    model, env = allergy
+    steps = [("U", "delta"), ("U2", "alpha")]
+    dp_id = steps[position][0]
+    steps[position] = ("X", "a") if unknown == "point" else (dp_id, "zz")
+    steps = tuple(steps)
+    f = Diamond(steps, Atom("A")) if form == "diamond" else Ought("a", steps, Atom("A"))
+    with pytest.raises(UnknownEvent):
+        if via == "translate":
+            translate(f, env)
+        elif via == "complexity":
+            complexity(f, env)
+        else:
+            evaluate_plain(model, "w1", f, env)
 
 
 def test_unknown_mode(allergy):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import oughtcheck.submodel
 from oracles import o_reach, o_submodel, omodel
 from oughtcheck.errors import EmptyProduct, IsolatedRoot, UnknownAgent, UnknownWorld, Unsatisfiable
 from oughtcheck.generate import GenParams, gen_decision_point, gen_model
@@ -231,3 +232,20 @@ def test_a_very_long_chain_needs_no_deep_recursion():
     assert horizon(m, "w9998", "i") == {"w9999"}
     with pytest.raises(IsolatedRoot):
         horizon(m, "w9999", "i")
+
+
+def test_an_isolated_root_is_not_memoized(monkeypatch):
+    m = _line(3)
+    reaches = []
+    reach = oughtcheck.submodel._reach
+
+    def counting_reach(model, root, agent):
+        reaches.append(root)
+        return reach(model, root, agent)
+
+    monkeypatch.setattr(oughtcheck.submodel, "_reach", counting_reach)
+    for _ in range(2):
+        with pytest.raises(IsolatedRoot):
+            horizon(m, "w2", "i")
+        assert horizon(m, "w1", "i") == {"w2"}
+    assert reaches == ["w2", "w1", "w2"]
