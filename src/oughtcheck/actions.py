@@ -19,58 +19,60 @@ from types import MappingProxyType
 from typing import Dict, Optional, Tuple
 
 from .errors import ValidationError, OughtInPrecondition, UnknownEvent
-from .formula import Diamond, Formula, Trace, contains_ought
+from .formula import Formula, Trace, contains_ought, make_trace, pre_formula
+from .kripke import ReadOnly
 
 
-class DecisionPoint:
+class DecisionPoint(ReadOnly):
     """A named decision point owned by one agent.
 
     events: ordered tuple of event names (at least two).
     pre: event name -> precondition Formula (obligation-free).
     relations: agent -> set of (event, event) pairs; the identity is always
     included.  `extra_edges` records whether anything beyond it was given.
-    pre and relations are read-only, as memoized products are keyed by points.
+    Attributes cannot be rebound, and env, pre and relations are read-only
+    mappings, as memoized products are keyed by points.
     """
 
     def __init__(self, dp_id, owner, events, pre, relations=None, agents=None, env=None):
-        self.id = str(dp_id)
-        self.owner = str(owner)
-        # resolution environment for decision points mentioned inside the
-        # preconditions (earlier declarations only); includes this point
-        self.env = dict(env or {})
-        self.env[self.id] = self
-        self.events: Tuple[str, ...] = tuple(str(e) for e in events)
-        if len(self.events) < 2:
-            raise ValidationError(
-                f"decision point {self.id!r} needs at least two events"
-            )
-        if len(set(self.events)) != len(self.events):
-            raise ValidationError(f"duplicate event names in {self.id!r}")
-        for ev in self.events:
+        dp_id, owner = str(dp_id), str(owner)
+        events: Tuple[str, ...] = tuple(str(e) for e in events)
+        if len(events) < 2:
+            raise ValidationError(f"decision point {dp_id!r} needs at least two events")
+        if len(set(events)) != len(events):
+            raise ValidationError(f"duplicate event names in {dp_id!r}")
+        for ev in events:
             if ev not in pre:
-                raise ValidationError(f"event {ev!r} of {self.id!r} has no precondition")
+                raise ValidationError(f"event {ev!r} of {dp_id!r} has no precondition")
             if contains_ought(pre[ev]):
-                raise OughtInPrecondition(
-                    f"precondition of {self.id}.{ev} contains an obligation"
-                )
-        self.pre = MappingProxyType({ev: pre[ev] for ev in self.events})
-        self.agents = tuple(agents) if agents is not None else (self.owner,)
-        if self.owner not in self.agents:
-            self.agents = self.agents + (self.owner,)
-        identity = frozenset((e, e) for e in self.events)
+                raise OughtInPrecondition(f"precondition of {dp_id}.{ev} contains an obligation")
+        agents = tuple(agents) if agents is not None else (owner,)
+        if owner not in agents:
+            agents = agents + (owner,)
+        identity = frozenset((e, e) for e in events)
         relations_map: Dict[str, frozenset] = {}
-        self.extra_edges = False
-        for a in self.agents:
+        extra_edges = False
+        for a in agents:
             given = frozenset(tuple(p) for p in (relations or {}).get(a, ()))
             for e1, e2 in given:
-                if e1 not in self.events or e2 not in self.events:
+                if e1 not in events or e2 not in events:
                     raise UnknownEvent(
-                        f"relation of {self.id!r} mentions unknown event {e1!r}/{e2!r}"
+                        f"relation of {dp_id!r} mentions unknown event {e1!r}/{e2!r}"
                     )
             if given - identity:
-                self.extra_edges = True
+                extra_edges = True
             relations_map[a] = identity | given
-        self.relations = MappingProxyType(relations_map)
+        bind = object.__setattr__
+        bind(self, "id", dp_id)
+        bind(self, "owner", owner)
+        # resolution environment for decision points mentioned inside the
+        # preconditions (earlier declarations only); includes this point
+        bind(self, "env", MappingProxyType({**(env or {}), dp_id: self}))
+        bind(self, "events", events)
+        bind(self, "pre", MappingProxyType({ev: pre[ev] for ev in events}))
+        bind(self, "agents", agents)
+        bind(self, "relations", MappingProxyType(relations_map))
+        bind(self, "extra_edges", extra_edges)
 
     # Every action-like object exposes: event_keys, pre_formula, q_related, owner.
 
@@ -99,12 +101,7 @@ class ComposedAction:
     """The composition of two action-like objects (left applied first)."""
 
     def __init__(self, first, second):
-        last_dp = first.event_keys[0][-1][0]
-        first_dp = second.event_keys[0][0][0]
-        if last_dp == first_dp:
-            raise ValidationError(
-                f"cannot compose {last_dp!r} with itself back to back"
-            )
+        make_trace(first.event_keys[0] + second.event_keys[0])  # no point after itself
         self.first = first
         self.second = second
         self.id = f"{first.id};{second.id}"
@@ -117,9 +114,7 @@ class ComposedAction:
         self.extra_edges = first.extra_edges or second.extra_edges
 
     def pre_formula(self, key: Trace) -> Formula:
-        split = len(key) - len(self.second.event_keys[0])
-        ka, kb = key[:split], key[split:]
-        return Diamond(ka, self.second.pre_formula(kb))
+        return pre_formula(key, self.env)
 
     def q_related(self, agent: str, k1: Trace, k2: Trace) -> bool:
         split = len(k1) - len(self.second.event_keys[0])

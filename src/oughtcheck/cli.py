@@ -43,7 +43,7 @@ from .generate import (
     run_axiom_suite,
 )
 from .expect import component_value
-from .kripke import frame_violations, world_id
+from .kripke import base_of, frame_violations, world_id
 from .parser import parse
 from .product import apply_sequence
 from .reduce import MODES, translate
@@ -133,10 +133,7 @@ def cmd_update(args) -> int:
     updated = apply_sequence(model, points)
     carried = None
     if point is not None:
-        for w in updated.worlds:
-            if w[0] == point:
-                carried = w
-                break
+        carried = next((w for w in updated.worlds if base_of(w) == point), None)
     text = dump_json(model_to_doc(updated, point=carried))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

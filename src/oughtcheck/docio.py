@@ -43,11 +43,10 @@ from .actions import DecisionPoint, validate_decision_point
 from .errors import (
     CyclicPrecondition,
     UnknownAgent,
-    UnknownEvent,
     UnknownWorld,
     ValidationError,
 )
-from .formula import And, Diamond, ExpAtom, Know, Not, Ought, to_text
+from .formula import Diamond, ExpAtom, Ought, check_owner, pre_of, subformulas, to_text
 from .kripke import GradedKripkeModel, frame_violations, world_id
 from .parser import parse
 
@@ -179,41 +178,18 @@ def model_to_doc(model: GradedKripkeModel, point=None) -> Dict:
 
 def _check_pre_references(formula, env: Dict, declared: set, where: str) -> None:
     """Trace steps inside a precondition may only use earlier points."""
-    if isinstance(formula, (Diamond, Ought, ExpAtom)):
-        steps = formula.steps
-        for dp, ev in steps:
-            if dp not in env:
-                if dp in declared:
-                    raise CyclicPrecondition(
-                        f"precondition of {where} refers to {dp!r}, which is not"
-                        " declared before it"
-                    )
-                raise UnknownEvent(
-                    f"precondition of {where} refers to unknown decision point {dp!r}"
+    for node in subformulas(formula):
+        if not isinstance(node, (Diamond, Ought, ExpAtom)):
+            continue
+        for dp, ev in node.steps:
+            if dp in declared and dp not in env:
+                raise CyclicPrecondition(
+                    f"precondition of {where} refers to {dp!r}, which is not"
+                    " declared before it"
                 )
-            if ev not in env[dp].events:
-                raise UnknownEvent(
-                    f"precondition of {where} refers to unknown event {dp}.{ev}"
-                )
-        if isinstance(formula, (Ought, ExpAtom)):
-            dp, _ = steps[-1]
-            owner = env[dp].owner
-            if owner != formula.agent:
-                raise ValidationError(
-                    f"precondition of {where}: agent {formula.agent!r} does not"
-                    f" own {dp!r} (owner {owner!r})"
-                )
-    if isinstance(formula, Not):
-        _check_pre_references(formula.sub, env, declared, where)
-    elif isinstance(formula, And):
-        _check_pre_references(formula.left, env, declared, where)
-        _check_pre_references(formula.right, env, declared, where)
-    elif isinstance(formula, Know):
-        _check_pre_references(formula.sub, env, declared, where)
-    elif isinstance(formula, Diamond):
-        _check_pre_references(formula.sub, env, declared, where)
-    elif isinstance(formula, Ought):
-        _check_pre_references(formula.body, env, declared, where)
+            pre_of(env, dp, ev)  # an unknown decision point or event raises here
+        if not isinstance(node, Diamond):
+            check_owner(env, node.agent, node.steps, f"precondition of {where}:")
 
 
 def _check_point_shape(entry) -> None:

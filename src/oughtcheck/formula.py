@@ -1,4 +1,5 @@
-"""Formula syntax: AST nodes, derived forms, canonical printing, complexity.
+"""Formula syntax: AST nodes, derived forms, canonical printing, complexity,
+and the trace rules.
 
 The core language is
 
@@ -11,6 +12,13 @@ Traces are tuples of (decision_point_id, event_name) pairs.  Disjunction,
 implication, the box and the epistemic possibility operator are derived
 forms; their constructors return core nodes, so printing always yields the
 core syntax and parse(print(f)) is the identity on ASTs.
+
+Each rule that makes a trace meaningful is stated here once, and the
+parser, the loaders, the evaluator, the rewriter and composition call it:
+check_adjacency, also through make_trace (a decision point never follows
+itself), point_of / pre_of (every step names a declared event),
+check_owner (the agent of an obligation owns the final decision point)
+and pre_formula (pre(t), the precondition the run needs).
 """
 
 from __future__ import annotations
@@ -25,20 +33,21 @@ Trace = Tuple[Step, ...]
 
 
 def make_trace(steps) -> Trace:
-    """Normalize and validate a trace: one choice per decision point, in order.
-
-    Consecutive steps must come from different decision points; a repeated
-    decision point is only legal when the occurrences are not adjacent
-    (and then each occurrence is resolved independently).
-    """
-    trace = tuple((str(d), str(e)) for d, e in steps)
+    """Normalize and validate a trace: one choice per decision point, in order."""
+    trace = tuple([(str(d), str(e)) for d, e in steps])
     if not trace:
         raise ValidationError("a trace needs at least one step")
-    for (d1, _), (d2, _) in zip(trace, trace[1:]):
-        if d1 == d2:
-            raise ValidationError(
-                f"trace repeats decision point {d1!r} in consecutive steps"
-            )
+    return check_adjacency(trace)
+
+
+def check_adjacency(trace: Trace) -> Trace:
+    """The trace itself, once no decision point follows itself in it.  A point
+    may recur when not adjacent; each occurrence is then resolved alone."""
+    last = None
+    for d, _ in trace:
+        if d == last:
+            raise ValidationError(f"trace repeats decision point {d!r} in consecutive steps")
+        last = d
     return trace
 
 
@@ -187,7 +196,7 @@ def to_text(f: Formula) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-# --- decision points named by a trace ----------------------------------------
+# --- the trace rules (check_adjacency above states adjacency) -----------------
 
 def point_of(env, dp_id: str):
     """The decision point env maps dp_id to; UnknownEvent when there is none."""
@@ -205,23 +214,48 @@ def pre_of(env, dp_id: str, ev: str) -> Formula:
         raise UnknownEvent(f"decision point {dp_id!r} has no event {ev!r}") from None
 
 
-# --- complexity --------------------------------------------------------------
+def check_owner(env, agent: str, steps: Trace, what: str) -> None:
+    """An obligation or expectation atom of `agent` about `steps` needs
+    `agent` to own the final decision point; `what` names it in the error."""
+    dp_id, ev = steps[-1]
+    owner = point_of(env, dp_id).owner
+    if owner != agent:
+        raise ValidationError(
+            f"{what} agent {agent!r} does not own {dp_id}.{ev} (owner {owner!r})"
+        )
 
-def trace_pre_complexity(steps: Trace, env) -> int:
-    """Complexity of the (composed) precondition of a trace's final event.
 
-    For a one-step trace this is the declared precondition's complexity; a
-    longer trace folds left: c(pre(t ; s)) = (4 + c(pre(t))) * c(pre(s)).
-    """
-    acc = None
-    for dp_id, ev in steps:
-        single = complexity(pre_of(env, dp_id, ev), env)
-        acc = single if acc is None else (4 + acc) * single
-    return acc
+def pre_formula(steps: Trace, env) -> Formula:
+    """pre(t): the (composed) precondition of a trace's final event, the
+    formula that makes the run available."""
+    last = pre_of(env, *steps[-1])
+    if len(steps) == 1:
+        return last
+    return Diamond(steps[:-1], last)
+
+
+# --- structure ---------------------------------------------------------------
+
+def subformulas(f: Formula):
+    """Every node of f, f first, depth-first and left to right.  The walk
+    keeps its own stack, so any nesting depth is fine."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, And):
+            stack.append(g.right)
+            stack.append(g.left)
+        elif isinstance(g, (Not, Know, Diamond)):
+            stack.append(g.sub)
+        elif isinstance(g, Ought):
+            stack.append(g.body)
 
 
 def complexity(f: Formula, env) -> int:
-    """Size measure used to certify that obligation rewrites shrink formulas."""
+    """Size measure used to certify that obligation rewrites shrink formulas.
+    A trace weighs c(pre(t)), which folds left over its steps:
+    c(pre(t ; s)) = (4 + c(pre(t))) * c(pre(s))."""
     if isinstance(f, (Truth, Falsity, Atom, ExpAtom)):
         return 1
     if isinstance(f, Not):
@@ -231,35 +265,16 @@ def complexity(f: Formula, env) -> int:
     if isinstance(f, Know):
         return 1 + complexity(f.sub, env)
     if isinstance(f, Diamond):
-        return (4 + trace_pre_complexity(f.steps, env)) * complexity(f.sub, env)
+        return (4 + complexity(pre_formula(f.steps, env), env)) * complexity(f.sub, env)
     if isinstance(f, Ought):
-        return (5 + trace_pre_complexity(f.steps, env)) * complexity(f.body, env)
+        return (5 + complexity(pre_formula(f.steps, env), env)) * complexity(f.body, env)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def contains_ought(f: Formula) -> bool:
-    if isinstance(f, Ought):
-        return True
-    if isinstance(f, Not):
-        return contains_ought(f.sub)
-    if isinstance(f, And):
-        return contains_ought(f.left) or contains_ought(f.right)
-    if isinstance(f, (Know,)):
-        return contains_ought(f.sub)
-    if isinstance(f, Diamond):
-        return contains_ought(f.sub)
-    return False
+    return any(isinstance(g, Ought) for g in subformulas(f))
 
 
 def contains_diamond(f: Formula) -> bool:
-    if isinstance(f, Diamond):
-        return True
-    if isinstance(f, Not):
-        return contains_diamond(f.sub)
-    if isinstance(f, And):
-        return contains_diamond(f.left) or contains_diamond(f.right)
-    if isinstance(f, Know):
-        return contains_diamond(f.sub)
-    if isinstance(f, Ought):
-        return True  # its trace is an update
-    return False
+    # an obligation counts: its trace is an update
+    return any(isinstance(g, (Diamond, Ought)) for g in subformulas(f))

@@ -578,10 +578,8 @@ def run_axiom_suite(
         try:
             model = gen_model(rng, p, name=f"t{done}")
             env: Dict[str, DecisionPoint] = {}
-            env["U"] = gen_decision_point(rng, model, "U", p, env=env)
-            env["V"] = gen_decision_point(
-                rng, model, "V", p, owner=env["U"].owner, env=env
-            )
+            env["U"] = u = gen_decision_point(rng, model, "U", p, env=env)
+            env["V"] = gen_decision_point(rng, model, "V", p, owner=u.owner, env=env)
         except Unsatisfiable:
             continue
         _check_obligation_rules(rng, model, env, report)

@@ -50,13 +50,28 @@ def world_id(world) -> str:
     return f"{base_of(world)}@" + ";".join(f"{d}.{e}" for d, e in trace)
 
 
-class GradedKripkeModel:
+class ReadOnly:
+    """Attributes are bound once, by __init__ through object.__setattr__;
+    rebinding or deleting one raises AttributeError, because results memoized
+    on the object derive from them.  The guard never reads __dict__, which
+    would slow every attribute load."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+class GradedKripkeModel(ReadOnly):
     """Immutable graded Kripke model.
 
     relations: agent -> world -> frozenset of successor worlds, one object
-    per distinct set (valuations likewise).  relations (outer and per
-    agent), valuation and desirability are read-only mappings, so that
-    what memo stores stays sound.
+    per distinct set (valuations likewise).  Attributes cannot be rebound,
+    and relations (outer and per agent), valuation and desirability are
+    read-only mappings, so that what memo stores stays sound.
     """
 
     def __init__(
@@ -73,9 +88,7 @@ class GradedKripkeModel:
         eval_only: FrozenSet = frozenset(),
         name: Optional[str] = None,
     ):
-        self.agents = tuple(agents)
-        self.atoms = tuple(atoms)
-        self.worlds = tuple(worlds)
+        worlds = tuple(worlds)
         # one frozenset object per distinct set: an S5 cell's worlds share
         # their successor set, which also lets frame_violations skip them
         shared: Dict = {}
@@ -84,21 +97,23 @@ class GradedKripkeModel:
             s = frozenset(items)
             return shared.setdefault(s, s)
 
-        self.valuation = MappingProxyType({w: one(valuation[w]) for w in self.worlds})
-        self.desirability = MappingProxyType({w: int(desirability[w]) for w in self.worlds})
-        self.relations = MappingProxyType({
-            a: MappingProxyType(
-                {w: one(relations.get(a, {}).get(w, ())) for w in self.worlds}
-            )
+        bind = object.__setattr__
+        bind(self, "agents", tuple(agents))
+        bind(self, "atoms", tuple(atoms))
+        bind(self, "worlds", worlds)
+        bind(self, "valuation", MappingProxyType({w: one(valuation[w]) for w in worlds}))
+        bind(self, "desirability", MappingProxyType({w: int(desirability[w]) for w in worlds}))
+        bind(self, "relations", MappingProxyType({
+            a: MappingProxyType({w: one(relations.get(a, {}).get(w, ())) for w in worlds})
             for a in self.agents
-        })
-        self.frame = frame
-        self.root = root
-        self.agent_filter = agent_filter
-        self.eval_only = frozenset(eval_only)
-        self.name = name
-        self._world_set = frozenset(self.worlds)
-        self._cache: Dict = {}
+        }))
+        bind(self, "frame", frame)
+        bind(self, "root", root)
+        bind(self, "agent_filter", agent_filter)
+        bind(self, "eval_only", frozenset(eval_only))
+        bind(self, "name", name)
+        bind(self, "_world_set", frozenset(worlds))
+        bind(self, "_cache", {})
         _basic_check(self)
 
     def memo(self, key, build, *args):

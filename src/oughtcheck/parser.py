@@ -37,6 +37,7 @@ from .formula import (
     Or,
     Ought,
     TRUE,
+    check_owner,
     make_trace,
     pre_of,
 )
@@ -161,7 +162,8 @@ class _Parser:
             self.expect(";")
             steps = self.trace()
             self.expect("}")
-            self._check_owner(agent, steps, "expectation atom")
+            if self.env is not None:
+                check_owner(self.env, agent, steps, "expectation atom")
             return ExpAtom(agent, steps)
         if tok == "O" and self._brace_follows():
             self.next()
@@ -173,7 +175,8 @@ class _Parser:
             self.expect("|")
             body = self.implies()
             self.expect(")")
-            self._check_owner(agent, steps, "obligation")
+            if self.env is not None:
+                check_owner(self.env, agent, steps, "obligation")
             return Ought(agent, steps, body)
         tok = self.next()
         if tok == "true":
@@ -201,17 +204,6 @@ class _Parser:
         if self.env is not None:
             pre_of(self.env, dp, ev)  # an unknown decision point or event raises here
         return (dp, ev)
-
-    def _check_owner(self, agent: str, steps, what: str) -> None:
-        if self.env is None:
-            return
-        dp, _ = steps[-1]
-        owner = self.env[dp].owner
-        if owner != agent:
-            raise ValidationError(
-                f"{what} agent {agent!r} does not own the final event "
-                f"(decision point {dp!r} belongs to {owner!r})"
-            )
 
 
 def parse(text: str, env: Optional[dict] = None) -> Formula:

@@ -13,7 +13,7 @@ survive as evaluation-only worlds with outgoing edges only.
 from __future__ import annotations
 
 from .errors import EmptyProduct, TraceLeak
-from .kripke import GradedKripkeModel, extend_world, trace_of, world_id
+from .kripke import GradedKripkeModel, base_of, extend_world, trace_of, world_id
 
 
 def product(model: GradedKripkeModel, action) -> GradedKripkeModel:
@@ -97,10 +97,10 @@ def _check_traces(parent: GradedKripkeModel, child: GradedKripkeModel, sample_ke
     by exactly one event key of the applied action."""
     step_len = len(sample_key)
     for pw in child.worlds:
-        trace = trace_of(pw)
+        base, trace = base_of(pw), trace_of(pw)
         if len(trace) < step_len:
             raise TraceLeak(f"product world {world_id(pw)} lost its trace")
-        parent_key = (pw[0], trace[:-step_len]) if len(trace) > step_len else pw[0]
+        parent_key = (base, trace[:-step_len]) if len(trace) > step_len else base
         if not parent.has_world(parent_key):
             raise TraceLeak(
                 f"product world {world_id(pw)} does not extend a parent world"

@@ -51,8 +51,10 @@ from .formula import (
     Ought,
     Truth,
     big_and,
+    check_owner,
     complexity,
     point_of,
+    pre_formula,
     pre_of,
     to_text,
 )
@@ -89,35 +91,17 @@ class Translation:
         return all(s.decreasing for s in self.obligation_steps)
 
 
-def pre_formula(steps, env) -> Formula:
-    """The (composed) precondition of a trace's final event as a formula."""
-    last = pre_of(env, *steps[-1])
-    if len(steps) == 1:
-        return last
-    return Diamond(steps[:-1], last)
-
-
 def q_event_alternatives(steps, agent: str, env):
-    """All traces an agent cannot tell apart from `steps` (pairwise on the
-    event relations; identity when the agent is not mentioned)."""
+    """All traces an agent cannot tell apart from `steps`: pairwise, each
+    step by its decision point's q_related."""
     per_step = []
     for dp_id, ev in steps:
         pre_of(env, dp_id, ev)  # an unknown decision point or event raises here
-        point = env[dp_id]
-        rel = point.relations.get(agent)
-        if rel is None:
-            per_step.append([(dp_id, ev)])
-        else:
-            per_step.append([(dp_id, e2) for e2 in point.events if (ev, e2) in rel])
-    return [tuple(combo) for combo in iproduct(*per_step)]
-
-
-def _join(steps, more):
-    if steps[-1][0] == more[0][0]:
-        raise ValidationError(
-            f"cannot chain decision point {more[0][0]!r} directly after itself"
+        point, key = point_of(env, dp_id), ((dp_id, ev),)
+        per_step.append(
+            [(dp_id, e) for e in point.events if point.q_related(agent, key, ((dp_id, e),))]
         )
-    return steps + more
+    return [tuple(combo) for combo in iproduct(*per_step)]
 
 
 class _Rewriter:
@@ -171,7 +155,7 @@ class _Rewriter:
             self.log("D-atom", f, after, False)
             return And(self.rec(pre), body)
         if isinstance(body, ExpAtom):
-            after = And(pre, ExpAtom(body.agent, _join(steps, body.steps)))
+            after = And(pre, ExpAtom(body.agent, steps + body.steps))
             self.log("D-e", f, after, False)
             return And(self.rec(pre), after.right)
         if isinstance(body, Not):
@@ -196,7 +180,7 @@ class _Rewriter:
             self.log("D-K", f, after, False)
             return self.rec(after)
         if isinstance(body, Diamond):
-            after = Diamond(_join(steps, body.steps), body.sub)
+            after = Diamond(steps + body.steps, body.sub)
             self.log("D-chain", f, after, False)
             return self.rec(after)
         if isinstance(body, Ought):
@@ -210,6 +194,7 @@ class _Rewriter:
 
     def ought(self, f: Ought) -> Formula:
         i, steps, body = f.agent, f.steps, f.body
+        check_owner(self.env, i, steps, "obligation")
         pre = pre_formula(steps, self.env)
         e_self = ExpAtom(i, steps)
         if isinstance(body, (Atom, Truth, Falsity)):
@@ -217,7 +202,7 @@ class _Rewriter:
             self.log("R1", f, after, True)
             return self.rec(after)
         if isinstance(body, ExpAtom):
-            after = And(And(pre, ExpAtom(body.agent, _join(steps, body.steps))), e_self)
+            after = And(And(pre, ExpAtom(body.agent, steps + body.steps)), e_self)
             self.log("O-e", f, after, True)
             return self.rec(after)
         if isinstance(body, Not):
@@ -245,12 +230,12 @@ class _Rewriter:
             self.log("O-X", f, after, True)
             return self.rec(after)
         if isinstance(body, Diamond):
-            after = And(Diamond(_join(steps, body.steps), body.sub), e_self)
+            after = And(Diamond(steps + body.steps, body.sub), e_self)
             self.log("R5", f, after, True)
             return self.rec(after)
         if isinstance(body, Ought):
             if body.agent == i:
-                after = And(Ought(i, _join(steps, body.steps), body.body), e_self)
+                after = And(Ought(i, steps + body.steps, body.body), e_self)
                 self.log("R6", f, after, True)
             else:
                 after = And(Diamond(steps, body), e_self)

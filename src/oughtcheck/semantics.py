@@ -57,6 +57,8 @@ from .formula import (
     Not,
     Ought,
     Truth,
+    check_adjacency,
+    check_owner,
     point_of,
     pre_of,
     to_text,
@@ -200,7 +202,7 @@ def _walk(model, world, f, env, rec) -> bool:
         carrier, instance = atom_carrier(model, world, f.agent, rest, env)
         return _expectation(rec, f, world, carrier, instance, f.agent)
     if isinstance(f, Ought):
-        _check_ought_owner(env, f)
+        check_owner(env, f.agent, f.steps, "obligation")
         if not _after_run(kids, f, model, world, f.steps, f.body, env, "(goal conjunct)"):
             return _node(
                 rec, False, f, world, "obligation", kids, "expectation conjunct skipped"
@@ -263,15 +265,6 @@ def _expectation(rec, f, world, carrier, instance, agent, note="") -> bool:
     return _node(rec, holds, f, world, "expectation", note=note, values=values)
 
 
-def _check_ought_owner(env: Dict, f: Ought) -> None:
-    point = point_of(env, f.steps[-1][0])
-    if point.owner != f.agent:
-        raise ValidationError(
-            f"obligation agent {f.agent!r} does not own {f.steps[-1][0]}."
-            f"{f.steps[-1][1]} (owner {point.owner!r})"
-        )
-
-
 def _atom_remainder(world, f: ExpAtom):
     """Which steps still have to be run for a bare expectation atom.
 
@@ -286,11 +279,7 @@ def _atom_remainder(world, f: ExpAtom):
         return None
     if len(s) > len(t) and s[: len(t)] == t:
         return s[len(t):]
-    if t and t[-1][0] == s[0][0]:
-        raise ValidationError(
-            f"expectation atom {to_text(f)} would repeat decision point "
-            f"{s[0][0]!r} right after {world_id(world)}"
-        )
+    check_adjacency(t + s)  # s read relative to the world must not repeat its last point
     return s
 
 
@@ -312,7 +301,7 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
         )
     dp_id, ev = steps[-1]
     pre_of(env, dp_id, ev)  # an unknown decision point or event raises here
-    point = env[dp_id]
+    point = point_of(env, dp_id)
     h = horizon(cur_m, cur_w, agent)
     key = ("carrier", agent, h if cur_w in h else cur_w, point)
     carrier = cur_m.memo(key, _carrier, cur_m, cur_w, agent, point)

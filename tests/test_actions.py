@@ -151,6 +151,17 @@ def test_env_threading_through_declarations():
     assert v.env["V"] is v
 
 
+def test_decision_point_attributes_cannot_be_rebound():
+    v = _dp("V", env=env_of([_dp()]))
+    for name in ("id", "owner", "events", "agents", "env", "pre", "relations", "extra_edges"):
+        before = getattr(v, name)
+        with pytest.raises(AttributeError):
+            setattr(v, name, before)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+        assert getattr(v, name) is before
+
+
 def test_decision_point_mappings_are_read_only():
     d = _dp(agents=("i", "j"))
     with pytest.raises(TypeError):
@@ -159,4 +170,6 @@ def test_decision_point_mappings_are_read_only():
         del d.pre["b"]
     with pytest.raises(TypeError):
         d.relations["i"] = frozenset()
+    with pytest.raises(TypeError):
+        d.env["V"] = d
     assert d.pre["a"] == TRUE and d.q_related("i", (("U", "a"),), (("U", "a"),))

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, run in process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -73,7 +74,7 @@ def test_check_input_errors(capsys, scenario_docs):
 
 def test_check_needs_a_world(capsys, scenario_docs, tmp_path):
     mp, _ = scenario_docs["miners"]
-    doc = json.loads(open(mp).read())
+    doc = json.loads(Path(mp).read_text())
     doc.pop("point")
     stripped = tmp_path / "no-point.json"
     stripped.write_text(json.dumps(doc))
@@ -274,6 +275,19 @@ def test_update_writes_the_product(capsys, scenario_docs, tmp_path):
     doc = json.loads(out_path.read_text())
     assert doc["point"].startswith("A9@U.")
     assert all("@U." in w["id"] for w in doc["worlds"])
+
+
+def test_update_by_no_actions_keeps_the_point(capsys, scenario_docs, tmp_path):
+    # base worlds are plain ids, so the point is found by base id, not by key[0]
+    mp, _ = scenario_docs["miners"]
+    empty = tmp_path / "no-actions.json"
+    empty.write_text(json.dumps({"actions": []}))
+    out_path = tmp_path / "same.json"
+    code, _, _ = run(
+        capsys, "update", "--model", mp, "--actions", str(empty), "--out", str(out_path),
+    )
+    assert code == 0
+    assert json.loads(out_path.read_text())["point"] == "A9"
 
 
 def test_validate(capsys, scenario_docs, tmp_path):

@@ -58,6 +58,17 @@ def test_expected_value_defaults_to_the_submodel_agent():
     assert expected_value(sub) == Fraction(11)
 
 
+def test_a_memoized_value_cannot_go_stale():
+    # rebinding what a memoized value derives from raises instead
+    sub = agent_submodel(_chain(), "u", "x")
+    assert expected_value(sub) == Fraction(11)
+    with pytest.raises(AttributeError):
+        sub.eval_only = frozenset()
+    with pytest.raises(AttributeError):
+        sub.root = "v"
+    assert sub.eval_only == frozenset({"u"}) and expected_value(sub) == Fraction(11)
+
+
 def test_expected_value_needs_an_agent_and_a_root():
     m = _chain()
     with pytest.raises(NoDecisionContext):

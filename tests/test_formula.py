@@ -25,8 +25,8 @@ from oughtcheck.formula import (
     contains_diamond,
     contains_ought,
     make_trace,
+    pre_formula,
     to_text,
-    trace_pre_complexity,
     trace_text,
 )
 
@@ -141,10 +141,10 @@ def test_trace_pre_complexity_folds_left():
         V={"c": And(Atom("p"), Atom("q"))},
     )
     # single step: the declared precondition's own complexity
-    assert trace_pre_complexity((("U", "a"),), env) == 1
-    assert trace_pre_complexity((("V", "c"),), env) == 2
+    assert complexity(pre_formula((("U", "a"),), env), env) == 1
+    assert complexity(pre_formula((("V", "c"),), env), env) == 2
     # two steps: (4 + first) * second
-    assert trace_pre_complexity((("U", "a"), ("V", "c")), env) == (4 + 1) * 2
+    assert complexity(pre_formula((("U", "a"), ("V", "c")), env), env) == (4 + 1) * 2
 
 
 def test_complexity_strictly_dominates_operands():

@@ -152,6 +152,23 @@ def test_model_mappings_are_read_only():
     assert m.successors("a", "u") == frozenset({"v"}) and m.value_of("u") == 1
 
 
+def test_model_attributes_cannot_be_rebound():
+    m = _tiny(root="u", agent_filter="a", name="m")
+    names = (
+        "agents", "atoms", "worlds", "relations", "valuation", "desirability",
+        "frame", "root", "agent_filter", "eval_only", "name", "_world_set", "_cache",
+    )
+    for name in names:
+        before = getattr(m, name)
+        with pytest.raises(AttributeError):
+            setattr(m, name, before)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+        assert getattr(m, name) is before
+    with pytest.raises(AttributeError):
+        m.extra = 1
+
+
 def test_memo_builds_each_entry_once():
     m = _tiny()
     built = []
