@@ -6,7 +6,9 @@ always carries the trace of updates that produced it.
 
 One walker states every clause.  evaluate_plain runs it for a bare verdict
 and evaluate runs it with a trail that records the explanation, so the two
-give the same verdict, or raise the same error, on every input.
+give the same verdict, or raise the same error, on every input.  It
+dispatches by node type through one table of clauses, one per node class;
+on the plain path a clause returns its verdict and builds no trail.
 
 Conventions that matter and are easy to get wrong:
 
@@ -28,7 +30,9 @@ Conventions that matter and are easy to get wrong:
   so a failing precondition never trips an undefined expectation.  The
   carrier is built once per (agent, horizon, decision point) and shared by
   every root inside that horizon (a whole S5 cell); a root outside its own
-  horizon gets its own.
+  horizon gets its own.  A horizon that is every world of a model with no
+  evaluation-only world restricts nothing: the carrier is then the model's
+  own product by the point, the one the goal conjunct descended into.
 * A bare expectation atom e{i; s} at a world with trace t resolves in one
   of three ways: s equals t (the current model is the carrier), s strictly
   extends t (run the difference as above), or s is read relative to the
@@ -148,72 +152,137 @@ def holds_globally(model: GradedKripkeModel, f: Formula, env: Dict) -> bool:
 
 
 def _node(rec, holds, f, world, clause, kids=None, note="", values=None) -> bool:
-    """Record f's Verdict at world when there is a trail; return holds."""
-    if rec is not None:
-        children = kids.nodes if kids is not None else []
-        rec.nodes.append(
-            Verdict(holds, to_text(f), world_id(world), clause, note, values, children)
-        )
+    """Record f's Verdict at world on the trail rec; return holds."""
+    children = kids.nodes if kids is not None else []
+    rec.nodes.append(
+        Verdict(holds, to_text(f), world_id(world), clause, note, values, children)
+    )
     return holds
 
 
 def _walk(model, world, f, env, rec) -> bool:
     """Truth of f at (model, world).  rec is None for a bare verdict, or the
     _Trail that receives f's Verdict."""
-    kids = None if rec is None else rec.sub()
-    if isinstance(f, Atom):
-        if f.name not in model.atoms:
-            raise ValidationError(f"atom {f.name!r} is not declared in this model")
-        try:
-            holds = f.name in model.valuation[world]
-        except KeyError:
-            model.require_world(world)  # raises UnknownWorld
-            raise
-        return _node(rec, holds, f, world, "atom")
-    if isinstance(f, (Truth, Falsity)):
-        model.require_world(world)
-        return _node(rec, isinstance(f, Truth), f, world, "constant")
-    if isinstance(f, Not):
-        holds = not _walk(model, world, f.sub, env, kids)
-        return _node(rec, holds, f, world, "negation", kids)
-    if isinstance(f, And):
-        if not _walk(model, world, f.left, env, kids):
-            return _node(rec, False, f, world, "conjunction", kids, "right conjunct skipped")
-        holds = _walk(model, world, f.right, env, kids)
-        return _node(rec, holds, f, world, "conjunction", kids)
-    if isinstance(f, Know):
-        # evaluated over the whole horizon, not lazily, and in world order:
-        # which successor's error raises must not depend on set order
-        witness = None
-        for u in model.ordered_successors(f.agent, world):
-            sub = None if rec is None else rec.sub()
-            if not _walk(model, u, f.sub, env, sub) and witness is None:
-                witness, kids = u, sub
-        if witness is None:
-            return _node(rec, True, f, world, "knowledge")
-        note = f"fails at successor {world_id(witness)}"
-        return _node(rec, False, f, world, "knowledge", kids, note)
-    if isinstance(f, Diamond):
-        return _after_run(rec, f, model, world, f.steps, f.sub, env)
-    if isinstance(f, ExpAtom):
-        rest = _atom_remainder(world, f)
-        if rest is None:
-            return _expectation(rec, f, world, model, world, f.agent)
-        carrier, instance = atom_carrier(model, world, f.agent, rest, env)
-        return _expectation(rec, f, world, carrier, instance, f.agent)
-    if isinstance(f, Ought):
-        check_owner(env, f.agent, f.steps, "obligation")
-        if not _after_run(kids, f, model, world, f.steps, f.body, env, "(goal conjunct)"):
-            return _node(
-                rec, False, f, world, "obligation", kids, "expectation conjunct skipped"
-            )
-        carrier, instance = atom_carrier(model, world, f.agent, f.steps, env)
-        atom = None if rec is None else ExpAtom(f.agent, f.steps)
-        holds = _expectation(
-            kids, atom, world, carrier, instance, f.agent, "(expectation conjunct)"
-        )
-        return _node(rec, holds, f, world, "obligation", kids)
+    try:
+        clause = _CLAUSES[type(f)]
+    except KeyError:
+        clause = _inherited_clause(f)
+    return clause(model, world, f, env, rec)
+
+
+def _inherited_clause(f):
+    """The clause of the nearest node class f's class derives from."""
+    for cls in type(f).__mro__:
+        if cls in _CLAUSES:
+            return _CLAUSES[cls]
     raise TypeError(f"not a formula: {f!r}")
+
+
+# One clause per node class.  Each serves both paths: with rec None it returns
+# the verdict and builds no trail.
+
+
+def _atom(model, world, f, env, rec) -> bool:
+    if f.name not in model.atoms:
+        raise ValidationError(f"atom {f.name!r} is not declared in this model")
+    try:
+        holds = f.name in model.valuation[world]
+    except KeyError:
+        model.require_world(world)  # raises UnknownWorld
+        raise
+    return holds if rec is None else _node(rec, holds, f, world, "atom")
+
+
+def _truth(model, world, f, env, rec) -> bool:
+    model.require_world(world)
+    return True if rec is None else _node(rec, True, f, world, "constant")
+
+
+def _falsity(model, world, f, env, rec) -> bool:
+    model.require_world(world)
+    return False if rec is None else _node(rec, False, f, world, "constant")
+
+
+def _not(model, world, f, env, rec) -> bool:
+    if rec is None:
+        return not _walk(model, world, f.sub, env, None)
+    kids = rec.sub()
+    holds = not _walk(model, world, f.sub, env, kids)
+    return _node(rec, holds, f, world, "negation", kids)
+
+
+def _and(model, world, f, env, rec) -> bool:
+    if rec is None:
+        return _walk(model, world, f.left, env, None) and _walk(
+            model, world, f.right, env, None
+        )
+    kids = rec.sub()
+    if not _walk(model, world, f.left, env, kids):
+        return _node(rec, False, f, world, "conjunction", kids, "right conjunct skipped")
+    holds = _walk(model, world, f.right, env, kids)
+    return _node(rec, holds, f, world, "conjunction", kids)
+
+
+def _know(model, world, f, env, rec) -> bool:
+    # evaluated over the whole horizon, not lazily, and in world order:
+    # which successor's error raises must not depend on set order
+    if rec is None:
+        holds = True
+        for u in model.ordered_successors(f.agent, world):
+            if not _walk(model, u, f.sub, env, None):
+                holds = False
+        return holds
+    witness = kids = None
+    for u in model.ordered_successors(f.agent, world):
+        sub = rec.sub()
+        if not _walk(model, u, f.sub, env, sub) and witness is None:
+            witness, kids = u, sub
+    if witness is None:
+        return _node(rec, True, f, world, "knowledge")
+    note = f"fails at successor {world_id(witness)}"
+    return _node(rec, False, f, world, "knowledge", kids, note)
+
+
+def _diamond(model, world, f, env, rec) -> bool:
+    return _after_run(rec, f, model, world, f.steps, f.sub, env)
+
+
+def _exp_atom(model, world, f, env, rec) -> bool:
+    rest = _atom_remainder(world, f)
+    if rest is None:
+        return _expectation(rec, f, world, model, world, f.agent)
+    carrier, instance = atom_carrier(model, world, f.agent, rest, env)
+    return _expectation(rec, f, world, carrier, instance, f.agent)
+
+
+def _ought(model, world, f, env, rec) -> bool:
+    check_owner(env, f.agent, f.steps, "obligation")
+    kids = None if rec is None else rec.sub()
+    if not _after_run(kids, f, model, world, f.steps, f.body, env, "(goal conjunct)"):
+        if rec is None:
+            return False
+        return _node(
+            rec, False, f, world, "obligation", kids, "expectation conjunct skipped"
+        )
+    carrier, instance = atom_carrier(model, world, f.agent, f.steps, env)
+    atom = None if rec is None else ExpAtom(f.agent, f.steps)
+    holds = _expectation(
+        kids, atom, world, carrier, instance, f.agent, "(expectation conjunct)"
+    )
+    return holds if rec is None else _node(rec, holds, f, world, "obligation", kids)
+
+
+_CLAUSES = {
+    Atom: _atom,
+    Truth: _truth,
+    Falsity: _falsity,
+    Not: _not,
+    And: _and,
+    Know: _know,
+    Diamond: _diamond,
+    ExpAtom: _exp_atom,
+    Ought: _ought,
+}
 
 
 def _run(model, world, steps, env, rec):
@@ -239,7 +308,7 @@ def _after_run(rec, f, model, world, steps, body, env, tag="") -> bool:
     end_m, end_w, stuck = _run(model, world, steps, env, kids)
     if stuck is None:
         holds = _walk(end_m, end_w, body, env, kids)
-        return _node(rec, holds, f, world, "after-run", kids, tag)
+        return holds if rec is None else _node(rec, holds, f, world, "after-run", kids, tag)
     if rec is None:
         return False
     note = f"{stuck[0]}.{stuck[1]} is not available at {world_id(end_w)}"
@@ -293,7 +362,11 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
     other root of H up to the root itself, which the update never reads, so
     the carrier is shared per (agent, H, decision point): one per
     information cell in S5.  A root outside its horizon is retained in its
-    submodel as an evaluation point and gets a carrier of its own."""
+    submodel as an evaluation point and gets a carrier of its own.  When H
+    is every world of a model with no evaluation-only world, the submodel
+    would copy the model, so the carrier is the model's own product by the
+    point: the very product the run's goal conjunct descends into.  An
+    EmptyProduct raised there names the model, not a copy of it."""
     cur_m, cur_w, stuck = _run(model, world, steps[:-1], env, None)
     if stuck is not None:
         raise UnknownProductWorld(
@@ -304,7 +377,7 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
     point = point_of(env, dp_id)
     h = horizon(cur_m, cur_w, agent)
     key = ("carrier", agent, h if cur_w in h else cur_w, point)
-    carrier = cur_m.memo(key, _carrier, cur_m, cur_w, agent, point)
+    carrier = cur_m.memo(key, _carrier, cur_m, cur_w, agent, h, point)
     instance = extend_world(cur_w, ((dp_id, ev),))
     if not carrier.has_world(instance):
         raise UnknownProductWorld(
@@ -313,5 +386,7 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
     return carrier, instance
 
 
-def _carrier(model: GradedKripkeModel, root, agent: str, point) -> GradedKripkeModel:
-    return product(agent_submodel(model, root, agent), point)
+def _carrier(model: GradedKripkeModel, root, agent: str, h, point) -> GradedKripkeModel:
+    if len(h) < len(model.worlds) or model.eval_only:
+        model = agent_submodel(model, root, agent)
+    return product(model, point)

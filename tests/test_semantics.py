@@ -1,6 +1,7 @@
 """Truth evaluation: hand-checked verdicts, the explanation mirror, and
 agreement with the brute-force oracle on random instances."""
 
+import importlib
 import random
 from collections import Counter
 
@@ -30,6 +31,7 @@ from oughtcheck.formula import (
     Diamond,
     ExpAtom,
     FALSE,
+    Formula,
     Know,
     Not,
     Ought,
@@ -76,6 +78,43 @@ def test_unknown_world_is_an_error(line_model, pick_env):
             evaluate_plain(line_model, "nowhere", f, pick_env)
         with pytest.raises(UnknownWorld):
             evaluate(line_model, "nowhere", f, pick_env)
+
+
+class _Marked(Atom):
+    """A subclass of a node class: it must evaluate as the class it extends."""
+
+    __slots__ = ()
+
+
+class _Doubled(Not):
+    __slots__ = ()
+
+
+def test_a_node_subclass_evaluates_as_its_node_class(line_model, pick_env):
+    m = line_model
+    for f, same in (
+        (_Marked("p"), Atom("p")),
+        (_Doubled(_Marked("q")), Not(Atom("q"))),
+        (And(_Marked("p"), _Doubled(Atom("q"))), And(Atom("p"), Not(Atom("q")))),
+        (Know("x", _Marked("q")), Know("x", Atom("q"))),
+    ):
+        for w in m.worlds:
+            assert evaluate_plain(m, w, f, pick_env) == evaluate_plain(m, w, same, pick_env)
+            told, want = evaluate(m, w, f, pick_env), evaluate(m, w, same, pick_env)
+            assert [(v.holds, v.clause) for v in told.walk()] == [
+                (v.holds, v.clause) for v in want.walk()
+            ]
+    with pytest.raises(ValidationError):
+        evaluate_plain(m, "w0", _Marked("zz"), pick_env)
+
+
+@pytest.mark.parametrize("junk", ["p", 3, None, Formula()], ids=repr)
+def test_anything_but_a_formula_is_a_type_error(line_model, pick_env, junk):
+    for f in (junk, Not(junk), And(TRUE, junk)):
+        with pytest.raises(TypeError, match="not a formula: "):
+            evaluate_plain(line_model, "w0", f, pick_env)
+        with pytest.raises(TypeError, match="not a formula: "):
+            evaluate(line_model, "w0", f, pick_env)
 
 
 def test_knowledge(line_model, pick_env):
@@ -520,6 +559,114 @@ def test_kd45_root_outside_its_horizon_gets_its_own_carrier():
     assert evaluate_plain(m, "u", ExpAtom("i", steps), env) == (
         _per_root_route(m, "u", "i", steps, env)[0]
     )
+
+
+def _one_cell():
+    """An S5 submodel of agent i that is one cell of i, with j's and k's
+    edges inside it, and two decision points owned by i whose preconditions
+    read atoms and j's knowledge."""
+    worlds = [f"w{n}" for n in range(6)]
+    parts = {
+        "i": [worlds[:4], worlds[4:]],
+        "j": [worlds[:2], worlds[2:5], worlds[5:]],
+        "k": [worlds],
+    }
+    m = GradedKripkeModel(
+        agents=["i", "j", "k"], atoms=["p", "q"], worlds=worlds,
+        relations={a: {w: set(b) for b in blocks for w in b} for a, blocks in parts.items()},
+        valuation=dict(zip(worlds, [{"p", "q"}, {"q"}, {"p"}, {"q"}, set(), {"p"}])),
+        desirability=dict(zip(worlds, [3, 7, 2, 7, 5, 1])),
+        frame="S5",
+    )
+    env = env_of(
+        [
+            DecisionPoint("U", "i", ["a", "b", "c"], {"a": Atom("p"), "b": Not(Atom("p")), "c": TRUE}),
+            DecisionPoint("V", "i", ["x", "y"], {"x": Know("j", Atom("q")), "y": TRUE}),
+        ]
+    )
+    return agent_submodel(m, "w0", "i"), env
+
+
+def _told(v):
+    """(verdict, own, {rival id: value}) of an explained expectation node, or
+    the error class name _outcome returned in its place."""
+    return v if isinstance(v, str) else (v.holds, v.values["own"], v.values["rivals"])
+
+
+def test_a_whole_horizon_carrier_is_the_models_own_product(monkeypatch):
+    # i's horizon is the whole submodel at each of its worlds, so every
+    # carrier is the product the goal conjunct descends into: one product
+    # per decision point and no further submodel
+    sub, env = _one_cell()
+    assert sub.worlds == ("w0", "w1", "w2", "w3") and not sub.eval_only
+    # the module, not the `product` function the package re-exports under its name
+    products = importlib.import_module("oughtcheck.product")
+    restrict, update = oughtcheck.submodel._restrict, products._update
+    built = Counter()
+
+    def counting_restrict(model, *args):
+        built["submodel"] += 1
+        return restrict(model, *args)
+
+    def counting_update(model, action):
+        built[action.id] += 1
+        return update(model, action)
+
+    monkeypatch.setattr(oughtcheck.submodel, "_restrict", counting_restrict)
+    monkeypatch.setattr(products, "_update", counting_update)
+    goal = Atom("q")
+    outcomes = {}
+    for w in sub.worlds:
+        for steps in [(("U", e),) for e in "abc"] + [(("V", e),) for e in "xy"]:
+            atom, ought = ExpAtom("i", steps), Ought("i", steps, goal)
+            outcomes[w, steps] = (
+                _outcome(lambda: evaluate_plain(sub, w, ought, env)),
+                _outcome(lambda: evaluate(sub, w, ought, env)),
+                _outcome(lambda: evaluate_plain(sub, w, atom, env)),
+                _outcome(lambda: _told(evaluate(sub, w, atom, env))),
+            )
+            if not isinstance(outcomes[w, steps][2], str):
+                carrier = _sharing_route(sub, w, "i", steps, env)
+                assert carrier is product(sub, env[steps[0][0]])
+    assert built == {"U": 1, "V": 1}
+    monkeypatch.undo()
+
+    # the same verdicts and values as on the per-root carrier, in a fresh copy
+    ref_sub, ref_env = _one_cell()
+    verdicts, valued = Counter(), 0
+    for (w, steps), (plain, told, atom_plain, atom_told) in outcomes.items():
+        ref = _outcome(lambda: _per_root_route(ref_sub, w, "i", steps, ref_env))
+        ref_plain, ref_told = (ref, ref) if isinstance(ref, str) else ref
+        where = f"{to_text(ExpAtom('i', steps))} at {w}"
+        assert atom_plain == ref_plain, where
+        assert atom_told == ref_told, where
+        reached = _outcome(lambda: evaluate_plain(ref_sub, w, Diamond(steps, goal), ref_env))
+        assert plain == (ref_plain if reached is True else reached), where
+        if reached is True:
+            assert _told(told if isinstance(told, str) else told.children[-1]) == ref_told, where
+            valued += not isinstance(ref_told, str)
+        verdicts[plain] += 1
+    assert verdicts[True] and verdicts[False] and valued >= 8, (verdicts, valued)
+
+
+def test_an_evaluation_only_world_keeps_the_carrier_restricted():
+    # i reaches every world, the evaluation-only one too: the carrier must
+    # still be the submodel's product, in which no world is evaluation-only
+    ws = ["u", "v", "w"]
+    m = GradedKripkeModel(
+        agents=["i"], atoms=["p"], worlds=ws,
+        relations={"i": {w: set(ws) for w in ws}},
+        valuation={"u": {"p"}, "v": set(), "w": {"p"}},
+        desirability={"u": 9, "v": 1, "w": 4},
+        eval_only=frozenset(["u"]),
+    )
+    env = env_of([DecisionPoint("T", "i", ["l", "r"], {"l": TRUE, "r": Atom("p")})])
+    steps = (("T", "r"),)
+    carrier = _sharing_route(m, "w", "i", steps, env)
+    assert carrier is not product(m, env["T"]) and not carrier.eval_only
+    told = _told(evaluate(m, "w", ExpAtom("i", steps), env))
+    assert told == _per_root_route(m, "w", "i", steps, env)[1]
+    assert "u@T.l" in told[2]
 
 
 def _five_cells():
