@@ -17,6 +17,10 @@ and how many raised evaluation errors.  Results come in three buckets:
   (commuting obligation with same-agent knowledge, and the readings of the
   knowledge clause under an update).
 
+The obligation schemas R1-R6 take their right-hand sides from
+`reduce.obligation_clause`, the clauses `translate` itself applies: R3 and
+R4 in literal mode, the others in standard mode.
+
 The plain negation clause (R3 here) is reported in the axioms bucket even
 though it has counterexamples: hiding the failure would defeat the suite's
 purpose.  See the demonstration scenarios for a concrete counterexample.
@@ -52,7 +56,7 @@ from .formula import (
 )
 from .kripke import GradedKripkeModel, trace_of
 from .product import product
-from .reduce import q_event_alternatives
+from .reduce import obligation_clause, q_event_alternatives
 from .semantics import evaluate_plain, holds_globally
 from .submodel import agent_submodel
 
@@ -340,6 +344,12 @@ def _compare(res: SchemaResult, model, world, lhs, rhs, env, where):
     res.record(a == b, where)
 
 
+def _compare_all(report: SuiteReport, model, world, schemas, env, where):
+    """Check each (name, lhs, rhs) of a schema table at one world."""
+    for name, lhs, rhs in schemas:
+        _compare(report.result(name), model, world, lhs, rhs, env, where)
+
+
 def _ought_contexts(model: GradedKripkeModel, agent: str):
     """One representative deliberation context per distinct horizon."""
     seen = set()
@@ -357,7 +367,23 @@ def _ought_contexts(model: GradedKripkeModel, agent: str):
         yield sub
 
 
+def _clauses(env, mode: str, *obligations) -> List[Tuple]:
+    """(rule, lhs, rhs) per obligation: rhs is the clause `translate`
+    applies in `mode`, filed under the rule it names."""
+    table = []
+    for lhs in obligations:
+        rule, rhs = obligation_clause(lhs, env, mode)
+        table.append((rule, lhs, rhs))
+    return table
+
+
 def _check_obligation_rules(rng, model, env, report: SuiteReport):
+    """R1, R2, R3+e, R5 and R6 against the standard clauses, R3 and R4
+    against the literal ones."""
+
+    def draw(banned_dp):
+        return gen_formula(rng, model, env, 1, allow_ought=False, banned_dp=banned_dp)
+
     points = list(env.values())
     for dp in points:
         i = dp.owner
@@ -365,77 +391,26 @@ def _check_obligation_rules(rng, model, env, report: SuiteReport):
         for sub in _ought_contexts(model, i):
             for ev in list(dp.events)[:2]:
                 st = ((dp.id, ev),)
-                pre = dp.pre[ev]
-                e_self = ExpAtom(i, st)
-                phi = gen_formula(
-                    rng, model, env, 1, allow_ought=False, banned_dp=dp.id
-                )
-                psi = gen_formula(
-                    rng, model, env, 1, allow_ought=False, banned_dp=dp.id
-                )
-                tail_phi = (
-                    gen_formula(
-                        rng, model, env, 1,
-                        allow_ought=False, banned_dp=partner.id,
-                    )
-                    if partner is not None
-                    else None
-                )
+                phi, psi = draw(dp.id), draw(dp.id)
+                tail_phi = draw(partner.id) if partner is not None else None
                 p_atom = Atom(rng.choice(list(model.atoms)))
+                negated = Ought(i, st, Not(phi))
+                schemas = _clauses(
+                    env, "standard", Ought(i, st, p_atom), Ought(i, st, And(phi, psi)), negated
+                ) + _clauses(env, "literal", negated, Ought(i, st, Know(i, phi)))
+                tails = {}  # R5 and R6 per partner event, built at its first draw
                 for w in sub.worlds:
                     where = f"{model.name or 'model'} {sub.root}->{w} {dp.id}.{ev}"
-                    _compare(
-                        report.result("R1"),
-                        sub, w,
-                        Ought(i, st, p_atom),
-                        And(And(pre, p_atom), e_self),
-                        env, where,
-                    )
-                    _compare(
-                        report.result("R2"),
-                        sub, w,
-                        Ought(i, st, And(phi, psi)),
-                        And(Ought(i, st, phi), Ought(i, st, psi)),
-                        env, where,
-                    )
-                    _compare(
-                        report.result("R3"),
-                        sub, w,
-                        Ought(i, st, Not(phi)),
-                        And(pre, Not(Ought(i, st, phi))),
-                        env, where,
-                    )
-                    _compare(
-                        report.result("R3+e"),
-                        sub, w,
-                        Ought(i, st, Not(phi)),
-                        And(And(pre, Not(Ought(i, st, phi))), e_self),
-                        env, where,
-                    )
-                    _compare(
-                        report.result("R4"),
-                        sub, w,
-                        Ought(i, st, Know(i, phi)),
-                        Know(i, Ought(i, st, phi)),
-                        env, where,
-                    )
+                    _compare_all(report, sub, w, schemas, env, where)
                     if partner is not None:
                         ev2 = rng.choice(list(partner.events))
-                        st2 = ((partner.id, ev2),)
-                        _compare(
-                            report.result("R5"),
-                            sub, w,
-                            Ought(i, st, Diamond(st2, tail_phi)),
-                            And(Diamond(st + st2, tail_phi), e_self),
-                            env, where,
-                        )
-                        _compare(
-                            report.result("R6"),
-                            sub, w,
-                            Ought(i, st, Ought(i, st2, tail_phi)),
-                            And(Ought(i, st + st2, tail_phi), e_self),
-                            env, where,
-                        )
+                        if ev2 not in tails:
+                            st2 = ((partner.id, ev2),)
+                            tails[ev2] = _clauses(
+                                env, "standard", Ought(i, st, Diamond(st2, tail_phi)),
+                                Ought(i, st, Ought(i, st2, tail_phi)),
+                            )
+                        _compare_all(report, sub, w, tails[ev2], env, where)
                 o_form = Ought(i, st, phi)
                 k_res = report.result("K-O")
                 try:
@@ -513,43 +488,17 @@ def _check_update_axioms(rng, model, env, report: SuiteReport):
             banned_dp=dp2.id if dp2 is not None else None,
         )
         j = rng.choice(list(model.agents))
+        alts = big_and([Know(j, Box(alt, phi)) for alt in q_event_alternatives(st, j, env)])
+        schemas = [
+            ("AM1", Box(st, p_atom), Implies(pre, p_atom)),
+            ("AM2", Box(st, Not(phi)), Implies(pre, Not(Box(st, phi)))),
+            ("AM3", Box(st, And(phi, psi)), And(Box(st, phi), Box(st, psi))),
+            ("AM4-standard-reading", Box(st, Know(j, phi)), Implies(pre, alts)),
+            ("AM4-two-readings", Implies(pre, alts), Implies(pre, Know(j, Box(st, phi)))),
+        ]
         for w in model.worlds:
             where = f"{w} {dp.id}.{ev}"
-            _compare(
-                report.result("AM1"),
-                model, w,
-                Box(st, p_atom),
-                Implies(pre, p_atom),
-                env, where,
-            )
-            _compare(
-                report.result("AM2"),
-                model, w,
-                Box(st, Not(phi)),
-                Implies(pre, Not(Box(st, phi))),
-                env, where,
-            )
-            _compare(
-                report.result("AM3"),
-                model, w,
-                Box(st, And(phi, psi)),
-                And(Box(st, phi), Box(st, psi)),
-                env, where,
-            )
-            alts = [
-                Know(j, Box(alt, phi))
-                for alt in q_event_alternatives(st, j, env)
-            ]
-            std = Implies(pre, big_and(alts))
-            lit = Implies(pre, Know(j, Box(st, phi)))
-            _compare(
-                report.result("AM4-standard-reading"),
-                model, w, Box(st, Know(j, phi)), std, env, where,
-            )
-            _compare(
-                report.result("AM4-two-readings"),
-                model, w, std, lit, env, where,
-            )
+            _compare_all(report, model, w, schemas, env, where)
             if dp2 is not None:
                 ev2 = rng.choice(list(dp2.events))
                 st2 = ((dp2.id, ev2),)

@@ -6,6 +6,7 @@ updates use (base_id, trace) pairs where the trace is a tuple of
 submodels) and a set of evaluation-only worlds: retained roots that can be
 evaluated at but do not belong to the model's domain proper (they are
 excluded from expectation sums, rival sets, and global quantification).
+An evaluation-only world keeps its outgoing edges, and no edge enters one.
 
 Desirability values are plain machine ints, bounded at load so sums can
 never silently overflow anything downstream.
@@ -203,12 +204,18 @@ def _basic_check(m: GradedKripkeModel) -> None:
             raise ValidationError(
                 f"desirability {value} at {world_id(w)} exceeds the supported range"
             )
+    if not m.eval_only <= m._world_set:
+        raise ValidationError("an evaluation-only id names no world of the model")
     for a in m.agents:
         for w, succ in m.relations[a].items():
             stray = succ - m._world_set
             if stray:
                 raise ValidationError(
                     f"relation for {a!r} leaves the domain at {world_id(w)}"
+                )
+            if m.eval_only and not m.eval_only.isdisjoint(succ):
+                raise ValidationError(
+                    f"relation for {a!r} enters an evaluation-only world at {world_id(w)}"
                 )
     if m.root is not None and m.root not in m._world_set:
         raise ValidationError("designated root is not a world of the model")
@@ -217,15 +224,13 @@ def _basic_check(m: GradedKripkeModel) -> None:
 def frame_violations(m: GradedKripkeModel) -> list:
     """Check the declared frame class; returns human-readable violations.
 
-    Evaluation-only roots are exempt (they keep only outgoing edges by
-    design), as are their edges.
+    Evaluation-only roots are exempt: they keep only outgoing edges, and
+    no edge enters one.
     """
     problems = []
-    core = [w for w in m.worlds if w not in m.eval_only]
-    core_set = frozenset(core)
+    core = m.domain_worlds()
     for a in m.agents:
-        rel = m.relations[a]
-        succ = rel if not m.eval_only else {w: rel[w] & core_set for w in core}
+        succ = m.relations[a]
         if m.frame in ("KD45", "S5"):
             for w in core:
                 if not succ[w]:

@@ -56,7 +56,6 @@ from .formula import (
     point_of,
     pre_formula,
     pre_of,
-    to_text,
 )
 
 MODES = ("standard", "literal")
@@ -65,8 +64,6 @@ MODES = ("standard", "literal")
 @dataclass
 class RewriteStep:
     rule: str
-    before: str
-    after: str
     c_before: int
     c_after: int
     obligation_step: bool
@@ -105,6 +102,8 @@ def q_event_alternatives(steps, agent: str, env):
 
 
 class _Rewriter:
+    """Clauses return (rule, rewrite); `rec` alone logs, spends budget and continues."""
+
     def __init__(self, env: Dict, mode: str, budget: int):
         if mode not in MODES:
             raise ValidationError(f"unknown translation mode {mode!r}")
@@ -113,24 +112,25 @@ class _Rewriter:
         self.budget = budget
         self.steps: List[RewriteStep] = []
 
-    def log(self, rule: str, before: Formula, after: Formula, obligation: bool):
-        self.budget -= 1
-        if self.budget <= 0:
+    def log(self, rule: str, before: Formula, after: Formula):
+        if len(self.steps) >= self.budget:
             raise NonTermination(
                 "rewriting exceeded its step budget; this is a bug, not an input error"
             )
         self.steps.append(
             RewriteStep(
                 rule,
-                to_text(before),
-                to_text(after),
                 complexity(before, self.env),
                 complexity(after, self.env),
-                obligation,
+                isinstance(before, Ought),
             )
         )
 
     def rec(self, f: Formula) -> Formula:
+        while isinstance(f, (Ought, Diamond)):
+            rule, after = self.ought(f) if isinstance(f, Ought) else self.diamond(f)
+            self.log(rule, f, after)
+            f = after
         if isinstance(f, (Atom, Truth, Falsity, ExpAtom)):
             return f
         if isinstance(f, Not):
@@ -139,114 +139,79 @@ class _Rewriter:
             return And(self.rec(f.left), self.rec(f.right))
         if isinstance(f, Know):
             return Know(f.agent, self.rec(f.sub))
-        if isinstance(f, Diamond):
-            return self.diamond(f)
-        if isinstance(f, Ought):
-            return self.ought(f)
         raise TypeError(f"not a formula: {f!r}")
 
     # -- after-run diamonds ----------------------------------------------------
 
-    def diamond(self, f: Diamond) -> Formula:
+    def diamond(self, f: Diamond):
         steps, body = f.steps, f.sub
         pre = pre_formula(steps, self.env)
         if isinstance(body, (Atom, Truth, Falsity)):
-            after = And(pre, body)
-            self.log("D-atom", f, after, False)
-            return And(self.rec(pre), body)
+            return "D-atom", And(pre, body)
         if isinstance(body, ExpAtom):
-            after = And(pre, ExpAtom(body.agent, steps + body.steps))
-            self.log("D-e", f, after, False)
-            return And(self.rec(pre), after.right)
+            return "D-e", And(pre, ExpAtom(body.agent, steps + body.steps))
         if isinstance(body, Not):
-            after = And(pre, Not(Diamond(steps, body.sub)))
-            self.log("D-neg", f, after, False)
-            return self.rec(after)
+            return "D-neg", And(pre, Not(Diamond(steps, body.sub)))
         if isinstance(body, And):
-            after = And(Diamond(steps, body.left), Diamond(steps, body.right))
-            self.log("D-and", f, after, False)
-            return self.rec(after)
+            return "D-and", And(Diamond(steps, body.left), Diamond(steps, body.right))
         if isinstance(body, Know):
             owner = point_of(self.env, steps[-1][0]).owner
             if self.mode == "literal" and body.agent == owner:
-                after = And(pre, body)
-                self.log("D-K-drop", f, after, False)
-                return self.rec(after)
+                return "D-K-drop", And(pre, body)
             boxes = [
                 Know(body.agent, Box(alt, body.sub))
                 for alt in q_event_alternatives(steps, body.agent, self.env)
             ]
-            after = And(pre, big_and(boxes))
-            self.log("D-K", f, after, False)
-            return self.rec(after)
+            return "D-K", And(pre, big_and(boxes))
         if isinstance(body, Diamond):
-            after = Diamond(steps + body.steps, body.sub)
-            self.log("D-chain", f, after, False)
-            return self.rec(after)
+            return "D-chain", Diamond(steps + body.steps, body.sub)
         if isinstance(body, Ought):
-            inner = self.rec(body)
-            after = Diamond(steps, inner)
-            self.log("D-after-ought", f, after, False)
-            return self.rec(after)
+            # the inner obligation is rewritten (and logged) first
+            return "D-after-ought", Diamond(steps, self.rec(body))
         raise TypeError(f"not a formula: {body!r}")
 
     # -- obligations -------------------------------------------------------------
 
-    def ought(self, f: Ought) -> Formula:
+    def ought(self, f: Ought):
         i, steps, body = f.agent, f.steps, f.body
         check_owner(self.env, i, steps, "obligation")
         pre = pre_formula(steps, self.env)
         e_self = ExpAtom(i, steps)
         if isinstance(body, (Atom, Truth, Falsity)):
-            after = And(And(pre, body), e_self)
-            self.log("R1", f, after, True)
-            return self.rec(after)
+            return "R1", And(And(pre, body), e_self)
         if isinstance(body, ExpAtom):
-            after = And(And(pre, ExpAtom(body.agent, steps + body.steps)), e_self)
-            self.log("O-e", f, after, True)
-            return self.rec(after)
+            return "O-e", And(And(pre, ExpAtom(body.agent, steps + body.steps)), e_self)
         if isinstance(body, Not):
             if self.mode == "literal":
-                after = And(pre, Not(Ought(i, steps, body.sub)))
-                self.log("R3", f, after, True)
-            else:
-                after = And(And(pre, Not(Ought(i, steps, body.sub))), e_self)
-                self.log("R3+e", f, after, True)
-            return self.rec(after)
+                return "R3", And(pre, Not(Ought(i, steps, body.sub)))
+            return "R3+e", And(And(pre, Not(Ought(i, steps, body.sub))), e_self)
         if isinstance(body, And):
-            after = And(Ought(i, steps, body.left), Ought(i, steps, body.right))
-            self.log("R2", f, after, True)
-            return self.rec(after)
-        if isinstance(body, Know):
-            if body.agent == i:
-                if self.mode == "literal":
-                    after = Know(i, Ought(i, steps, body.sub))
-                    self.log("R4", f, after, True)
-                else:
-                    after = And(Diamond(steps, body), e_self)
-                    self.log("O-K", f, after, True)
-                return self.rec(after)
-            after = And(Diamond(steps, body), e_self)
-            self.log("O-X", f, after, True)
-            return self.rec(after)
+            return "R2", And(Ought(i, steps, body.left), Ought(i, steps, body.right))
+        if isinstance(body, Know) and body.agent == i and self.mode == "literal":
+            return "R4", Know(i, Ought(i, steps, body.sub))
         if isinstance(body, Diamond):
-            after = And(Diamond(steps + body.steps, body.sub), e_self)
-            self.log("R5", f, after, True)
-            return self.rec(after)
-        if isinstance(body, Ought):
-            if body.agent == i:
-                after = And(Ought(i, steps + body.steps, body.body), e_self)
-                self.log("R6", f, after, True)
-            else:
-                after = And(Diamond(steps, body), e_self)
-                self.log("O-X", f, after, True)
-            return self.rec(after)
+            return "R5", And(Diamond(steps + body.steps, body.sub), e_self)
+        if isinstance(body, Ought) and body.agent == i:
+            return "R6", And(Ought(i, steps + body.steps, body.body), e_self)
+        if isinstance(body, (Know, Ought)):  # through the run
+            rule = "O-K" if body.agent == i else "O-X"
+            return rule, And(Diamond(steps, body), e_self)
         raise TypeError(f"not a formula: {body!r}")
+
+
+def obligation_clause(f: Ought, env: Dict, mode: str = "standard"):
+    """(rule, rewrite): the clause `translate` applies to the obligation f,
+    one step, logged nowhere."""
+    if not isinstance(f, Ought):
+        raise TypeError(f"not an obligation: {f!r}")
+    return _Rewriter(env, mode, 0).ought(f)
 
 
 def translate(
     f: Formula, env: Dict, mode: str = "standard", budget: int = 100_000
 ) -> Translation:
+    """f without obligations (and, in standard mode, without after-run
+    diamonds), and the log of its rewrite steps; a budget of n allows n."""
     rw = _Rewriter(env, mode, budget)
     out = rw.rec(f)
     return Translation(out, rw.steps)

@@ -30,9 +30,10 @@ Conventions that matter and are easy to get wrong:
   so a failing precondition never trips an undefined expectation.  The
   carrier is built once per (agent, horizon, decision point) and shared by
   every root inside that horizon (a whole S5 cell); a root outside its own
-  horizon gets its own.  A horizon that is every world of a model with no
-  evaluation-only world restricts nothing: the carrier is then the model's
-  own product by the point, the one the goal conjunct descended into.
+  horizon gets its own.  A horizon that is every world of the model
+  restricts nothing (no edge enters an evaluation-only world, so such a
+  world is in no horizon): the carrier is then the model's own product by
+  the point, the one the goal conjunct descended into.
 * A bare expectation atom e{i; s} at a world with trace t resolves in one
   of three ways: s equals t (the current model is the carrier), s strictly
   extends t (run the difference as above), or s is read relative to the
@@ -363,9 +364,10 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
     the carrier is shared per (agent, H, decision point): one per
     information cell in S5.  A root outside its horizon is retained in its
     submodel as an evaluation point and gets a carrier of its own.  When H
-    is every world of a model with no evaluation-only world, the submodel
-    would copy the model, so the carrier is the model's own product by the
-    point: the very product the run's goal conjunct descends into.  An
+    is every world of the model (no edge enters an evaluation-only world),
+    the submodel would copy the model, so the carrier is the model's own
+    product by the point: the very product the run's goal conjunct
+    descends into.  An
     EmptyProduct raised there names the model, not a copy of it."""
     cur_m, cur_w, stuck = _run(model, world, steps[:-1], env, None)
     if stuck is not None:
@@ -387,6 +389,6 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
 
 
 def _carrier(model: GradedKripkeModel, root, agent: str, h, point) -> GradedKripkeModel:
-    if len(h) < len(model.worlds) or model.eval_only:
+    if len(h) < len(model.worlds):
         model = agent_submodel(model, root, agent)
     return product(model, point)

@@ -51,7 +51,7 @@ def test_model_round_trip_with_extras():
         agents=["a"],
         atoms=["p"],
         worlds=["u", "v"],
-        relations={"a": {"u": {"u", "v"}, "v": {"v"}}},
+        relations={"a": {"u": {"v"}, "v": {"v"}}},
         valuation={"u": {"p"}, "v": set()},
         desirability={"u": 1, "v": 2},
         frame="K",
@@ -203,27 +203,29 @@ def test_dot_output():
     m = GradedKripkeModel(
         agents=["a", "b"],
         atoms=["p"],
-        worlds=["u", "v"],
+        worlds=["u", "v", "x"],
         relations={
-            "a": {"u": {"u", "v"}, "v": {"v"}},
+            "a": {"u": {"u", "v"}, "v": {"v"}, "x": {"v"}},
             "b": {"u": {"u"}, "v": {"v"}},
         },
-        valuation={"u": {"p"}, "v": set()},
-        desirability={"u": 1, "v": 2},
+        valuation={"u": {"p"}, "v": set(), "x": set()},
+        desirability={"u": 1, "v": 2, "x": 3},
         frame="K",
         root="u",
-        eval_only=frozenset({"v"}),
+        eval_only=frozenset({"x"}),
     )
     dot = to_dot(m)
     assert dot == to_dot(m)  # deterministic
     assert dot.startswith("digraph model {")
     assert dot.endswith("}\n")
     assert '"u" [label="u\\np\\nf=1", peripheries=2];' in dot
-    assert '"v" [label="v\\n-\\nf=2", style=dashed];' in dot
+    assert '"v" [label="v\\n-\\nf=2"];' in dot
+    assert '"x" [label="x\\n-\\nf=3", style=dashed];' in dot
     assert '"u" -> "u" [label="a,b"];' in dot
     assert '"u" -> "v" [label="a"];' in dot
     # edge order follows world order
     assert dot.index('"u" -> "u"') < dot.index('"u" -> "v"') < dot.index('"v" -> "v"')
+    assert dot.index('"v" -> "v"') < dot.index('"x" -> "v"')
 
     bare = to_dot(m, include_loops=False)
     assert '"u" -> "u"' not in bare

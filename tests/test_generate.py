@@ -1,6 +1,8 @@
 """Random instance generation and the seeded validity suite."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from oughtcheck.generate import (
     run_axiom_suite,
 )
 from oughtcheck.kripke import frame_violations
+from oughtcheck.reduce import _Rewriter, obligation_clause
 from oughtcheck.semantics import evaluate_plain
 
 
@@ -172,3 +175,45 @@ def test_suite_names_its_models_at_construction(monkeypatch):
     # a model is named once, by its trial number; redrawn trials reuse it
     assert made[-1][0] == "t2"
     assert gen_model(random.Random(1), name="mine").name == "mine"
+
+
+_PINS = json.loads((Path(__file__).parent / "axiom_suite_pins.json").read_text())
+
+
+@pytest.mark.parametrize("frame", ["S5", "KD45", "K"])
+def test_suite_numbers_are_pinned(frame):
+    """The suite's draws and schema statements, pinned: any change to its
+    RNG order or to a schema shows here, not only in the benchmark."""
+    assert run_axiom_suite(40, 2026, frame=frame).as_dict() == _PINS[frame]
+
+
+def test_the_suite_checks_the_rewriters_own_clauses(monkeypatch):
+    import oughtcheck.generate as generate
+
+    seen = {}
+    compare_all = generate._compare_all
+
+    def recording(report, model, world, schemas, env, where):
+        for name, lhs, rhs in schemas:
+            seen.setdefault(name, []).append((lhs, rhs, env))
+        compare_all(report, model, world, schemas, env, where)
+
+    monkeypatch.setattr(generate, "_compare_all", recording)
+    run_axiom_suite(5, 2026)
+    for name in ("R1", "R2", "R3", "R3+e", "R4", "R5", "R6"):
+        assert seen[name], name
+        mode = "literal" if name in ("R3", "R4") else "standard"
+        for lhs, rhs, env in seen[name]:
+            assert obligation_clause(lhs, env, mode) == (name, rhs)
+
+
+def test_a_broken_clause_shows_in_the_suite(monkeypatch):
+    assert run_axiom_suite(30, 2026).axioms["R5"].counterexamples == 0
+    ought = _Rewriter.ought
+
+    def without_expectation(self, f):
+        rule, after = ought(self, f)
+        return (rule, after.left) if rule == "R5" else (rule, after)
+
+    monkeypatch.setattr(_Rewriter, "ought", without_expectation)
+    assert run_axiom_suite(30, 2026).axioms["R5"].counterexamples > 0

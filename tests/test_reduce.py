@@ -27,7 +27,7 @@ from oughtcheck.formula import (
 from oughtcheck.generate import GenParams, gen_decision_point, gen_formula, gen_model
 from oughtcheck.errors import Unsatisfiable
 from oughtcheck.parser import parse
-from oughtcheck.reduce import pre_formula, q_event_alternatives, translate
+from oughtcheck.reduce import obligation_clause, pre_formula, q_event_alternatives, translate
 from oughtcheck.scenarios import allergy_model
 from oughtcheck.semantics import evaluate_plain
 
@@ -207,7 +207,6 @@ def test_every_obligation_step_is_logged_with_complexities(allergy):
     tr = _tr("O{b}(U.delta | (A & !A))", env)
     for step in tr.steps:
         assert step.c_before > 0 and step.c_after > 0
-        assert step.before and step.after
     assert any(s.rule == "R2" for s in tr.steps)
 
 
@@ -277,6 +276,17 @@ def test_unknown_mode(allergy):
     _, env = allergy
     with pytest.raises(ValidationError):
         translate(TRUE, env, mode="fancy")
+    with pytest.raises(ValidationError):
+        obligation_clause(Ought("b", (("U", "delta"),), TRUE), env, mode="fancy")
+
+
+def test_obligation_clause_takes_only_obligations(allergy):
+    _, env = allergy
+    f = Ought("b", (("U", "delta"),), Atom("p"))
+    assert obligation_clause(f, env) == ("R1", translate(f, env).result)
+    for g in (Atom("p"), Diamond((("U", "delta"),), Atom("p"))):
+        with pytest.raises(TypeError):
+            obligation_clause(g, env)
 
 
 def test_budget_exhaustion(allergy):
@@ -284,6 +294,16 @@ def test_budget_exhaustion(allergy):
     f = parse("O{b}(U.delta | O{a}(U2.beta | K{a} A))", env)
     with pytest.raises(NonTermination):
         translate(f, env, budget=3)
+
+
+def test_a_budget_of_n_allows_n_steps(allergy):
+    _, env = allergy
+    f = parse("O{b}(U.delta | O{a}(U2.beta | K{a} A))", env)
+    n = len(translate(f, env).steps)
+    assert n == 19
+    assert len(translate(f, env, budget=n).steps) == n
+    with pytest.raises(NonTermination):
+        translate(f, env, budget=n - 1)
 
 
 def test_fidelity_on_random_instances():

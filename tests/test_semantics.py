@@ -9,6 +9,7 @@ import pytest
 
 from oracles import OracleError, o_eval, omodel
 from oughtcheck.actions import DecisionPoint, env_of
+from oughtcheck.docio import model_from_doc, model_to_doc
 from oughtcheck.errors import (
     CheckerError,
     InternalError,
@@ -649,24 +650,22 @@ def test_a_whole_horizon_carrier_is_the_models_own_product(monkeypatch):
     assert verdicts[True] and verdicts[False] and valued >= 8, (verdicts, valued)
 
 
-def test_an_evaluation_only_world_keeps_the_carrier_restricted():
-    # i reaches every world, the evaluation-only one too: the carrier must
-    # still be the submodel's product, in which no world is evaluation-only
+def test_an_edge_into_an_evaluation_only_world_is_rejected():
+    # an evaluation-only world is in no horizon, so a carrier never has to
+    # cut one away: a model whose relation enters one does not load
     ws = ["u", "v", "w"]
-    m = GradedKripkeModel(
+    kw = dict(
         agents=["i"], atoms=["p"], worlds=ws,
         relations={"i": {w: set(ws) for w in ws}},
         valuation={"u": {"p"}, "v": set(), "w": {"p"}},
         desirability={"u": 9, "v": 1, "w": 4},
-        eval_only=frozenset(["u"]),
     )
-    env = env_of([DecisionPoint("T", "i", ["l", "r"], {"l": TRUE, "r": Atom("p")})])
-    steps = (("T", "r"),)
-    carrier = _sharing_route(m, "w", "i", steps, env)
-    assert carrier is not product(m, env["T"]) and not carrier.eval_only
-    told = _told(evaluate(m, "w", ExpAtom("i", steps), env))
-    assert told == _per_root_route(m, "w", "i", steps, env)[1]
-    assert "u@T.l" in told[2]
+    with pytest.raises(ValidationError, match="enters an evaluation-only world"):
+        GradedKripkeModel(**kw, eval_only=frozenset(["u"]))
+    doc = model_to_doc(GradedKripkeModel(**kw))
+    for marked, match in ((["u"], "enters"), (["nowhere"], "names no world")):
+        with pytest.raises(ValidationError, match=match):
+            model_from_doc(dict(doc, eval_only=marked))
 
 
 def _five_cells():
