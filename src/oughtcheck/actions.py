@@ -16,7 +16,7 @@ very same model as updating twice, which the tests assert as equality.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .errors import ValidationError, OughtInPrecondition, UnknownEvent
 from .formula import Formula, Trace, contains_ought, make_trace, pre_formula

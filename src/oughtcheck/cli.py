@@ -20,7 +20,6 @@ from typing import Dict, List, Optional
 
 from .actions import compose_all, env_of
 from .docio import (
-    actions_to_doc,
     dump_json,
     load_actions_file,
     load_model_file,
@@ -35,13 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .formula import to_text, trace_text
-from .generate import (
-    AMBIGUOUS,
-    EXPECTED_CLEAN,
-    INFORMATIONAL,
-    REPORTED_RED,
-    run_axiom_suite,
-)
+from .generate import EXPECTED_CLEAN, run_axiom_suite
 from .expect import component_value
 from .kripke import base_of, frame_violations, world_id
 from .parser import parse
@@ -305,10 +298,8 @@ def cmd_validate(args) -> int:
         raise ValidationError("pass --model and/or --actions to validate")
     problems: List[str] = []
     if args.model:
-        model, point = load_model_file(args.model, strict_frame=False)
+        model, _ = load_model_file(args.model, strict_frame=False)
         problems.extend(frame_violations(model))
-        if point is not None and not model.has_world(point):
-            problems.append(f"designated point {point!r} is not a world")
     if args.actions:
         points, notes = load_actions_file(args.actions)
         problems.extend(notes)

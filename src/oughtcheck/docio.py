@@ -25,9 +25,11 @@ Decision-point documents (a single object, a list, or {"actions": [...]}):
 
 Event relations default to the identity; missing self-pairs are added and
 anything beyond the identity is flagged in the returned notes.  A
-precondition may mention decision points declared *earlier* in the same
-document: a reference to the point itself or a later one raises
-CyclicPrecondition, an undeclared id raises UnknownEvent.
+precondition is parsed against the decision points declared *earlier* in
+the same document, so its steps and owners are checked as in any formula:
+a reference to the point itself or a later one raises CyclicPrecondition,
+an undeclared id raises UnknownEvent, and every error raised while reading
+a precondition names its event ("precondition of U.x: ...").
 
 Both loaders check the shape of what they read (objects, lists of strings,
 pairs, integer values) and raise ValidationError on anything else, so no
@@ -41,12 +43,13 @@ from typing import Dict, List, Optional, Tuple
 
 from .actions import DecisionPoint, validate_decision_point
 from .errors import (
+    CheckerError,
     CyclicPrecondition,
     UnknownAgent,
     UnknownWorld,
     ValidationError,
 )
-from .formula import Diamond, ExpAtom, Ought, check_owner, pre_of, subformulas, to_text
+from .formula import to_text
 from .kripke import GradedKripkeModel, frame_violations, world_id
 from .parser import parse
 
@@ -176,20 +179,19 @@ def model_to_doc(model: GradedKripkeModel, point=None) -> Dict:
 # -- decision points --------------------------------------------------------------
 
 
-def _check_pre_references(formula, env: Dict, declared: set, where: str) -> None:
-    """Trace steps inside a precondition may only use earlier points."""
-    for node in subformulas(formula):
-        if not isinstance(node, (Diamond, Ought, ExpAtom)):
-            continue
-        for dp, ev in node.steps:
-            if dp in declared and dp not in env:
-                raise CyclicPrecondition(
-                    f"precondition of {where} refers to {dp!r}, which is not"
-                    " declared before it"
-                )
-            pre_of(env, dp, ev)  # an unknown decision point or event raises here
-        if not isinstance(node, Diamond):
-            check_owner(env, node.agent, node.steps, f"precondition of {where}:")
+class _Earlier(dict):
+    """The points declared before a precondition, as its parse looks them up:
+    a point the document declares only later (or the point itself) is a
+    cyclic reference, not an unknown one."""
+
+    def __init__(self, declared: set):
+        super().__init__()
+        self.declared = declared
+
+    def __missing__(self, dp_id):
+        if dp_id in self.declared:
+            raise CyclicPrecondition(f"decision point {dp_id!r} is not declared before it")
+        raise KeyError(dp_id)
 
 
 def _check_point_shape(entry) -> None:
@@ -240,18 +242,17 @@ def actions_from_doc(doc) -> Tuple[List[DecisionPoint], List[str]]:
         if entry["id"] in declared:
             raise ValidationError(f"duplicate decision point id {entry['id']!r}")
         declared.add(entry["id"])
-    env: Dict[str, DecisionPoint] = {}
+    env = _Earlier(declared)
     points: List[DecisionPoint] = []
     notes: List[str] = []
     for entry in entries:
         events = [e["name"] for e in entry["events"]]
         pre = {}
         for e in entry["events"]:
-            formula = parse(e["pre"])
-            _check_pre_references(
-                formula, env, declared, f"{entry['id']}.{e['name']}"
-            )
-            pre[e["name"]] = formula
+            try:
+                pre[e["name"]] = parse(e["pre"], env)
+            except CheckerError as exc:
+                raise type(exc)(f"precondition of {entry['id']}.{e['name']}: {exc}") from None
         point = DecisionPoint(
             entry["id"],
             entry["owner"],

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the formula grammar.
+"""Precedence-climbing parser for the formula grammar.
 
     phi   := "true" | "false" | IDENT | "e{" AGENT ";" TRACE "}"
            | "!" phi | phi "&" phi | phi "|" phi | phi "->" phi
@@ -7,10 +7,11 @@
            | "O{" AGENT "}(" TRACE "|" phi ")"
     TRACE := DP "." EVENT (";" DP "." EVENT)*
 
-Precedence: ! binds tighter than &, & tighter than |, | tighter than ->;
--> is right-associative; the unary modalities (!, K, <>, []) are prefix and
-bind tighter than every binary connective.  | and -> are derived forms, so
-the parse result is always a core AST.
+Binary precedence comes from one table, _BINARY: & binds tighter than |,
+| tighter than ->; -> groups to the right, & and | to the left.  The unary
+modalities (!, K, <>, []) are prefix and bind tighter than every binary
+connective.  | and -> are derived forms, so the parse result is always a
+core AST.
 
 When a decision-point environment is supplied, trace steps are resolved
 eagerly: unknown decision points or events fail the parse, and the agent of
@@ -49,37 +50,26 @@ _TOKEN = re.compile(
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
 
-def _tokenize(text: str):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            break
-        tok = m.group(1)
-        if not tok.strip():
-            break
-        out.append((tok, m.start(1)))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ParseError(f"cannot tokenize {text[pos:].strip()[:20]!r} at offset {pos}")
-    return out
+# binary connective -> (level, node class, right-associative); a higher level
+# binds tighter, and the right operand of a left-associative connective
+# starts one level up
+_BINARY = {"->": (1, Implies, True), "|": (2, Or, False), "&": (3, And, False)}
 
 
 class _Parser:
     def __init__(self, text: str, env: Optional[dict]):
         self.text = text
-        self.toks = _tokenize(text)
+        self.toks = _TOKEN.findall(text)
         self.i = 0
         self.env = env
 
     def peek(self) -> Optional[str]:
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
+        return self.toks[self.i] if self.i < len(self.toks) else None
 
     def next(self) -> str:
         if self.i >= len(self.toks):
             raise ParseError(f"unexpected end of input in {self.text!r}")
-        tok = self.toks[self.i][0]
+        tok = self.toks[self.i]
         self.i += 1
         return tok
 
@@ -94,32 +84,21 @@ class _Parser:
             raise ParseError(f"expected {what} but found {tok!r} in {self.text!r}")
         return tok
 
-    # phi := implies
     def parse(self) -> Formula:
-        f = self.implies()
+        f = self.binary()
         if self.i != len(self.toks):
             raise ParseError(f"trailing input {self.peek()!r} in {self.text!r}")
         return f
 
-    def implies(self) -> Formula:
-        left = self.disjunct()
-        if self.peek() == "->":
-            self.next()
-            return Implies(left, self.implies())
-        return left
-
-    def disjunct(self) -> Formula:
-        f = self.conjunct()
-        while self.peek() == "|":
-            self.next()
-            f = Or(f, self.conjunct())
-        return f
-
-    def conjunct(self) -> Formula:
+    def binary(self, floor: int = 1) -> Formula:
+        """The longest formula here whose top-level connectives have level >= floor."""
         f = self.unary()
-        while self.peek() == "&":
+        while self.peek() in _BINARY:
+            level, node, right = _BINARY[self.peek()]
+            if level < floor:
+                break
             self.next()
-            f = And(f, self.unary())
+            f = node(f, self.binary(level if right else level + 1))
         return f
 
     def unary(self) -> Formula:
@@ -146,13 +125,13 @@ class _Parser:
         return self.primary()
 
     def _brace_follows(self) -> bool:
-        return self.i + 1 < len(self.toks) and self.toks[self.i + 1][0] == "{"
+        return self.i + 1 < len(self.toks) and self.toks[self.i + 1] == "{"
 
     def primary(self) -> Formula:
         tok = self.peek()
         if tok == "(":
             self.next()
-            f = self.implies()
+            f = self.binary()
             self.expect(")")
             return f
         if tok == "e" and self._brace_follows():
@@ -173,7 +152,7 @@ class _Parser:
             self.expect("(")
             steps = self.trace()
             self.expect("|")
-            body = self.implies()
+            body = self.binary()
             self.expect(")")
             if self.env is not None:
                 check_owner(self.env, agent, steps, "obligation")

@@ -13,11 +13,12 @@ to be safe and expectation-maximal, so the nested obligation holds; after
 staying silent it does not, because a cannot rule out the bad match.
 
 Each scenario fixes claims (formula, world, expected verdict).  A report
-evaluates them with full explanation trees, tabulates component expectation
-values over the staged products, and adds informational lines: computed
-readings of nearby informal statements that are worth seeing but are not
-pass/fail targets, plus a concrete counterexample to the bare negation
-rewrite clause.
+evaluates them with full explanation trees, lists the staged products,
+tabulates the component expectation value of each run in the agent's
+carrier (where obligations, bare atoms and `oughtcheck expect` value it),
+and adds informational lines: computed readings of nearby informal
+statements that are worth seeing but are not pass/fail targets, plus a
+concrete counterexample to the bare negation rewrite clause.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .formula import Trace, trace_text
 from .kripke import GradedKripkeModel, world_id
 from .parser import parse
 from .product import apply_sequence, product
-from .semantics import Verdict, evaluate, evaluate_plain
+from .semantics import Verdict, atom_carrier, evaluate, evaluate_plain
 from .submodel import agent_submodel
 
 SCENARIO_NAMES = ("miners", "allergy")
@@ -220,6 +221,15 @@ def _claim(report: ScenarioReport, text: str, world: str, expected: bool, note="
     report.claims.append(ClaimResult(Claim(text, world, expected, note), verdict))
 
 
+def _expectation(report: ScenarioReport, agent: str, base: str, trace: Trace):
+    """Value running trace from base in the agent's carrier, as obligations,
+    bare atoms and `oughtcheck expect` do."""
+    carrier, root = atom_carrier(report.model, base, agent, trace, report.env)
+    report.expectations.append(
+        ExpectationRow(agent, root, trace, component_value(carrier, root, agent))
+    )
+
+
 def _run_miners() -> ScenarioReport:
     model, actions = miners_model()
     env = env_of(actions)
@@ -231,10 +241,7 @@ def _run_miners() -> ScenarioReport:
         _claim(report, f"O{{i}}(U.{ev} | true)", "A9", expected)
 
     for base, ev in [("A10", "alpha"), ("A0", "beta"), ("A9", "gamma")]:
-        trace = (("U", ev),)
-        report.expectations.append(
-            ExpectationRow("i", (base, trace), trace, component_value(pm, (base, trace), "i"))
-        )
+        _expectation(report, "i", base, (("U", ev),))
 
     avail = evaluate_plain(model, "A9", parse("<U.alpha> true", env), env)
     report.informational.append(
@@ -286,14 +293,8 @@ def _run_allergy() -> ScenarioReport:
         ("w1", "gamma", "alpha"),
         ("w2", "gamma", "beta"),
     ]:
-        trace = (("U", first), ("U2", second))
         for agent in ("a", "b"):
-            report.expectations.append(
-                ExpectationRow(
-                    agent, (base, trace), trace,
-                    component_value(pm2, (base, trace), agent),
-                )
-            )
+            _expectation(report, agent, base, (("U", first), ("U2", second)))
 
     know_after = evaluate_plain(
         model, "w2", parse("K{b} <U.delta> O{a}(U2.beta | K{a} A)", env), env

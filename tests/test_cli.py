@@ -308,6 +308,12 @@ def test_validate(capsys, scenario_docs, tmp_path):
     assert code == 2
     assert out.strip()
 
+    # a designated point that is no world fails the load itself
+    bp.write_text(json.dumps({**broken, "point": "zz"}))
+    code, _, err = run(capsys, "validate", "--model", str(bp))
+    assert code == 2
+    assert "'zz'" in err
+
 
 def test_internal_errors_have_their_own_exit_code(capsys, scenario_docs, monkeypatch):
     _, ap = scenario_docs["allergy"]

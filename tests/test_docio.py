@@ -165,10 +165,11 @@ def test_pre_reference_errors():
             "events": [{"name": "go", "pre": pre}, {"name": "stay", "pre": "true"}],
         }
 
-    with pytest.raises(CyclicPrecondition):  # self-reference
-        actions_from_doc({"actions": [v("<V.go> true")]})
-    with pytest.raises(CyclicPrecondition):  # point declared later in the doc
-        actions_from_doc({"actions": [v("<U.x> true"), u]})
+    for forward in ("<{}> true", "e{{i; {}}}", "O{{i}}({} | true)"):
+        with pytest.raises(CyclicPrecondition, match="^precondition of V.go: .*'V'"):
+            actions_from_doc({"actions": [v(forward.format("V.go"))]})  # self-reference
+        with pytest.raises(CyclicPrecondition, match="^precondition of V.go: .*'U'"):
+            actions_from_doc({"actions": [v(forward.format("U.x")), u]})  # declared later
     with pytest.raises(UnknownEvent):  # undeclared point
         actions_from_doc({"actions": [u, v("<W.z> true")]})
     with pytest.raises(UnknownEvent):  # undeclared event of a declared point

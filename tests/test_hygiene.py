@@ -1,0 +1,60 @@
+"""Source hygiene: every module of the package uses each name it imports.
+
+No linter ships with the test dependencies, so this reads each module's
+syntax tree with `ast`.  An imported name counts as used when any `Name`
+node loads it, annotations included (a string annotation is parsed too).
+`from __future__` imports are exempt, and so is `__init__.py`, whose
+imports are the package's public surface.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oughtcheck"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree):
+    """(name bound by an import, line) for every import but __future__."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            names |= _used(ast.parse(annotation.value, mode="eval"))
+    return names
+
+
+def unused_imports(source: str):
+    tree = ast.parse(source)
+    used = _used(tree)
+    return [(name, line) for name, line in _imported(tree) if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_guard_sees_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, json as j\n"
+        "from typing import Dict, Optional, Sequence\n"
+        "def f(x: Dict) -> 'Sequence':\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(source) == [("j", 2), ("Optional", 3)]

@@ -49,6 +49,13 @@ def test_connective_precedence():
     assert parse("p -> q -> r") == Implies(p, Implies(q, r))
     assert parse("p & q & r") == And(And(p, q), r)
     assert parse("(p | q) & r") == And(Or(p, q), r)
+    # one table: -> groups to the right, & and | to the left
+    s, t = Atom("s"), Atom("t")
+    assert parse("p | q | r") == Or(Or(p, q), r)
+    assert parse("p -> q | r & s") == Implies(p, Or(q, And(r, s)))
+    assert parse("p & q -> r | s -> t") == Implies(And(p, q), Implies(Or(r, s), t))
+    assert parse("!p & K{i} q | r") == Or(And(Not(p), Know("i", q)), r)
+    assert parse("O{i}(U.go | p -> q | r)") == Ought("i", (("U", "go"),), Implies(p, Or(q, r)))
 
 
 def test_modalities():

@@ -73,12 +73,15 @@ ADJACENCY = {
         *_after_delta(m, env), ExpAtom("b", G), env
     ),
     "compose": lambda m, pts, env: compose(env["U"], env["U"]),
+    "actions_from_doc": lambda m, pts, env: actions_from_doc(
+        _doc_with_pre(pts, "<U.delta;U.gamma> A")
+    ),
 }
 
 
 @pytest.mark.parametrize("via", sorted(ADJACENCY))
 def test_adjacency_rule(allergy, via):
-    error = ParseError if via == "parse" else ValidationError
+    error = ParseError if via in ("parse", "actions_from_doc") else ValidationError
     with pytest.raises(error, match="repeats decision point 'U'"):
         ADJACENCY[via](*allergy)
 
@@ -111,8 +114,10 @@ OWNERSHIP = {
 
 @pytest.mark.parametrize("via", sorted(OWNERSHIP))
 def test_ownership_rule(allergy, via):
-    with pytest.raises(ValidationError, match="does not own U.delta"):
+    with pytest.raises(ValidationError, match="does not own U.delta") as raised:
         OWNERSHIP[via](*allergy)
+    if via.startswith("actions_from_doc"):
+        assert str(raised.value).startswith("precondition of Z.x: ")
 
 
 # -- step lookup: every step names a declared event ----------------------------
@@ -136,8 +141,10 @@ UNKNOWN_STEP = {
 
 @pytest.mark.parametrize("via", sorted(UNKNOWN_STEP))
 def test_step_lookup_rule(allergy, via):
-    with pytest.raises(UnknownEvent):
+    with pytest.raises(UnknownEvent) as raised:
         UNKNOWN_STEP[via](*allergy)
+    if via.startswith("actions_from_doc"):
+        assert str(raised.value).startswith("precondition of Z.x: ")
 
 
 # -- depth: the structural walk keeps its own stack ----------------------------
