@@ -106,7 +106,7 @@ class ComposedAction:
         self.second = second
         self.id = f"{first.id};{second.id}"
         self.owner = second.owner
-        self.env = {**getattr(first, "env", {}), **getattr(second, "env", {})}
+        self.env = {**first.env, **second.env}
         self.agents = tuple(dict.fromkeys(tuple(first.agents) + tuple(second.agents)))
         self.event_keys: Tuple[Trace, ...] = tuple(
             ka + kb for ka in first.event_keys for kb in second.event_keys

@@ -101,9 +101,7 @@ def cmd_check(args) -> int:
             "no evaluation world: pass --at or put a \"point\" in the model document"
         )
     model.require_world(world)
-    verdict = evaluate(
-        model, world, formula, env, first_conjunct_note=args.first_conjunct_note
-    )
+    verdict = evaluate(model, world, formula, env)
     if args.json:
         doc = {
             "formula": to_text(formula),
@@ -331,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check all domain worlds instead of one")
     p.add_argument("--explain", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--first-conjunct-note", action="store_true",
-                   help="annotate failed run availability with the loose reading")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("update", help="print the model after running the actions")

@@ -9,9 +9,9 @@ The core language is
     | O{agent}(trace | phi)                       (obligation)
 
 Traces are tuples of (decision_point_id, event_name) pairs.  Disjunction,
-implication, the box and the epistemic possibility operator are derived
-forms; their constructors return core nodes, so printing always yields the
-core syntax and parse(print(f)) is the identity on ASTs.
+implication and the box are derived forms; their constructors return core
+nodes, so printing always yields the core syntax and parse(print(f)) is the
+identity on ASTs.
 
 Each rule that makes a trace meaningful is stated here once, and the
 parser, the loaders, the evaluator, the rewriter and composition call it:
@@ -145,16 +145,8 @@ def Implies(left: Formula, right: Formula) -> Formula:
     return Not(And(left, Not(right)))
 
 
-def Iff(left: Formula, right: Formula) -> Formula:
-    return And(Implies(left, right), Implies(right, left))
-
-
 def Box(steps, sub: Formula) -> Formula:
     return Not(Diamond(steps, Not(sub)))
-
-
-def MightKnow(agent: str, sub: Formula) -> Formula:
-    return Not(Know(agent, Not(sub)))
 
 
 def big_and(parts) -> Formula:

@@ -34,7 +34,7 @@ schemas are checked at every world of the base model.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .actions import DecisionPoint
@@ -314,9 +314,10 @@ class SuiteReport:
             bucket[name] = SchemaResult()
         return bucket[name]
 
-    def clean(self, names=EXPECTED_CLEAN) -> bool:
+    def clean(self) -> bool:
         return all(
-            self.axioms.get(n, SchemaResult()).counterexamples == 0 for n in names
+            self.axioms.get(n, SchemaResult()).counterexamples == 0
+            for n in EXPECTED_CLEAN
         )
 
     def as_dict(self) -> Dict:
@@ -511,13 +512,8 @@ def _check_update_axioms(rng, model, env, report: SuiteReport):
                 )
 
 
-def run_axiom_suite(
-    trials: int,
-    seed: int,
-    frame: str = "S5",
-    params: Optional[GenParams] = None,
-) -> SuiteReport:
-    p = replace(params or GenParams(), frame=frame)
+def run_axiom_suite(trials: int, seed: int, frame: str = "S5") -> SuiteReport:
+    p = GenParams(frame=frame)
     report = SuiteReport(trials=trials, seed=seed, frame=frame)
     master = random.Random(seed)
     done = 0

@@ -18,6 +18,7 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .errors import UnknownAgent, UnknownWorld, ValidationError
+from .formula import trace_text
 
 FRAME_CLASSES = ("K", "KD45", "S5")
 MAX_DESIRABILITY = 10**12
@@ -48,7 +49,7 @@ def world_id(world) -> str:
     trace = trace_of(world)
     if not trace:
         return str(world)
-    return f"{base_of(world)}@" + ";".join(f"{d}.{e}" for d, e in trace)
+    return f"{base_of(world)}@{trace_text(trace)}"
 
 
 class ReadOnly:

@@ -24,7 +24,7 @@ def product(model: GradedKripkeModel, action) -> GradedKripkeModel:
 def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
     from .semantics import evaluate_plain  # late import: semantics uses products
 
-    env = getattr(action, "env", None) or {}
+    env = action.env
     keys = action.event_keys
     survives = {}
     for w in model.worlds:
@@ -46,7 +46,7 @@ def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
     if all(pw in eval_only for pw in worlds):
         raise EmptyProduct(
             f"no world of {model.name or 'the model'} satisfies any precondition "
-            f"of {getattr(action, 'id', action)!r}"
+            f"of {action.id!r}"
         )
 
     agents = model.agents
@@ -86,7 +86,7 @@ def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
         desirability=desirability,
         frame="K",
         eval_only=frozenset(eval_only),
-        name=f"{model.name or 'model'}*{getattr(action, 'id', '?')}",
+        name=f"{model.name or 'model'}*{action.id}",
     )
     _check_traces(model, out, keys[0])
     return out

@@ -4,11 +4,12 @@ Evaluation happens at (model, world) pairs.  The model is the current
 ambient structure: updates replace it by product models, so a world's key
 always carries the trace of updates that produced it.
 
-One walker states every clause.  evaluate_plain runs it for a bare verdict
-and evaluate runs it with a trail that records the explanation, so the two
-give the same verdict, or raise the same error, on every input.  It
-dispatches by node type through one table of clauses, one per node class;
-on the plain path a clause returns its verdict and builds no trail.
+One walker states every clause, and each clause body is written once.
+evaluate_plain runs it for a bare verdict and evaluate runs it with a trail,
+the list that receives each node's Verdict; the two paths differ only in
+whether a node is recorded, so they give the same verdict, or raise the same
+error, on every input.  The walker dispatches by node type through one table
+of clauses, one per node class.
 
 Conventions that matter and are easy to get wrong:
 
@@ -88,9 +89,6 @@ class Verdict:
         for c in self.children:
             yield from c.walk()
 
-    def leaves(self):
-        return [v for v in self.walk() if not v.children]
-
     def pretty(self, indent: int = 0) -> str:
         mark = "+" if self.holds else "-"
         lines = [f"{'  ' * indent}{mark} {self.clause}: {self.text} @ {self.where}"]
@@ -112,38 +110,17 @@ class Verdict:
         return "\n".join(lines)
 
 
-class _Trail:
-    """Where an explained walk records a clause's Verdict.  Each node's
-    children go to a trail of their own; `loose` adds the first-conjunct
-    reading to the note of a run that is not available."""
-
-    __slots__ = ("nodes", "loose")
-
-    def __init__(self, loose: bool):
-        self.nodes: List[Verdict] = []
-        self.loose = loose
-
-    def sub(self) -> "_Trail":
-        return _Trail(self.loose)
-
-
 def evaluate_plain(model: GradedKripkeModel, world, f: Formula, env: Dict) -> bool:
     """Truth value of f at (model, world); no explanation structure."""
     return _walk(model, world, f, env, None)
 
 
-def evaluate(
-    model: GradedKripkeModel,
-    world,
-    f: Formula,
-    env: Dict,
-    first_conjunct_note: bool = False,
-) -> Verdict:
+def evaluate(model: GradedKripkeModel, world, f: Formula, env: Dict) -> Verdict:
     """Evaluate with a full explanation tree: the walk of evaluate_plain,
     recorded."""
-    trail = _Trail(first_conjunct_note)
+    trail: List[Verdict] = []
     _walk(model, world, f, env, trail)
-    return trail.nodes[0]
+    return trail[0]
 
 
 def holds_globally(model: GradedKripkeModel, f: Formula, env: Dict) -> bool:
@@ -154,8 +131,8 @@ def holds_globally(model: GradedKripkeModel, f: Formula, env: Dict) -> bool:
 
 def _node(rec, holds, f, world, clause, kids=None, note="", values=None) -> bool:
     """Record f's Verdict at world on the trail rec; return holds."""
-    children = kids.nodes if kids is not None else []
-    rec.nodes.append(
+    children = kids if kids is not None else []
+    rec.append(
         Verdict(holds, to_text(f), world_id(world), clause, note, values, children)
     )
     return holds
@@ -163,7 +140,7 @@ def _node(rec, holds, f, world, clause, kids=None, note="", values=None) -> bool
 
 def _walk(model, world, f, env, rec) -> bool:
     """Truth of f at (model, world).  rec is None for a bare verdict, or the
-    _Trail that receives f's Verdict."""
+    list that receives f's Verdict."""
     try:
         clause = _CLAUSES[type(f)]
     except KeyError:
@@ -179,8 +156,9 @@ def _inherited_clause(f):
     raise TypeError(f"not a formula: {f!r}")
 
 
-# One clause per node class.  Each serves both paths: with rec None it returns
-# the verdict and builds no trail.
+# One clause per node class.  Each body serves both paths: its children are
+# walked in one place, and with rec None it returns the verdict and records
+# no node.
 
 
 def _atom(model, world, f, env, rec) -> bool:
@@ -205,39 +183,31 @@ def _falsity(model, world, f, env, rec) -> bool:
 
 
 def _not(model, world, f, env, rec) -> bool:
-    if rec is None:
-        return not _walk(model, world, f.sub, env, None)
-    kids = rec.sub()
+    kids = None if rec is None else []
     holds = not _walk(model, world, f.sub, env, kids)
-    return _node(rec, holds, f, world, "negation", kids)
+    return holds if rec is None else _node(rec, holds, f, world, "negation", kids)
 
 
 def _and(model, world, f, env, rec) -> bool:
-    if rec is None:
-        return _walk(model, world, f.left, env, None) and _walk(
-            model, world, f.right, env, None
-        )
-    kids = rec.sub()
+    kids = None if rec is None else []
     if not _walk(model, world, f.left, env, kids):
+        if rec is None:
+            return False
         return _node(rec, False, f, world, "conjunction", kids, "right conjunct skipped")
     holds = _walk(model, world, f.right, env, kids)
-    return _node(rec, holds, f, world, "conjunction", kids)
+    return holds if rec is None else _node(rec, holds, f, world, "conjunction", kids)
 
 
 def _know(model, world, f, env, rec) -> bool:
     # evaluated over the whole horizon, not lazily, and in world order:
     # which successor's error raises must not depend on set order
-    if rec is None:
-        holds = True
-        for u in model.ordered_successors(f.agent, world):
-            if not _walk(model, u, f.sub, env, None):
-                holds = False
-        return holds
     witness = kids = None
     for u in model.ordered_successors(f.agent, world):
-        sub = rec.sub()
+        sub = None if rec is None else []
         if not _walk(model, u, f.sub, env, sub) and witness is None:
             witness, kids = u, sub
+    if rec is None:
+        return witness is None
     if witness is None:
         return _node(rec, True, f, world, "knowledge")
     note = f"fails at successor {world_id(witness)}"
@@ -258,7 +228,7 @@ def _exp_atom(model, world, f, env, rec) -> bool:
 
 def _ought(model, world, f, env, rec) -> bool:
     check_owner(env, f.agent, f.steps, "obligation")
-    kids = None if rec is None else rec.sub()
+    kids = None if rec is None else []
     if not _after_run(kids, f, model, world, f.steps, f.body, env, "(goal conjunct)"):
         if rec is None:
             return False
@@ -294,7 +264,7 @@ def _run(model, world, steps, env, rec):
     for dp_id, ev in steps:
         available = _walk(model, world, pre_of(env, dp_id, ev), env, rec)
         if rec is not None:
-            rec.nodes[-1].clause = f"precondition {dp_id}.{ev}"
+            rec[-1].clause = f"precondition {dp_id}.{ev}"
         if not available:
             return model, world, (dp_id, ev)
         model = product(model, point_of(env, dp_id))
@@ -305,20 +275,15 @@ def _run(model, world, steps, env, rec):
 def _after_run(rec, f, model, world, steps, body, env, tag="") -> bool:
     """<steps> body at (model, world), recorded as f's after-run node; tag
     ends the node's note."""
-    kids = None if rec is None else rec.sub()
+    kids = None if rec is None else []
     end_m, end_w, stuck = _run(model, world, steps, env, kids)
     if stuck is None:
         holds = _walk(end_m, end_w, body, env, kids)
         return holds if rec is None else _node(rec, holds, f, world, "after-run", kids, tag)
     if rec is None:
         return False
-    note = f"{stuck[0]}.{stuck[1]} is not available at {world_id(end_w)}"
-    if rec.loose:
-        note += (
-            "; a loose first-conjunct reading would treat the run as"
-            " available, the strict semantics does not"
-        )
-    return _node(rec, False, f, world, "after-run", kids, f"{note} {tag}".strip())
+    note = f"{stuck[0]}.{stuck[1]} is not available at {world_id(end_w)} {tag}"
+    return _node(rec, False, f, world, "after-run", kids, note.strip())
 
 
 def _expectation(rec, f, world, carrier, instance, agent, note="") -> bool:

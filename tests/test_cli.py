@@ -1,6 +1,8 @@
 """End-to-end command-line checks, run in process."""
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -82,11 +84,46 @@ def test_check_needs_a_world(capsys, scenario_docs, tmp_path):
     assert code == 2 and "--at" in err
 
 
-def test_check_rejects_unknown_semantics(capsys, scenario_docs):
+@pytest.mark.parametrize(
+    "flag",
+    [["--semantics", "loose"], ["--first-conjunct-note"]],
+    ids=["semantics", "first-conjunct-note"],
+)
+def test_check_rejects_unknown_semantics(capsys, scenario_docs, flag):
     mp, _ = scenario_docs["miners"]
-    with pytest.raises(SystemExit):
-        cli.main(["check", "--model", mp, "--formula", "A", "--semantics", "loose"])
+    with pytest.raises(SystemExit) as caught:
+        cli.main(["check", "--model", mp, "--formula", "A", *flag])
+    assert caught.value.code == 2
     capsys.readouterr()
+
+
+def _readme_cli_reference():
+    """{subcommand: its flags} as README's "CLI reference" block lists them."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI reference", 1)[1].split("```")[1]
+    flags = {}
+    for line in block.strip().splitlines():
+        if line.startswith("oughtcheck "):
+            command = line.split()[1]
+            flags[command] = set()
+        flags[command] |= set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", line))
+    return flags
+
+
+def test_readme_cli_reference_matches_the_parser():
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        for name, sub in subparsers.choices.items()
+    }
+    assert _readme_cli_reference() == parsed
 
 
 def test_expect_rows(capsys, scenario_docs):

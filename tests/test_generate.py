@@ -152,13 +152,6 @@ def test_suite_is_deterministic_per_seed():
     assert a == b
 
 
-def test_suite_leaves_its_params_alone():
-    g = GenParams(max_worlds=4)
-    run_axiom_suite(1, 3, frame="K", params=g)
-    assert g == GenParams(max_worlds=4)
-    assert g.frame == "S5"
-
-
 def test_suite_names_its_models_at_construction(monkeypatch):
     import oughtcheck.generate as generate
 

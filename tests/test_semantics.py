@@ -318,21 +318,17 @@ def test_obligation_explanation_skips_expectation_leg(line_model, pick_env):
     assert len(v.children) == 1
 
 
-def test_first_conjunct_note(line_model, pick_env):
-    f = Diamond((("P", "hi"),), TRUE)
-    quiet = evaluate(line_model, "w1", f, pick_env)
-    loud = evaluate(line_model, "w1", f, pick_env, first_conjunct_note=True)
-    assert not quiet.holds and not loud.holds
-    assert "loose first-conjunct reading" not in quiet.note
-    assert "loose first-conjunct reading" in loud.note
+def test_unavailable_run_note(line_model, pick_env):
+    v = evaluate(line_model, "w1", Diamond((("P", "hi"),), TRUE), pick_env)
+    assert not v.holds
+    assert v.note == "P.hi is not available at w1"
 
 
-def test_verdict_walk_and_leaves(line_model, pick_env):
+def test_verdict_walk(line_model, pick_env):
     v = evaluate(line_model, "w0", And(Atom("p"), Not(Atom("q"))), pick_env)
     texts = [x.text for x in v.walk()]
     assert texts[0] == "(p & !q)"
     assert "p" in texts and "!q" in texts
-    assert all(not leaf.children for leaf in v.leaves())
 
 
 # --- oracle agreement ------------------------------------------------------------
