@@ -97,21 +97,24 @@ class DecisionPoint(ReadOnly):
         return f"DecisionPoint({self.id!r}, owner={self.owner!r}, events={self.events})"
 
 
-class ComposedAction:
-    """The composition of two action-like objects (left applied first)."""
+class ComposedAction(ReadOnly):
+    """The composition of two action-like objects (left applied first).
+    Attributes cannot be rebound and env is a read-only mapping, as memoized
+    products are keyed by compositions too."""
 
     def __init__(self, first, second):
         make_trace(first.event_keys[0] + second.event_keys[0])  # no point after itself
-        self.first = first
-        self.second = second
-        self.id = f"{first.id};{second.id}"
-        self.owner = second.owner
-        self.env = {**first.env, **second.env}
-        self.agents = tuple(dict.fromkeys(tuple(first.agents) + tuple(second.agents)))
-        self.event_keys: Tuple[Trace, ...] = tuple(
+        bind = object.__setattr__
+        bind(self, "first", first)
+        bind(self, "second", second)
+        bind(self, "id", f"{first.id};{second.id}")
+        bind(self, "owner", second.owner)
+        bind(self, "env", MappingProxyType({**first.env, **second.env}))
+        bind(self, "agents", tuple(dict.fromkeys(tuple(first.agents) + tuple(second.agents))))
+        bind(self, "event_keys", tuple(
             ka + kb for ka in first.event_keys for kb in second.event_keys
-        )
-        self.extra_edges = first.extra_edges or second.extra_edges
+        ))
+        bind(self, "extra_edges", first.extra_edges or second.extra_edges)
 
     def pre_formula(self, key: Trace) -> Formula:
         return pre_formula(key, self.env)

@@ -23,7 +23,7 @@ and pre_formula (pre(t), the precondition the run needs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 from .errors import UnknownEvent, ValidationError
@@ -56,6 +56,12 @@ class Formula:
 
     def __str__(self) -> str:
         return to_text(self)
+
+    def __reduce__(self):
+        # copies and pickles rebuild a node from its fields: a frozen node
+        # refuses the attribute stores copy would make, and state kept off
+        # the fields (Know's outcome table) is not carried over
+        return type(self), tuple(getattr(self, fld.name) for fld in fields(self))
 
 
 @dataclass(frozen=True)
@@ -101,9 +107,16 @@ class And(Formula):
 
 @dataclass(frozen=True)
 class Know(Formula):
-    __slots__ = ("agent", "sub")
+    """K{agent} phi.  `_outcomes` is not a field: it holds the evaluator's
+    table of phi's outcomes at successor worlds (semantics._know), and takes
+    no part in ==, hash, repr or copies."""
+
+    __slots__ = ("agent", "sub", "_outcomes")
     agent: str
     sub: Formula
+
+    def __post_init__(self):
+        object.__setattr__(self, "_outcomes", None)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,9 @@ def base_of(world):
 
 def extend_world(world, steps: Iterable[Tuple[str, str]]):
     """Key of the world reached from `world` by running the given steps."""
-    return (base_of(world), trace_of(world) + tuple(steps))
+    if isinstance(world, tuple) and len(world) == 2 and isinstance(world[1], tuple):
+        return (world[0], world[1] + tuple(steps))
+    return (world, tuple(steps))
 
 
 def world_id(world) -> str:

@@ -131,7 +131,10 @@ class _Rewriter:
             rule, after = self.ought(f) if isinstance(f, Ought) else self.diamond(f)
             self.log(rule, f, after)
             f = after
-        if isinstance(f, (Atom, Truth, Falsity, ExpAtom)):
+        if isinstance(f, (Atom, Truth, Falsity)):
+            return f
+        if isinstance(f, ExpAtom):
+            check_owner(self.env, f.agent, f.steps, "expectation atom")
             return f
         if isinstance(f, Not):
             return Not(self.rec(f.sub))

@@ -20,6 +20,14 @@ Conventions that matter and are easy to get wrong:
   successor, in world order, so an undefined instance inside someone's
   horizon always raises, and the error raised is that of the first
   erroring successor in world order.
+* Knowledge keeps its body's outcomes on the node.  evaluate_plain stores,
+  for each successor world it walks a Know node's body at, the outcome:
+  True, False, or the CheckerError raised, as (class, args), raised again
+  on a later visit.  The table serves one (model, env): the model is held
+  weakly, and env by identity and by a snapshot of its items, so another
+  model or a changed env starts an empty one.  It sits on the node because
+  a table in model.memo would be keyed by node identity.  The explained
+  path neither reads nor fills it.
 * The after-run diamond is strict: every step's precondition must hold at
   the current world before descending.
 * An obligation O{i}(t | phi) is the conjunction of (1) <t> phi at the
@@ -47,10 +55,11 @@ batch drivers record them per context instead of aborting.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .errors import UnknownProductWorld, ValidationError
+from .errors import CheckerError, UnknownProductWorld, ValidationError
 from .expect import atom_holds, atom_report
 from .formula import (
     And,
@@ -201,10 +210,23 @@ def _and(model, world, f, env, rec) -> bool:
 def _know(model, world, f, env, rec) -> bool:
     # evaluated over the whole horizon, not lazily, and in world order:
     # which successor's error raises must not depend on set order
+    table = _outcomes(f, model, env) if rec is None else None
     witness = kids = None
     for u in model.ordered_successors(f.agent, world):
-        sub = None if rec is None else []
-        if not _walk(model, u, f.sub, env, sub) and witness is None:
+        if rec is not None:
+            sub = []
+            holds = _walk(model, u, f.sub, env, sub)
+        else:
+            sub, holds = None, table.get(u)
+            if holds is None:
+                try:
+                    holds = table[u] = _walk(model, u, f.sub, env, None)
+                except CheckerError as exc:
+                    table[u] = (type(exc), exc.args)  # no traceback, so no frames kept
+                    raise
+            elif holds.__class__ is tuple:
+                raise holds[0](*holds[1])
+        if not holds and witness is None:
             witness, kids = u, sub
     if rec is None:
         return witness is None
@@ -214,11 +236,27 @@ def _know(model, world, f, env, rec) -> bool:
     return _node(rec, False, f, world, "knowledge", kids, note)
 
 
+def _outcomes(f: Know, model, env) -> dict:
+    """f's table {successor world: outcome of f.sub} for (model, env): True,
+    False, or the CheckerError the walk raised, as (class, args).  The model
+    is held weakly, and env by identity and by a snapshot of its items, so a
+    table made for another model or env, or for env before a change, is
+    replaced by an empty one."""
+    held = f._outcomes
+    items = tuple(env.items())
+    if held is not None and held[0]() is model and held[1] is env and held[2] == items:
+        return held[3]
+    table: dict = {}
+    object.__setattr__(f, "_outcomes", (weakref.ref(model), env, items, table))
+    return table
+
+
 def _diamond(model, world, f, env, rec) -> bool:
     return _after_run(rec, f, model, world, f.steps, f.sub, env)
 
 
 def _exp_atom(model, world, f, env, rec) -> bool:
+    check_owner(env, f.agent, f.steps, "expectation atom")
     rest = _atom_remainder(world, f)
     if rest is None:
         return _expectation(rec, f, world, model, world, f.agent)

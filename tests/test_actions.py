@@ -12,6 +12,8 @@ from oughtcheck.actions import (
 )
 from oughtcheck.errors import OughtInPrecondition, UnknownEvent, ValidationError
 from oughtcheck.formula import Atom, Diamond, Know, Not, Ought, TRUE
+from oughtcheck.kripke import GradedKripkeModel
+from oughtcheck.product import product
 
 
 def _dp(dp_id="U", owner="i", events=("a", "b"), **kw):
@@ -173,3 +175,25 @@ def test_decision_point_mappings_are_read_only():
     with pytest.raises(TypeError):
         d.env["V"] = d
     assert d.pre["a"] == TRUE and d.q_related("i", (("U", "a"),), (("U", "a"),))
+
+
+def test_a_composition_cannot_change_under_its_products():
+    both = {"w1": {"w1", "w2"}, "w2": {"w1", "w2"}}
+    m = GradedKripkeModel(
+        ["i"], ["p", "q"], ["w1", "w2"], {"i": both},
+        {"w1": {"p"}, "w2": {"q"}}, {"w1": 1, "w2": 0}, frame="S5",
+    )
+    u = _dp("U", "i", ("a", "b", "c"))
+    v = _dp("V", "i", ("x", "y"), pre={"x": Atom("p"), "y": Atom("q")})
+    c = compose(u, v)
+    updated = product(m, c)
+    assert len(updated.worlds) == 6
+    with pytest.raises(TypeError):
+        c.env["V"] = _dp("V", "i", ("x", "y"))
+    with pytest.raises(AttributeError):
+        c.id = "U;W"
+    for name in ("first", "second", "owner", "env", "agents", "event_keys", "extra_edges"):
+        with pytest.raises(AttributeError):
+            delattr(c, name)
+    assert c.env["V"] is v and c.id == "U;V"
+    assert product(m, c) is updated

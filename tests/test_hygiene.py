@@ -1,4 +1,5 @@
-"""Source hygiene: every module of the package uses each name it imports.
+"""Source hygiene: every module of the package uses each name it imports,
+and README names every kind of memo entry the package stores.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with `ast`.  An imported name counts as used when any `Name`
@@ -8,6 +9,7 @@ imports are the package's public surface.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -58,3 +60,43 @@ def test_the_guard_sees_unused_imports():
         "    return os.sep\n"
     )
     assert unused_imports(source) == [("j", 2), ("Optional", 3)]
+
+
+def memo_kinds(source: str):
+    """The first element of each key passed to `.memo(`: a tuple literal, or
+    a name a tuple literal is assigned to in the same function."""
+    kinds = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {
+            target.id: node.value
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for call in ast.walk(func):
+            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "memo":
+                key = call.args[0]
+                key = bound.get(key.id, key) if isinstance(key, ast.Name) else key
+                assert isinstance(key, ast.Tuple), ast.unparse(call)
+                kinds.add(key.elts[0].value)
+    return kinds
+
+
+def test_readme_lists_every_memo_kind():
+    text = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = text.split("**One memo per model.**", 1)[1].split("\n\n", 1)[0]
+    listed = set(re.findall(r'`\("(\w+)"', paragraph))
+    stored = set().union(*(memo_kinds(p.read_text(encoding="utf-8")) for p in MODULES))
+    assert listed == stored
+
+
+def test_the_memo_guard_reads_names_bound_to_keys():
+    source = (
+        "def f(m, a):\n"
+        "    key = ('kind', a)\n"
+        "    return m.memo(key, g) + m.memo(('other',), g)\n"
+    )
+    assert memo_kinds(source) == {"kind", "other"}

@@ -1,0 +1,217 @@
+"""The outcome table of a knowledge node (semantics._know).
+
+evaluate_plain keeps, on each `Know` node, the outcome of its body at each
+successor world it walked, for one (model, env).  These tests pin that a
+warm table never changes an answer: verdicts and errors equal a cold walk
+on a fresh copy, the explained walk and the brute-force oracle, and a table
+is dropped when its model or env changes.
+"""
+
+import copy
+import dataclasses
+import gc
+import pickle
+import random
+import weakref
+from collections import Counter
+
+import pytest
+
+import oughtcheck.semantics as semantics
+from oracles import OracleError, o_eval, omodel
+from oughtcheck.actions import DecisionPoint
+from oughtcheck.errors import CheckerError, InternalError, Unsatisfiable
+from oughtcheck.formula import FALSE, TRUE, And, Atom, Diamond, ExpAtom, Know, Not, subformulas
+from oughtcheck.generate import GenParams, gen_decision_point, gen_formula, gen_model
+from oughtcheck.kripke import GradedKripkeModel
+from oughtcheck.product import product
+from oughtcheck.semantics import evaluate, evaluate_plain
+
+
+def _outcome(call):
+    """A verdict, or the (class name, message) of the CheckerError raised."""
+    try:
+        return call()
+    except InternalError:
+        raise
+    except CheckerError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _oracle(om, w, f, env):
+    try:
+        return o_eval(om, w, f, env)
+    except OracleError:
+        return "error"
+
+
+def _instances(rng, frame, count):
+    """count (model, env, decision point a formula may not start with):
+    base models, and their products by U."""
+    params = GenParams(max_worlds=5, frame=frame)
+    out = []
+    while len(out) < count:
+        m = gen_model(rng, params)
+        try:
+            env = {}
+            env["U"] = gen_decision_point(rng, m, "U", params, env=env)
+            env["V"] = gen_decision_point(rng, m, "V", params, env=env)
+        except Unsatisfiable:
+            continue
+        out.append((m, env, None))
+        out.append((product(m, env["U"]), env, "U"))
+    return out
+
+
+@pytest.mark.parametrize("frame", ["S5", "KD45", "K"])
+def test_a_warm_table_answers_as_a_cold_walk(frame, monkeypatch):
+    visits = Counter()
+    walk = semantics._walk
+
+    def counted(model, world, g, env, rec):
+        visits[id(g)] += 1
+        return walk(model, world, g, env, rec)
+
+    def own_visits(f, call):
+        """call's outcome, and its visits to f's own nodes (the walks of
+        preconditions, which build products, are left out)."""
+        visits.clear()
+        out = _outcome(call)
+        return out, sum(visits[i] for i in {id(g) for g in subformulas(f)})
+
+    monkeypatch.setattr(semantics, "_walk", counted)
+    errors = warm_visits = cold_visits = 0
+    rng = random.Random(1300)
+    for m, env, banned in _instances(rng, frame, 24):
+        om = omodel(m)
+        agents = list(m.agents)
+        for _ in range(4):
+            body = gen_formula(rng, m, env, depth=2, banned_dp=banned)
+            f = Know(rng.choice(agents), Know(rng.choice(agents), body))
+            if rng.random() < 0.5:
+                f = And(Not(f), Know(rng.choice(agents), f))
+            for w in m.worlds:  # one object at every world: later ones hit its tables
+                warm, n = own_visits(f, lambda: evaluate_plain(m, w, f, env))
+                warm_visits += n
+                fresh = copy.deepcopy(f)
+                cold, n = own_visits(fresh, lambda: evaluate_plain(m, w, fresh, env))
+                cold_visits += n
+                told = _outcome(lambda: evaluate(m, w, f, env).holds)
+                where = f"{f} at {w}"
+                assert warm == cold == told, where
+                oracle = _oracle(om, w, f, env)
+                if frame == "S5" or isinstance(oracle, bool) == isinstance(warm, bool):
+                    assert oracle == (warm if isinstance(warm, bool) else "error"), where
+                # else a rival is undefined: the package stops at the first in
+                # world order, the oracle at the first in set order
+                errors += not isinstance(warm, bool)
+    assert errors > 20  # bodies that raise were stored and raised again
+    assert warm_visits < cold_visits
+
+
+def _k_frame():
+    """Four worlds on a K frame; each world has two a- and two b-successors,
+    so a body's (node, world) pair is asked for from several worlds."""
+    succ_a = {"w0": {"w1", "w2"}, "w1": {"w2", "w3"}, "w2": {"w3", "w0"}, "w3": {"w0", "w1"}}
+    succ_b = {"w0": {"w0", "w2"}, "w1": {"w1", "w3"}, "w2": {"w0", "w1"}, "w3": {"w2", "w3"}}
+    return GradedKripkeModel(
+        ["a", "b"], ["p"], ["w0", "w1", "w2", "w3"], {"a": succ_a, "b": succ_b},
+        {"w0": {"p"}, "w1": {"p"}, "w2": set(), "w3": {"p"}},
+        {w: 0 for w in ("w0", "w1", "w2", "w3")}, frame="K",
+    )
+
+
+def test_each_knowledge_body_is_walked_once_per_world(monkeypatch):
+    m = _k_frame()
+    f = Know("a", Know("b", Atom("p")))
+    walked = Counter()
+    walk = semantics._walk
+
+    def counted(model, world, g, env, rec):
+        walked[id(g), world] += 1
+        return walk(model, world, g, env, rec)
+
+    monkeypatch.setattr(semantics, "_walk", counted)
+    env = {}
+    verdicts = [evaluate_plain(m, w, f, env) for w in m.worlds]
+    monkeypatch.undo()
+    assert verdicts == [o_eval(omodel(m), w, f, env) for w in m.worlds]
+    for node in (f.sub, f.sub.sub):
+        counts = [walked[id(node), w] for w in m.worlds]
+        assert counts == [1, 1, 1, 1], node
+    asked = sum(len(m.successors("a", w)) for w in m.worlds)
+    assert asked > len(m.worlds)  # without the table a body would be walked again
+
+
+def _two_worlds():
+    both = {"w1": {"w1", "w2"}, "w2": {"w1", "w2"}}
+    return GradedKripkeModel(
+        ["i"], ["p"], ["w1", "w2"], {"i": both},
+        {"w1": {"p"}, "w2": set()}, {"w1": 1, "w2": 0}, frame="S5",
+    )
+
+
+def _point(go):
+    return DecisionPoint("U", "i", ("go", "stay"), {"go": go, "stay": TRUE})
+
+
+def test_a_changed_env_gets_the_fresh_verdict():
+    m = _two_worlds()
+    f = Know("i", Diamond((("U", "go"),), TRUE))
+    env = {"U": _point(TRUE)}
+    assert evaluate_plain(m, "w1", f, env)
+    env["U"] = _point(FALSE)  # the same dict, changed
+    assert not evaluate_plain(m, "w1", f, env)
+    assert evaluate_plain(m, "w1", f, {"U": _point(TRUE)})  # another dict
+    assert not evaluate_plain(m, "w1", f, env)
+
+
+def test_a_changed_env_raises_the_fresh_error():
+    m = _two_worlds()
+    f = Know("i", ExpAtom("i", (("U", "go"),)))
+    env = {"U": _point(TRUE)}
+    assert evaluate_plain(m, "w1", f, env)
+    env["U"] = DecisionPoint("U", "j", ("go", "stay"), {"go": TRUE, "stay": TRUE})
+    with pytest.raises(CheckerError, match="does not own U.go"):
+        evaluate_plain(m, "w1", f, env)
+
+
+def test_the_table_lets_its_model_die():
+    f, env = Know("i", Atom("p")), {}
+    m = _two_worlds()
+    assert not evaluate_plain(m, "w1", f, env)
+    held = weakref.ref(m)
+    del m
+    gc.collect()
+    assert held() is None
+    other = GradedKripkeModel(
+        ["i"], ["p"], ["w1", "w2"], {"i": {"w1": {"w2"}, "w2": {"w1"}}},
+        {"w1": set(), "w2": {"p"}}, {"w1": 1, "w2": 0}, frame="K",
+    )
+    assert evaluate_plain(other, "w1", f, env)  # p holds at w2 in this model
+
+
+def test_only_checker_errors_are_stored():
+    m = _two_worlds()
+    f, env = Know("i", "not a formula"), {}
+    for _ in range(2):
+        with pytest.raises(TypeError, match="not a formula"):
+            evaluate_plain(m, "w1", f, env)
+    assert f._outcomes[-1] == {}
+
+
+def test_copies_carry_no_table():
+    m = _two_worlds()
+    inner = Know("i", Atom("p"))
+    f = And(Atom("p"), Know("i", inner))
+    evaluate_plain(m, "w1", f, {})
+    assert inner._outcomes is not None
+    assert [fld.name for fld in dataclasses.fields(Know)] == ["agent", "sub"]
+    for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f)), copy.copy(f)):
+        assert twin == f and hash(twin) == hash(f) and repr(twin) == repr(f)
+        if twin.right is not f.right:
+            assert twin.right._outcomes is None
+        if twin.right.sub is not inner:
+            assert twin.right.sub._outcomes is None
+    assert copy.deepcopy(f).right.sub is not inner
+    assert pickle.loads(pickle.dumps(ExpAtom("i", (("U", "go"),)))) == ExpAtom("i", (("U", "go"),))

@@ -86,9 +86,11 @@ def test_adjacency_rule(allergy, via):
         ADJACENCY[via](*allergy)
 
 
-# -- ownership: the agent of an obligation owns its final decision point -------
+# -- ownership: the agent of an obligation or expectation atom owns its final
+# decision point
 
 NOT_OWNED = Ought("a", D, Atom("A"))  # U belongs to b
+NOT_OWNED_ATOM = ExpAtom("a", D)
 NOT_OWNED_UNKNOWN_FIRST = Ought("a", (("X", "x"), ("U", "delta")), Atom("A"))
 
 OWNERSHIP = {
@@ -103,6 +105,9 @@ OWNERSHIP = {
     "evaluate_plain": lambda m, pts, env: evaluate_plain(m, "w2", NOT_OWNED, env),
     "evaluate": lambda m, pts, env: evaluate(m, "w2", NOT_OWNED, env),
     "translate": lambda m, pts, env: translate(NOT_OWNED, env),
+    "evaluate_plain e-atom": lambda m, pts, env: evaluate_plain(m, "w2", NOT_OWNED_ATOM, env),
+    "evaluate e-atom": lambda m, pts, env: evaluate(m, "w2", NOT_OWNED_ATOM, env),
+    "translate e-atom": lambda m, pts, env: translate(Not(NOT_OWNED_ATOM), env),
     "evaluate_plain, unknown first step": lambda m, pts, env: evaluate_plain(
         m, "w2", NOT_OWNED_UNKNOWN_FIRST, env
     ),
