@@ -58,7 +58,7 @@ from .kripke import GradedKripkeModel, trace_of
 from .product import product
 from .reduce import obligation_clause, q_event_alternatives
 from .semantics import evaluate_plain, holds_globally
-from .submodel import agent_submodel
+from .submodel import agent_submodel, horizon
 
 EVENT_NAMES = ("alpha", "beta", "gamma", "delta")
 AGENT_NAMES = ("a", "b", "c")
@@ -352,17 +352,21 @@ def _compare_all(report: SuiteReport, model, world, schemas, env, where):
 
 
 def _ought_contexts(model: GradedKripkeModel, agent: str):
-    """One representative deliberation context per distinct horizon."""
+    """One representative deliberation context per distinct horizon.  A
+    submodel's worlds are its root's horizon, plus the root when it lies
+    outside, so that set is known, and a repeat skipped, before any
+    submodel is built."""
     seen = set()
     for v in model.worlds:
         try:
             if not model.successors(agent, v):
                 continue
+            h = horizon(model, v, agent)
+            key = h if v in h else h | {v}
+            if key in seen:
+                continue
             sub = agent_submodel(model, v, agent)
         except CheckerError:
-            continue
-        key = frozenset(sub.worlds)
-        if key in seen:
             continue
         seen.add(key)
         yield sub

@@ -12,13 +12,25 @@ survive as evaluation-only worlds with outgoing edges only.
 
 from __future__ import annotations
 
-from .errors import EmptyProduct, TraceLeak
+from .errors import CheckerError, EmptyProduct, TraceLeak
 from .kripke import GradedKripkeModel, base_of, extend_world, trace_of, world_id
 
 
 def product(model: GradedKripkeModel, action) -> GradedKripkeModel:
-    """The update of `model` by `action` (memoized on the model)."""
-    return model.memo(("product", action), _update, model, action)
+    """The update of `model` by `action` (memoized on the model).  An update
+    that raises a CheckerError is memoized as that error, as (class, args),
+    and raises it again on every later call."""
+    out = model.memo(("product", action), _update_or_error, model, action)
+    if out.__class__ is tuple:
+        raise out[0](*out[1])
+    return out
+
+
+def _update_or_error(model: GradedKripkeModel, action):
+    try:
+        return _update(model, action)
+    except CheckerError as exc:
+        return (type(exc), exc.args)  # no traceback, so no frames kept
 
 
 def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:

@@ -28,6 +28,11 @@ Conventions that matter and are easy to get wrong:
   model or a changed env starts an empty one.  It sits on the node because
   a table in model.memo would be keyed by node identity.  The explained
   path neither reads nor fills it.
+* Trails render on demand.  evaluate records, per node, the formula node,
+  the world key and, for an expectation node, (carrier, instance, agent);
+  a Verdict's text, where, note and values render on first read and are
+  kept.  A caller that reads only holds renders nothing, and an
+  expectation node keeps its carrier alive until its values are read.
 * The after-run diamond is strict: every step's precondition must hold at
   the current world before descending.
 * An obligation O{i}(t | phi) is the conjunction of (1) <t> phi at the
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from .errors import CheckerError, UnknownProductWorld, ValidationError
@@ -85,13 +91,49 @@ from .submodel import agent_submodel, horizon
 
 @dataclass
 class Verdict:
+    """One node of an explanation trail.  The walk records what to render,
+    not the text: the formula node, the world key, the note (a string, or
+    (before, world key, after) when it names a world) and, for an
+    expectation node, (carrier, instance, agent).  text, where, note and
+    values render on first read; values then releases the carrier."""
+
     holds: bool
-    text: str
-    where: str
+    formula: Formula
+    world: object
     clause: str
-    note: str = ""
-    values: Optional[dict] = None
+    remark: object = ""
+    expectation: Optional[tuple] = None
     children: List["Verdict"] = field(default_factory=list)
+
+    @cached_property
+    def text(self) -> str:
+        return to_text(self.formula)
+
+    @cached_property
+    def where(self) -> str:
+        return world_id(self.world)
+
+    @cached_property
+    def note(self) -> str:
+        if self.remark.__class__ is str:
+            return self.remark
+        before, world, after = self.remark
+        return before + world_id(world) + after
+
+    @cached_property
+    def values(self) -> Optional[dict]:
+        """The values the expectation verdict compared: own value, instance
+        and {rival: value}; None on any other node."""
+        if self.expectation is None:
+            return None
+        carrier, instance, agent = self.expectation
+        _, own, rivals = atom_report(carrier, instance, agent)
+        self.expectation = None
+        return {
+            "own": own,
+            "instance": world_id(instance),
+            "rivals": {world_id(k): v for k, v in rivals.items()},
+        }
 
     def walk(self):
         yield self
@@ -138,12 +180,10 @@ def holds_globally(model: GradedKripkeModel, f: Formula, env: Dict) -> bool:
     return all(evaluate_plain(model, w, f, env) for w in model.domain_worlds())
 
 
-def _node(rec, holds, f, world, clause, kids=None, note="", values=None) -> bool:
-    """Record f's Verdict at world on the trail rec; return holds."""
-    children = kids if kids is not None else []
-    rec.append(
-        Verdict(holds, to_text(f), world_id(world), clause, note, values, children)
-    )
+def _node(rec, holds, f, world, clause, kids=None, note="", source=None) -> bool:
+    """Record f's Verdict at world on the trail rec; return holds.  source is
+    an expectation node's (carrier, instance, agent)."""
+    rec.append(Verdict(holds, f, world, clause, note, source, [] if kids is None else kids))
     return holds
 
 
@@ -232,7 +272,7 @@ def _know(model, world, f, env, rec) -> bool:
         return witness is None
     if witness is None:
         return _node(rec, True, f, world, "knowledge")
-    note = f"fails at successor {world_id(witness)}"
+    note = ("fails at successor ", witness, "")
     return _node(rec, False, f, world, "knowledge", kids, note)
 
 
@@ -320,22 +360,17 @@ def _after_run(rec, f, model, world, steps, body, env, tag="") -> bool:
         return holds if rec is None else _node(rec, holds, f, world, "after-run", kids, tag)
     if rec is None:
         return False
-    note = f"{stuck[0]}.{stuck[1]} is not available at {world_id(end_w)} {tag}"
-    return _node(rec, False, f, world, "after-run", kids, note.strip())
+    note = (f"{stuck[0]}.{stuck[1]} is not available at ", end_w, f" {tag}".rstrip())
+    return _node(rec, False, f, world, "after-run", kids, note)
 
 
 def _expectation(rec, f, world, carrier, instance, agent, note="") -> bool:
     """The expectation atom at instance of carrier, recorded as f's node at
-    world with the values the verdict compared."""
+    world with the carrier its values are read from."""
+    holds = atom_holds(carrier, instance, agent)
     if rec is None:
-        return atom_holds(carrier, instance, agent)
-    holds, own, rivals = atom_report(carrier, instance, agent)
-    values = {
-        "own": own,
-        "instance": world_id(instance),
-        "rivals": {world_id(k): v for k, v in rivals.items()},
-    }
-    return _node(rec, holds, f, world, "expectation", note=note, values=values)
+        return holds
+    return _node(rec, holds, f, world, "expectation", None, note, (carrier, instance, agent))
 
 
 def _atom_remainder(world, f: ExpAtom):

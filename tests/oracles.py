@@ -7,11 +7,18 @@ the second computation that froze it.
 
 The oracle works on a throwaway model description::
 
-    {"worlds": set, "rel": {agent: set[(w, u)]}, "val": {w: frozenset},
-     "des": {w: int}, "eval_only": set, "agents": tuple, "atoms": tuple}
+    {"worlds": set, "order": list, "rel": {agent: set[(w, u)]},
+     "val": {w: frozenset}, "des": {w: int}, "eval_only": set,
+     "agents": tuple, "atoms": tuple}
 
 and raises OracleError wherever the package raises one of its checked
 evaluation errors, so error/error counts as agreement.
+
+"order" lists the worlds in the package's world order, recomputed here:
+a product lists each world's surviving images in event order, and a
+submodel keeps its parent's order with a retained root last.  Rivals are
+walked in that order, so an undefined rival raises exactly where the
+package's does: only when no more valuable rival comes before it.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ def omodel(m):
     """Snapshot a package model into the oracle's plain-dict shape."""
     return {
         "worlds": set(m.worlds),
+        "order": list(m.worlds),
         "rel": {
             a: {(w, u) for w in m.worlds for u in m.relations[a][w]}
             for a in m.agents
@@ -81,14 +89,13 @@ def o_product(om, dp, env):
         evs = [e for e in dp.events if o_eval(om, w, dp.pre[e], env)]
         if evs:
             survives[w] = evs
-    worlds = set()
+    order = [o_extend(w, (dp.id, e)) for w in om["order"] for e in survives.get(w, ())]
+    worlds = set(order)
     eval_only = set()
     for w, evs in survives.items():
         for e in evs:
-            pw = o_extend(w, (dp.id, e))
-            worlds.add(pw)
             if w in om["eval_only"]:
-                eval_only.add(pw)
+                eval_only.add(o_extend(w, (dp.id, e)))
     if worlds <= eval_only:
         raise OracleError("empty update")
     rel = {}
@@ -109,6 +116,7 @@ def o_product(om, dp, env):
             des[pw] = om["des"][w]
     return {
         "worlds": worlds,
+        "order": order,
         "rel": rel,
         "val": val,
         "des": des,
@@ -152,6 +160,7 @@ def o_submodel(om, root, agent=None):
         rel[a] = pairs
     return {
         "worlds": worlds,
+        "order": [w for w in om["order"] if w in dom] + ([] if root in dom else [root]),
         "rel": rel,
         "val": {w: om["val"][w] for w in worlds},
         "des": {w: om["des"][w] for w in worlds},
@@ -181,7 +190,7 @@ def o_rivals(om, instance):
     if not t:
         raise OracleError("no trace")
     out = []
-    for w in om["worlds"]:
+    for w in om["order"]:
         if w in om["eval_only"]:
             continue
         s = o_trace(w)

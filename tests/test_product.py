@@ -1,6 +1,7 @@
 """Product update: survival, edges, inheritance, and the brute-force oracle."""
 
 import random
+from importlib import import_module
 
 import pytest
 
@@ -192,6 +193,26 @@ def test_oracle_empty_matches_package_empty(line_model):
         except EmptyProduct:
             raised = True
         assert raised == brute_empty
+
+
+def test_an_empty_update_is_built_once_and_raises_each_time(line_model, monkeypatch):
+    product_module = import_module("oughtcheck.product")  # the package's `product` is the function
+    builds = []
+    update = product_module._update
+
+    def counted(model, action):
+        builds.append(action.id)
+        return update(model, action)
+
+    monkeypatch.setattr(product_module, "_update", counted)
+    dp = DecisionPoint("Z", "x", ("a", "b"), {"a": Not(TRUE), "b": Not(TRUE)}, agents=["x", "y"])
+    raised = []
+    for _ in range(2):
+        with pytest.raises(EmptyProduct) as info:
+            product(line_model, dp)
+        raised.append((type(info.value), str(info.value)))
+    assert builds == ["Z"]
+    assert raised[0] == raised[1] and "'Z'" in raised[0][1]
 
 
 def _per_edge_relations(model, action):

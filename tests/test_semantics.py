@@ -335,8 +335,13 @@ def test_verdict_walk(line_model, pick_env):
 
 
 def test_against_oracle_base_contexts():
+    for frame in ("S5", "KD45", "K"):
+        _oracle_base_contexts(frame)
+
+
+def _oracle_base_contexts(frame):
     rng = random.Random(404)
-    params = GenParams(max_worlds=5)
+    params = GenParams(max_worlds=5, frame=frame)
     done = 0
     while done < 60:
         m = gen_model(rng, params)
@@ -355,8 +360,13 @@ def test_against_oracle_base_contexts():
 
 
 def test_against_oracle_product_contexts():
+    for frame in ("S5", "KD45", "K"):
+        _oracle_product_contexts(frame)
+
+
+def _oracle_product_contexts(frame):
     rng = random.Random(405)
-    params = GenParams(max_worlds=4)
+    params = GenParams(max_worlds=4, frame=frame)
     done = 0
     while done < 30:
         m = gen_model(rng, params)
