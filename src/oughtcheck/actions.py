@@ -18,7 +18,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Dict, Tuple
 
-from .errors import ValidationError, OughtInPrecondition, UnknownEvent
+from .errors import ValidationError, OughtInPrecondition, UnknownAgent, UnknownEvent
 from .formula import Formula, Trace, contains_ought, make_trace, pre_formula
 from .kripke import ReadOnly
 
@@ -30,6 +30,8 @@ class DecisionPoint(ReadOnly):
     pre: event name -> precondition Formula (obligation-free).
     relations: agent -> set of (event, event) pairs; the identity is always
     included.  `extra_edges` records whether anything beyond it was given.
+    A relation for an agent outside `agents` (and the owner) raises
+    UnknownAgent.
     Attributes cannot be rebound, and env, pre and relations are read-only
     mappings, as memoized products are keyed by points.
     """
@@ -49,6 +51,9 @@ class DecisionPoint(ReadOnly):
         agents = tuple(agents) if agents is not None else (owner,)
         if owner not in agents:
             agents = agents + (owner,)
+        for a in relations or {}:
+            if a not in agents:
+                raise UnknownAgent(f"relation of {dp_id!r} for undeclared agent {a!r}")
         identity = frozenset((e, e) for e in events)
         relations_map: Dict[str, frozenset] = {}
         extra_edges = False

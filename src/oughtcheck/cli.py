@@ -216,29 +216,21 @@ def cmd_axioms(args) -> int:
         print(json.dumps(report.as_dict(), indent=2))
         return 0 if report.clean() else 1
     print(f"frame {report.frame}, {report.trials} instances, seed {report.seed}")
-    print("axioms (expected clean):")
-    for name in sorted(report.axioms):
-        r = report.axioms[name]
-        status = "ok" if r.counterexamples == 0 else "COUNTEREXAMPLES"
-        extra = f"  first: {r.first}" if r.first else ""
-        print(
-            f"  {name:16s} checked={r.checked:6d} cex={r.counterexamples:5d}"
-            f" err={r.errors:4d}  {status}{extra}"
-        )
-    print("informational (not gating):")
-    for name in sorted(report.informational):
-        r = report.informational[name]
-        print(
-            f"  {name:16s} checked={r.checked:6d} cex={r.counterexamples:5d}"
-            f" err={r.errors:4d}"
-        )
-    print("known ambiguities (disagreement counts between readings):")
-    for name in sorted(report.ambiguities):
-        r = report.ambiguities[name]
-        print(
-            f"  {name:16s} checked={r.checked:6d} diff={r.counterexamples:5d}"
-            f" err={r.errors:4d}"
-        )
+    for heading, bucket, column, gating in (
+        ("axioms (expected clean):", report.axioms, "cex", True),
+        ("informational (not gating):", report.informational, "cex", False),
+        ("known ambiguities (disagreement counts between readings):",
+         report.ambiguities, "diff", False),
+    ):
+        print(heading)
+        for name in sorted(bucket):
+            r = bucket[name]
+            line = (f"  {name:16s} checked={r.checked:6d} {column}={r.counterexamples:5d}"
+                    f" err={r.errors:4d}")
+            if gating:
+                line += "  ok" if r.counterexamples == 0 else "  COUNTEREXAMPLES"
+                line += f"  first: {r.first}" if r.first else ""
+            print(line)
     ok = report.clean()
     gated = ", ".join(sorted(EXPECTED_CLEAN))
     print(f"gate ({gated}): {'clean' if ok else 'FAIL'}")
@@ -324,9 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--actions")
     p.add_argument("--formula", required=True)
-    p.add_argument("--at", help="world to evaluate at (default: the document's point)")
-    p.add_argument("--global", dest="global_", action="store_true",
-                   help="check all domain worlds instead of one")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--at", help="world to evaluate at (default: the document's point)")
+    where.add_argument("--global", dest="global_", action="store_true",
+                       help="check all domain worlds instead of one")
     p.add_argument("--explain", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)

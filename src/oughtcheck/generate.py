@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .actions import DecisionPoint
-from .errors import CheckerError, Unsatisfiable
+from .errors import CheckerError, Unsatisfiable, ValidationError
 from .expect import atom_holds
 from .formula import (
     And,
@@ -124,7 +124,7 @@ def gen_model(
                     if rng.random() < 0.3:
                         adj[x].add(y)
         else:
-            raise ValueError(f"unknown frame {p.frame!r}")
+            raise ValidationError(f"unknown frame {p.frame!r}")
         relations[ag] = adj
     return GradedKripkeModel(
         agents=agents,
@@ -517,6 +517,8 @@ def _check_update_axioms(rng, model, env, report: SuiteReport):
 
 
 def run_axiom_suite(trials: int, seed: int, frame: str = "S5") -> SuiteReport:
+    if trials < 1:
+        raise ValidationError(f"the axiom suite needs at least one trial, not {trials}")
     p = GenParams(frame=frame)
     report = SuiteReport(trials=trials, seed=seed, frame=frame)
     master = random.Random(seed)

@@ -20,14 +20,15 @@ Conventions that matter and are easy to get wrong:
   successor, in world order, so an undefined instance inside someone's
   horizon always raises, and the error raised is that of the first
   erroring successor in world order.
-* Knowledge keeps its body's outcomes on the node.  evaluate_plain stores,
-  for each successor world it walks a Know node's body at, the outcome:
+* Knowledge keeps its body's outcomes on the node.  Both paths store, for
+  each successor world they walk a Know node's body at, the outcome:
   True, False, or the CheckerError raised, as (class, args), raised again
   on a later visit.  The table serves one (model, env): the model is held
   weakly, and env by identity and by a snapshot of its items, so another
   model or a changed env starts an empty one.  It sits on the node because
-  a table in model.memo would be keyed by node identity.  The explained
-  path neither reads nor fills it.
+  a table in model.memo would be keyed by node identity.  evaluate then
+  walks the body with a trail at one world only: the witness, the first
+  failing successor in world order.
 * Trails render on demand.  evaluate records, per node, the formula node,
   the world key and, for an expectation node, (carrier, instance, agent);
   a Verdict's text, where, note and values render on first read and are
@@ -250,28 +251,26 @@ def _and(model, world, f, env, rec) -> bool:
 def _know(model, world, f, env, rec) -> bool:
     # evaluated over the whole horizon, not lazily, and in world order:
     # which successor's error raises must not depend on set order
-    table = _outcomes(f, model, env) if rec is None else None
-    witness = kids = None
+    table = _outcomes(f, model, env)
+    witness = None
     for u in model.ordered_successors(f.agent, world):
-        if rec is not None:
-            sub = []
-            holds = _walk(model, u, f.sub, env, sub)
-        else:
-            sub, holds = None, table.get(u)
-            if holds is None:
-                try:
-                    holds = table[u] = _walk(model, u, f.sub, env, None)
-                except CheckerError as exc:
-                    table[u] = (type(exc), exc.args)  # no traceback, so no frames kept
-                    raise
-            elif holds.__class__ is tuple:
-                raise holds[0](*holds[1])
+        holds = table.get(u)
+        if holds is None:
+            try:
+                holds = table[u] = _walk(model, u, f.sub, env, None)
+            except CheckerError as exc:
+                table[u] = (type(exc), exc.args)  # no traceback, so no frames kept
+                raise
+        elif holds.__class__ is tuple:
+            raise holds[0](*holds[1])
         if not holds and witness is None:
-            witness, kids = u, sub
+            witness = u
     if rec is None:
         return witness is None
     if witness is None:
         return _node(rec, True, f, world, "knowledge")
+    kids = []  # the trail of the first failing successor, walked again to record it
+    _walk(model, witness, f.sub, env, kids)
     note = ("fails at successor ", witness, "")
     return _node(rec, False, f, world, "knowledge", kids, note)
 

@@ -10,7 +10,7 @@ from oughtcheck.actions import (
     env_of,
     validate_decision_point,
 )
-from oughtcheck.errors import OughtInPrecondition, UnknownEvent, ValidationError
+from oughtcheck.errors import OughtInPrecondition, UnknownAgent, UnknownEvent, ValidationError
 from oughtcheck.formula import Atom, Diamond, Know, Not, Ought, TRUE
 from oughtcheck.kripke import GradedKripkeModel
 from oughtcheck.product import product
@@ -78,6 +78,15 @@ def test_extra_edges_flagged_not_rejected():
 def test_relation_over_unknown_event():
     with pytest.raises(UnknownEvent):
         _dp(relations={"i": {("a", "zz")}})
+
+
+def test_relation_of_an_agent_outside_the_point():
+    with pytest.raises(UnknownAgent, match="relation of 'U' for undeclared agent 'z'"):
+        _dp(relations={"z": {("a", "b"), ("b", "a")}})
+    with pytest.raises(UnknownAgent, match="'z'"):
+        _dp(agents=["x"], relations={"x": set(), "z": set()})
+    d = _dp(agents=["x"], relations={"x": {("a", "b")}, "i": set()})
+    assert d.q_related("x", (("U", "a"),), (("U", "b"),))
 
 
 def test_pre_formula_rejects_foreign_keys():

@@ -52,6 +52,14 @@ def test_check_global(capsys, scenario_docs):
     assert code == 1 and "globally: fails" in out
 
 
+def test_check_at_and_global_are_alternatives(capsys, scenario_docs):
+    mp, _ = scenario_docs["miners"]
+    with pytest.raises(SystemExit) as caught:
+        cli.main(["check", "--model", mp, "--formula", "A", "--at", "A10", "--global"])
+    assert caught.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_check_json_explanation(capsys, scenario_docs):
     mp, ap = scenario_docs["miners"]
     code, out, _ = run(
@@ -268,6 +276,13 @@ def test_axioms_json(capsys):
     doc = json.loads(out)
     assert doc["axioms"]["R1"]["counterexamples"] == 0
     assert doc["informational"]["R3+e"]["counterexamples"] == 0
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_axioms_need_a_trial(capsys, trials):
+    code, out, err = run(capsys, "axioms", "--trials", trials)
+    assert code == 2 and out == ""
+    assert err == f"error: the axiom suite needs at least one trial, not {trials}\n"
 
 
 def test_scenario_miners(capsys):

@@ -129,6 +129,20 @@ def test_single_entry_and_list_docs():
     assert [p.id for p in points] == ["U"]
 
 
+def test_relations_of_an_agent_outside_the_point_are_rejected():
+    entry = {
+        "id": "U",
+        "owner": "b",
+        "events": [{"name": "delta", "pre": "true"}, {"name": "gamma", "pre": "true"}],
+        "relations": {"a": [["delta", "gamma"], ["gamma", "delta"]]},
+    }
+    with pytest.raises(UnknownAgent, match="relation of 'U' for undeclared agent 'a'"):
+        actions_from_doc(entry)
+    points, notes = actions_from_doc(dict(entry, agents=["a"]))
+    assert points[0].q_related("a", (("U", "delta"),), (("U", "gamma"),))
+    assert len(notes) == 1
+
+
 def test_earlier_point_may_appear_in_later_pre():
     doc = {
         "actions": [

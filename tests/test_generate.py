@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oughtcheck.errors import Unsatisfiable
+from oughtcheck.errors import Unsatisfiable, ValidationError
 from oughtcheck.formula import And, Diamond, ExpAtom, Know, Not, Ought, to_text
 from oughtcheck.generate import (
     AMBIGUOUS,
@@ -128,6 +128,16 @@ def test_small_suite_run_is_clean_where_it_should_be(frame):
     # the plain negation clause genuinely fails; its repaired form does not
     assert report.axioms["R3"].counterexamples > 0
     assert report.informational["R3+e"].counterexamples == 0
+
+
+def test_suite_input_errors_are_validation_errors():
+    with pytest.raises(ValidationError, match="unknown frame 'S4'"):
+        gen_model(random.Random(0), GenParams(frame="S4"))
+    with pytest.raises(ValidationError, match="unknown frame 'S4'"):
+        run_axiom_suite(1, seed=0, frame="S4")
+    for trials in (0, -3):
+        with pytest.raises(ValidationError, match="at least one trial"):
+            run_axiom_suite(trials, seed=0)
 
 
 def test_suite_report_shape():

@@ -1,10 +1,12 @@
 """The outcome table of a knowledge node (semantics._know).
 
-evaluate_plain keeps, on each `Know` node, the outcome of its body at each
-successor world it walked, for one (model, env).  These tests pin that a
-warm table never changes an answer: verdicts and errors equal a cold walk
-on a fresh copy, the explained walk and the brute-force oracle, and a table
-is dropped when its model or env changes.
+evaluate_plain and evaluate keep, on each `Know` node, the outcome of its
+body at each successor world they walked, for one (model, env); evaluate
+walks the body with a trail again only at the first failing successor.
+These tests pin that a warm table never changes an answer: verdicts and
+errors equal a cold walk on a fresh copy, the explained walk, warm and
+cold, and the brute-force oracle, and a table is dropped when its model or
+env changes.
 """
 
 import copy
@@ -96,9 +98,11 @@ def test_a_warm_table_answers_as_a_cold_walk(frame, monkeypatch):
                 fresh = copy.deepcopy(f)
                 cold, n = own_visits(fresh, lambda: evaluate_plain(m, w, fresh, env))
                 cold_visits += n
-                told = _outcome(lambda: evaluate(m, w, f, env).holds)
+                cold_told = copy.deepcopy(f)
+                told = _outcome(lambda: evaluate(m, w, cold_told, env).holds)
+                warm_told = _outcome(lambda: evaluate(m, w, f, env).holds)
                 where = f"{f} at {w}"
-                assert warm == cold == told, where
+                assert warm == cold == told == warm_told, where
                 assert _oracle(om, w, f, env) == (warm if isinstance(warm, bool) else "error"), where
                 errors += not isinstance(warm, bool)
     assert errors > 20  # bodies that raise were stored and raised again
@@ -137,6 +141,35 @@ def test_each_knowledge_body_is_walked_once_per_world(monkeypatch):
         assert counts == [1, 1, 1, 1], node
     asked = sum(len(m.successors("a", w)) for w in m.worlds)
     assert asked > len(m.worlds)  # without the table a body would be walked again
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_trail_is_walked_only_at_the_witness(warm, monkeypatch):
+    """K{a} K{b} p fails at w1: K{b} p holds at its a-successor w2 and fails
+    at w3, the witness.  It holds at w0.  Only the witness's body gets a
+    trail."""
+    m = _k_frame()
+    f = Know("a", Know("b", Atom("p")))
+    if warm:
+        for w in m.worlds:
+            evaluate_plain(m, w, f, {})
+    trailed = Counter()
+    walk = semantics._walk
+
+    def counted(model, world, g, env, rec):
+        if rec is not None:
+            trailed[id(g), world] += 1
+        return walk(model, world, g, env, rec)
+
+    monkeypatch.setattr(semantics, "_walk", counted)
+    fails = evaluate(m, "w1", f, {})
+    assert not fails.holds and fails.note == "fails at successor w3"
+    assert [c.where for c in fails.children] == ["w3"]
+    assert {w: n for (i, w), n in trailed.items() if i == id(f.sub)} == {"w3": 1}
+    trailed.clear()
+    holds = evaluate(m, "w0", f, {})
+    assert holds.holds and holds.children == []
+    assert [key for key in trailed if key[0] == id(f.sub)] == []
 
 
 def _two_worlds():

@@ -1,6 +1,7 @@
 """Truth evaluation: hand-checked verdicts, the explanation mirror, and
 agreement with the brute-force oracle on random instances."""
 
+import copy
 import importlib
 import random
 from collections import Counter
@@ -279,7 +280,13 @@ def test_knowledge_raises_the_first_successor_error_in_world_order(reverse):
         error, names_first = UnknownProductWorld, "t does not survive U.a"
     else:
         error, names_first = IsolatedRoot, "reaches nothing from s"
-    for run in (lambda: evaluate_plain(m, "r", f, env), lambda: evaluate(m, "r", f, env)):
+    fresh = [copy.deepcopy(f), copy.deepcopy(f)]
+    for run in (
+        lambda: evaluate_plain(m, "r", fresh[0], env),
+        lambda: evaluate(m, "r", fresh[1], env),
+        lambda: evaluate_plain(m, "r", f, env),
+        lambda: evaluate(m, "r", f, env),  # after the plain walk: reads its table
+    ):
         with pytest.raises(CheckerError) as caught:
             run()
         assert type(caught.value) is error
