@@ -6,7 +6,8 @@ counterexamples in the expected-clean set; 2 — bad input (unparseable
 formula, malformed document, unknown world, frame violation, empty
 product); 3 — an internal invariant broke or an exception that is not a
 CheckerError escaped (a RecursionError on a very deep formula, say), which
-is a bug.
+is a bug; 141 — standard output was closed before the output ended (a
+pipe into `head`, say): the output stops there, quietly.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .parser import parse
 from .product import apply_sequence
 from .reduce import MODES, translate
 from .scenarios import SCENARIO_NAMES, run_scenario
-from .semantics import Verdict, atom_carrier, evaluate, holds_globally
+from .semantics import Verdict, atom_carrier, evaluate, first_failure
 
 
 def _frac(value: Fraction) -> str:
@@ -88,12 +89,19 @@ def cmd_check(args) -> int:
     model, point, _, env = _load(args)
     formula = parse(args.formula, env)
     if args.global_:
-        result = holds_globally(model, formula, env)
+        failing = first_failure(model, formula, env)
+        result = failing is None
+        trail = None if result or not args.explain else evaluate(model, failing, formula, env)
         if args.json:
-            print(json.dumps({"formula": to_text(formula), "global": True,
-                              "holds": result}))
+            doc = {"formula": to_text(formula), "global": True, "holds": result}
+            if trail is not None:
+                doc["world"] = world_id(failing)
+                doc["explanation"] = _verdict_dict(trail)
+            print(json.dumps(doc))
         else:
             print(f"{to_text(formula)} globally: {'holds' if result else 'fails'}")
+            if trail is not None:
+                print(trail.pretty())
         return 0 if result else 1
     world = args.at if args.at is not None else point
     if world is None:
@@ -378,7 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): the output ends here.  Point
+        # stdout at the null device so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, what a shell reports for a piped-to tool cut off
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -196,12 +196,19 @@ def _basic_check(m: GradedKripkeModel) -> None:
         raise ValidationError("duplicate agent names")
     if m.frame not in FRAME_CLASSES:
         raise ValidationError(f"unknown frame class {m.frame!r}")
+    # each distinct valuation and successor set is checked once, at the
+    # first world in world order that has it
+    atoms = set(m.atoms)
+    checked = set()
     for w in m.worlds:
-        extra = m.valuation[w] - set(m.atoms)
-        if extra:
-            raise ValidationError(
-                f"world {world_id(w)} uses undeclared atoms {sorted(extra)}"
-            )
+        val = m.valuation[w]
+        if val not in checked:
+            checked.add(val)
+            extra = val - atoms
+            if extra:
+                raise ValidationError(
+                    f"world {world_id(w)} uses undeclared atoms {sorted(extra)}"
+                )
         value = m.desirability[w]
         if abs(value) > MAX_DESIRABILITY:
             raise ValidationError(
@@ -209,8 +216,12 @@ def _basic_check(m: GradedKripkeModel) -> None:
             )
     if not m.eval_only <= m._world_set:
         raise ValidationError("an evaluation-only id names no world of the model")
+    checked = set()
     for a in m.agents:
         for w, succ in m.relations[a].items():
+            if succ in checked:
+                continue
+            checked.add(succ)
             stray = succ - m._world_set
             if stray:
                 raise ValidationError(
@@ -238,7 +249,18 @@ def frame_violations(m: GradedKripkeModel) -> list:
             for w in core:
                 if not succ[w]:
                     problems.append(f"{a!r} is not serial at {world_id(w)}")
+            # a set every member of which has that same set object is closed:
+            # no world with it breaks transitivity or euclideanness
+            closed = {}
+            unclosed = []
             for w in core:
+                targets = succ[w]
+                shut = closed.get(targets)
+                if shut is None:
+                    shut = closed[targets] = all(succ[u] is targets for u in targets)
+                if not shut:
+                    unclosed.append(w)
+            for w in unclosed:
                 targets = succ[w]
                 for u in targets:
                     if succ[u] is not targets and not succ[u] <= targets:
@@ -246,7 +268,7 @@ def frame_violations(m: GradedKripkeModel) -> list:
                             f"{a!r} is not transitive at {world_id(w)} -> {world_id(u)}"
                         )
                         break
-            for w in core:
+            for w in unclosed:
                 targets = succ[w]
                 for u in targets:
                     if succ[u] is not targets and not targets <= succ[u]:

@@ -23,12 +23,18 @@ Conventions that matter and are easy to get wrong:
 * Knowledge keeps its body's outcomes on the node.  Both paths store, for
   each successor world they walk a Know node's body at, the outcome:
   True, False, or the CheckerError raised, as (class, args), raised again
-  on a later visit.  The table serves one (model, env): the model is held
-  weakly, and env by identity and by a snapshot of its items, so another
-  model or a changed env starts an empty one.  It sits on the node because
-  a table in model.memo would be keyed by node identity.  evaluate then
-  walks the body with a trail at one world only: the witness, the first
-  failing successor in world order.
+  on a later visit.  The verdict at a world depends only on its successor
+  set, so the table also keeps one outcome per successor set: the
+  successor that decides it (the first erroring one in world order, else
+  the first failing one), or None when the body holds at every successor.
+  A world whose set was seen before, as every world of an S5 cell after
+  the first, reads that entry and walks nothing.  World keys (strings and
+  (base, trace) pairs) never equal a set key.  The table serves one
+  (model, env): the model is held weakly, and env by identity and by a
+  snapshot of its items, so another model or a changed env starts an
+  empty one.  It sits on the node because a table in model.memo would be
+  keyed by node identity.  evaluate then walks the body with a trail at
+  one world only: the witness, the first failing successor in world order.
 * Trails render on demand.  evaluate records, per node, the formula node,
   the world key and, for an expectation node, (carrier, instance, agent);
   a Verdict's text, where, note and values render on first read and are
@@ -178,7 +184,16 @@ def evaluate(model: GradedKripkeModel, world, f: Formula, env: Dict) -> Verdict:
 def holds_globally(model: GradedKripkeModel, f: Formula, env: Dict) -> bool:
     """True when f holds at every world of the model's domain (retained
     evaluation roots are outside the quantification range)."""
-    return all(evaluate_plain(model, w, f, env) for w in model.domain_worlds())
+    return first_failure(model, f, env) is None
+
+
+def first_failure(model: GradedKripkeModel, f: Formula, env: Dict):
+    """The first domain world in world order at which f fails, or None: the
+    world where holds_globally stops, so the error it raises is this one's."""
+    for w in model.domain_worlds():
+        if not evaluate_plain(model, w, f, env):
+            return w
+    return None
 
 
 def _node(rec, holds, f, world, clause, kids=None, note="", source=None) -> bool:
@@ -248,23 +263,18 @@ def _and(model, world, f, env, rec) -> bool:
     return holds if rec is None else _node(rec, holds, f, world, "conjunction", kids)
 
 
+_UNSEEN = object()  # no entry yet for a successor set
+
+
 def _know(model, world, f, env, rec) -> bool:
-    # evaluated over the whole horizon, not lazily, and in world order:
-    # which successor's error raises must not depend on set order
     table = _outcomes(f, model, env)
-    witness = None
-    for u in model.ordered_successors(f.agent, world):
-        holds = table.get(u)
-        if holds is None:
-            try:
-                holds = table[u] = _walk(model, u, f.sub, env, None)
-            except CheckerError as exc:
-                table[u] = (type(exc), exc.args)  # no traceback, so no frames kept
-                raise
-        elif holds.__class__ is tuple:
-            raise holds[0](*holds[1])
-        if not holds and witness is None:
-            witness = u
+    succ = model.successors(f.agent, world)
+    witness = table.get(succ, _UNSEEN)
+    if witness is _UNSEEN:
+        witness = _decide(model, world, f, env, table, succ)
+    elif witness is not None and table[witness].__class__ is tuple:
+        cls, args = table[witness]
+        raise cls(*args)
     if rec is None:
         return witness is None
     if witness is None:
@@ -275,9 +285,35 @@ def _know(model, world, f, env, rec) -> bool:
     return _node(rec, False, f, world, "knowledge", kids, note)
 
 
+def _decide(model, world, f, env, table, succ):
+    """Walk f.sub at every successor, in world order, and keep under succ the
+    one that decides f: the first that raises (raised again), else the first
+    that fails, else None.  Evaluated over the whole horizon, not lazily, and
+    in world order: which successor's error raises must not depend on set
+    order."""
+    witness = None
+    for u in model.ordered_successors(f.agent, world):
+        holds = table.get(u)
+        if holds is None:
+            try:
+                holds = table[u] = _walk(model, u, f.sub, env, None)
+            except CheckerError as exc:
+                table[u] = (type(exc), exc.args)  # no traceback, so no frames kept
+                table[succ] = u
+                raise
+        elif holds.__class__ is tuple:
+            table[succ] = u
+            raise holds[0](*holds[1])
+        if not holds and witness is None:
+            witness = u
+    table[succ] = witness
+    return witness
+
+
 def _outcomes(f: Know, model, env) -> dict:
-    """f's table {successor world: outcome of f.sub} for (model, env): True,
-    False, or the CheckerError the walk raised, as (class, args).  The model
+    """f's table for (model, env): {successor world: outcome of f.sub}, True,
+    False, or the CheckerError the walk raised, as (class, args), and
+    {successor set: the successor that decides f, or None}.  The model
     is held weakly, and env by identity and by a snapshot of its items, so a
     table made for another model or env, or for env before a change, is
     replaced by an empty one."""

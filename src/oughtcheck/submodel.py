@@ -19,26 +19,19 @@ for all three.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from .errors import IsolatedRoot
 from .kripke import GradedKripkeModel, world_id
 
 
-def _reach(model: GradedKripkeModel, root, agent: Optional[str]):
-    """Worlds reachable from root by ≥1 step along `agent`'s relation
-    (or along the union of all relations when agent is None)."""
-    agents = (agent,) if agent is not None else model.agents
+def _reach(model: GradedKripkeModel, root):
+    """Worlds reachable from root by ≥1 step along the union of all agents'
+    relations."""
     seen = set()
-    frontier = deque()
-    for a in agents:
-        for u in model.successors(a, root):
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
+    frontier = deque([root])
     while frontier:
         w = frontier.popleft()
-        for a in agents:
+        for a in model.agents:
             for u in model.successors(a, w):
                 if u not in seen:
                     seen.add(u)
@@ -53,9 +46,17 @@ def _restrict(model: GradedKripkeModel, root, domain, agent_filter):
         worlds.append(root)
     eval_only = frozenset() if root_in else frozenset([root])
 
-    relations = {
-        a: {w: model.successors(a, w) & domain for w in worlds} for a in model.agents
-    }
+    relations = {}
+    for a in model.agents:
+        rel = model.relations[a]
+        cut = {}  # one intersection per distinct successor set
+        kept = relations[a] = {}
+        for w in worlds:
+            s = rel[w]
+            inside = cut.get(s)
+            if inside is None:
+                inside = cut[s] = s if s <= domain else s & domain
+            kept[w] = inside
 
     return GradedKripkeModel(
         agents=model.agents,
@@ -80,70 +81,50 @@ def generated_submodel(model: GradedKripkeModel, root) -> GradedKripkeModel:
 
 
 def _generated(model: GradedKripkeModel, root) -> GradedKripkeModel:
-    domain = _reach(model, root, None)
+    domain = _reach(model, root)
     if not domain:
         raise IsolatedRoot(f"nothing is reachable from {world_id(root)}")
     return _restrict(model, root, domain, None)
 
 
-def _representatives(model: GradedKripkeModel, agent: str) -> dict:
-    """Map every world to one world of its strongly connected component
-    under `agent`'s relation: Tarjan's algorithm (1972), with an explicit
-    stack so that long chains cannot overflow the interpreter's."""
-    model.successors(agent, model.worlds[0])  # an unknown agent raises here
-    rel = model.relations[agent]
-    index = {}
-    low = {}
-    rep = {}
-    pending = []
-    for start in model.worlds:
-        if start in index:
-            continue
-        index[start] = low[start] = len(index)
-        pending.append(start)
-        path = [(start, iter(rel[start]))]
-        while path:
-            w, succ = path[-1]
-            for u in succ:
-                if u not in index:
-                    index[u] = low[u] = len(index)
-                    pending.append(u)
-                    path.append((u, iter(rel[u])))
-                    break
-                if u not in rep and index[u] < low[w]:
-                    low[w] = index[u]  # u is still on the pending stack
-            else:
-                path.pop()
-                if path and low[w] < low[path[-1][0]]:
-                    low[path[-1][0]] = low[w]
-                if low[w] == index[w]:
-                    while True:
-                        u = pending.pop()
-                        rep[u] = w
-                        if u == w:
-                            break
-    return rep
-
-
 def horizon(model: GradedKripkeModel, root, agent: str) -> frozenset:
-    """What `agent` reaches from root in one or more steps.  An empty
-    horizon is an isolated root.
+    """What `agent` reaches from root in one or more steps: the closure of
+    root's successor set under the relation.  An empty successor set is an
+    isolated root.
 
-    Every world of a cycle reaches the same worlds, itself included, so the
-    horizon is memoized on the model per strongly connected component: the
-    worlds of an S5 cell or a KD45 cluster share one frozenset.  A world on
-    no cycle is its own component."""
+    The closure depends on the successor set only, so it is memoized per
+    set: the worlds of an S5 cell or a KD45 cluster, which share one set
+    object, share one horizon.  Each distinct set is expanded once, so a
+    cell costs a pass over its worlds, not over its edges.  A horizon is
+    closed, so it is its own closure: it is filed under itself too, and
+    equal horizons of one agent are one object."""
     model.require_world(root)
-    rep = model.memo(("components", agent), _representatives, model, agent)[root]
-    return model.memo(("horizon", agent, rep), _horizon_of, model, rep, agent)
+    succ = model.successors(agent, root)
+    if not succ:
+        raise IsolatedRoot(f"agent {agent!r} reaches nothing from {world_id(root)}")
+    return model.memo(("horizon", agent, succ), _closure, model, succ, agent)
 
 
-def _horizon_of(model: GradedKripkeModel, rep, agent: str) -> frozenset:
-    reach = frozenset(_reach(model, rep, agent))
-    if not reach:
-        # a world that reaches nothing is on no cycle: rep is the root itself
-        raise IsolatedRoot(f"agent {agent!r} reaches nothing from {world_id(rep)}")
-    return reach
+def _closure(model: GradedKripkeModel, succ: frozenset, agent: str) -> frozenset:
+    rel = model.relations[agent]
+    reach = set(succ)
+    expanded = {succ}
+    frontier = list(succ)
+    while frontier:
+        s = rel[frontier.pop()]
+        if s not in expanded:
+            expanded.add(s)
+            new = s - reach
+            reach |= new
+            frontier.extend(new)
+    if len(reach) == len(succ):
+        return succ  # closed already: an S5 cell, a KD45 cluster
+    closed = frozenset(reach)
+    return model.memo(("horizon", agent, closed), _itself, closed)
+
+
+def _itself(x):
+    return x
 
 
 def agent_submodel(model: GradedKripkeModel, root, agent: str) -> GradedKripkeModel:

@@ -1,8 +1,11 @@
 """End-to-end command-line checks, run in process."""
 
 import argparse
+import io
 import json
+import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,47 @@ def test_check_global(capsys, scenario_docs):
     assert code == 0 and "globally: holds" in out
     code, out, _ = run(capsys, "check", "--model", mp, "--formula", "false", "--global")
     assert code == 1 and "globally: fails" in out
+
+
+def test_check_global_explain_shows_the_first_failing_world(capsys, scenario_docs):
+    # A holds at A10, A9 and A0 and fails at B10, B9 and B0 (world order)
+    mp, _ = scenario_docs["miners"]
+    code, out, _ = run(capsys, "check", "--model", mp, "--formula", "A", "--global", "--explain")
+    assert code == 1
+    assert out.splitlines() == ["A globally: fails", "- atom: A @ B10"]
+    code, out, _ = run(
+        capsys, "check", "--model", mp, "--formula", "A", "--global", "--explain", "--json",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["holds"] is False and doc["world"] == "B10"
+    assert doc["explanation"] == {"formula": "A", "holds": False, "world": "B10", "clause": "atom"}
+
+
+def test_check_global_explain_of_a_knowledge_formula(capsys, scenario_docs):
+    mp, _ = scenario_docs["miners"]
+    code, out, _ = run(
+        capsys, "check", "--model", mp, "--formula", "K{i} !B", "--global", "--explain",
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        "K{i} !B globally: fails",
+        "- knowledge: K{i} !B @ A10",
+        "  note: fails at successor B10",
+        "  - negation: !B @ B10",
+        "    + atom: B @ B10",
+    ]
+
+
+def test_check_global_explain_of_a_formula_that_holds(capsys, scenario_docs):
+    mp, _ = scenario_docs["miners"]
+    code, out, _ = run(capsys, "check", "--model", mp, "--formula", "!(A & B)", "--global", "--explain")
+    assert code == 0 and out.splitlines() == ["!(A & B) globally: holds"]
+    code, out, _ = run(
+        capsys, "check", "--model", mp, "--formula", "!(A & B)", "--global", "--explain", "--json",
+    )
+    assert code == 0
+    assert json.loads(out) == {"formula": "!(A & B)", "global": True, "holds": True}
 
 
 def test_check_at_and_global_are_alternatives(capsys, scenario_docs):
@@ -397,3 +441,30 @@ def test_unreadable_documents_are_bad_input(capsys, tmp_path):
         code, _, err = run(capsys, "check", "--model", path, "--formula", "p")
         assert code == 2
         assert err.startswith("error: cannot read")
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_ends_the_output_quietly(capsys, monkeypatch, tmp_path):
+    sink = tmp_path / "stdout"
+    fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = cli.main(["axioms", "--trials", "2", "--seed", "2026", "--json"])
+        os.write(fd, b"after")  # stdout's descriptor now points at the null device
+    finally:
+        os.close(fd)
+    assert code == 141
+    assert capsys.readouterr().err == ""
+    assert sink.read_bytes() == b""

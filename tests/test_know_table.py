@@ -244,3 +244,70 @@ def test_copies_carry_no_table():
             assert twin.right.sub._outcomes is None
     assert copy.deepcopy(f).right.sub is not inner
     assert pickle.loads(pickle.dumps(ExpAtom("i", (("U", "go"),)))) == ExpAtom("i", (("U", "go"),))
+
+
+def _cell(n):
+    """n worlds in one S5 cell of i: every world has the same successor set.
+    p holds at w0 and w1 only, and U.go is available where p holds."""
+    worlds = [f"w{k}" for k in range(n)]
+    m = GradedKripkeModel(
+        ["i"], ["p"], worlds, {"i": {w: set(worlds) for w in worlds}},
+        {w: {"p"} if w in ("w0", "w1") else set() for w in worlds}, {w: 0 for w in worlds},
+        frame="S5",
+    )
+    return m, {"U": DecisionPoint("U", "i", ("go", "stay"), {"go": Atom("p"), "stay": TRUE})}
+
+
+def _counting_ordered(monkeypatch):
+    calls = []
+    ordered = GradedKripkeModel.ordered_successors
+
+    def counted(self, agent, world):
+        calls.append(world)
+        return ordered(self, agent, world)
+
+    monkeypatch.setattr(GradedKripkeModel, "ordered_successors", counted)
+    return calls
+
+
+@pytest.mark.parametrize("body", [Atom("p"), Not(Atom("p"))], ids=["fails", "holds"])
+def test_a_cell_runs_the_knowledge_loop_once(body, monkeypatch):
+    m, env = _cell(12)
+    f = Know("i", body)
+    calls = _counting_ordered(monkeypatch)
+    verdicts = [evaluate_plain(m, w, f, env) for w in m.worlds]
+    assert calls == ["w0"]  # the other 11 worlds read the set's outcome
+    assert verdicts == [o_eval(omodel(m), w, f, env) for w in m.worlds]
+    calls.clear()
+    told = [evaluate(m, w, f, env) for w in m.worlds]
+    assert calls == []  # the explained walk reads the same entry
+    assert [v.holds for v in told] == verdicts
+
+
+def test_an_error_read_per_set_is_the_cold_walks_error(monkeypatch):
+    # e{i; U.go} is undefined at w2, the first successor where go is not
+    # available: every world of the cell raises that error
+    m, env = _cell(5)
+    f = Know("i", ExpAtom("i", (("U", "go"),)))
+    calls = _counting_ordered(monkeypatch)
+    for w in m.worlds:
+        warm = _outcome(lambda: evaluate_plain(m, w, f, env))
+        cold = copy.deepcopy(f)
+        assert warm == _outcome(lambda: evaluate_plain(m, w, cold, env))
+        assert warm == ("UnknownProductWorld", "w2 does not survive U.go")
+        told = copy.deepcopy(f)
+        assert _outcome(lambda: evaluate(m, w, told, env)) == warm
+        assert _outcome(lambda: evaluate(m, w, f, env)) == warm
+    # each deep copy ran the loop once, cold, at its world; the shared node
+    # ran it once, at w0, and raised from its per-set entry everywhere else
+    assert calls == ["w0"] + [w for w in m.worlds for _ in range(2)]
+
+
+def test_a_warm_witness_trail_is_the_cold_one():
+    m, env = _cell(6)
+    f = Know("i", Know("i", Atom("p")))
+    warm = [evaluate(m, w, f, env) for w in m.worlds]
+    for w, told in zip(m.worlds, warm):
+        cold = evaluate(m, w, copy.deepcopy(f), env)
+        assert told.pretty() == cold.pretty()
+        assert not told.holds and told.note == "fails at successor w0"

@@ -1,6 +1,7 @@
 """Model construction, world keys, and frame-class checking."""
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from oughtcheck.errors import UnknownAgent, UnknownWorld, ValidationError
 from oughtcheck.kripke import (
@@ -128,6 +129,115 @@ def test_frame_violations_exempt_eval_only_roots():
         root="u",
     )
     assert frame_violations(m) == []
+
+
+def _per_world_violations(m):
+    """frame_violations' list, world by world and edge by edge."""
+    problems = []
+    core = m.domain_worlds()
+    for a in m.agents:
+        succ = m.relations[a]
+        if m.frame in ("KD45", "S5"):
+            for w in core:
+                if not succ[w]:
+                    problems.append(f"{a!r} is not serial at {world_id(w)}")
+            for w in core:
+                for u in succ[w]:
+                    if not succ[u] <= succ[w]:
+                        problems.append(f"{a!r} is not transitive at {world_id(w)} -> {world_id(u)}")
+                        break
+            for w in core:
+                for u in succ[w]:
+                    if not succ[w] <= succ[u]:
+                        problems.append(f"{a!r} is not euclidean at {world_id(w)} -> {world_id(u)}")
+                        break
+        if m.frame == "S5":
+            for w in core:
+                if w not in succ[w]:
+                    problems.append(f"{a!r} is not reflexive at {world_id(w)}")
+    return problems
+
+
+def _first_relation_error(agents, worlds, relations, eval_only):
+    """_basic_check's message for the relations, found world by world."""
+    for a in agents:
+        for w in worlds:
+            succ = set(relations[a].get(w, ()))
+            if succ - set(worlds):
+                return f"relation for {a!r} leaves the domain at {w}"
+            if succ & eval_only:
+                return f"relation for {a!r} enters an evaluation-only world at {w}"
+    return None
+
+
+@st.composite
+def _relations(draw):
+    """(frame, agents, worlds, relations): each agent's relation starts as a
+    partition into cells, whose worlds share a set, and some worlds' sets are
+    replaced by random ones, so most relations break their frame."""
+    n = draw(st.integers(2, 6))
+    worlds = [f"w{k}" for k in range(n)]
+    agents = ["a", "b"][: draw(st.integers(1, 2))]
+    relations = {}
+    for a in agents:
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        noise = draw(st.lists(
+            st.one_of(st.none(), st.none(), st.sets(st.sampled_from(worlds))),
+            min_size=n, max_size=n,
+        ))
+        relations[a] = {
+            w: set(extra) if extra is not None else {u for u, l in zip(worlds, labels) if l == label}
+            for w, label, extra in zip(worlds, labels, noise)
+        }
+    return draw(st.sampled_from(["S5", "KD45"])), agents, worlds, relations
+
+
+_frame_fuzz = settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck))
+
+
+@_frame_fuzz
+@given(_relations(), st.data())
+def test_per_set_frame_check_matches_the_per_world_one(drawn, data):
+    frame, agents, worlds, relations = drawn
+    eval_only = data.draw(st.sets(st.sampled_from(worlds), max_size=1))
+    for rel in relations.values():  # no edge may enter an evaluation-only world
+        for w in worlds:
+            rel[w] -= eval_only
+    m = GradedKripkeModel(
+        agents, [], worlds, relations, {w: () for w in worlds}, {w: 0 for w in worlds},
+        frame=frame, eval_only=eval_only,
+    )
+    assert frame_violations(m) == _per_world_violations(m)
+
+
+@_frame_fuzz
+@given(_relations(), st.data())
+def test_a_bad_shared_set_is_named_at_its_first_world(drawn, data):
+    # a stray edge, or an edge into an evaluation-only world, put on a set
+    # several worlds share: the message names the first such world
+    frame, agents, worlds, relations = drawn
+    a = data.draw(st.sampled_from(agents))
+    rel = relations[a]
+    sharing = [w for w in worlds if sum(rel[u] == rel[w] for u in worlds) >= 2]
+    assume(sharing)
+    shared = rel[data.draw(st.sampled_from(sharing))]
+    holders = [w for w in worlds if rel[w] == shared]
+    eval_only = set()
+    if data.draw(st.booleans()):
+        bad = "zz"
+    else:
+        bad = data.draw(st.sampled_from(worlds))
+        eval_only = {bad}
+    for w in holders:
+        rel[w] = shared | {bad}
+    want = _first_relation_error(agents, worlds, relations, eval_only)
+    assert want is not None
+    with pytest.raises(ValidationError) as caught:
+        GradedKripkeModel(
+            agents, [], worlds, relations, {w: () for w in worlds}, {w: 0 for w in worlds},
+            frame=frame, eval_only=eval_only,
+        )
+    assert str(caught.value) == want
 
 
 def test_relations_are_frozen_copies():

@@ -691,9 +691,9 @@ def test_an_edge_into_an_evaluation_only_world_is_rejected():
             model_from_doc(dict(doc, eval_only=marked))
 
 
-def _five_cells():
-    """400 worlds in 5 S5 cells of agent i, and the sweep's decision point."""
-    worlds = [f"w{k}" for k in range(400)]
+def _five_cells(n=400):
+    """n worlds in 5 S5 cells of agent i, and the sweep's decision point."""
+    worlds = [f"w{k}" for k in range(n)]
     cells = [worlds[c::5] for c in range(5)]
     m = GradedKripkeModel(
         agents=["i"], atoms=["p", "q"], worlds=worlds,
@@ -736,33 +736,58 @@ def test_carriers_per_decision_point_do_not_grow_with_roots(monkeypatch):
 
 
 def test_sweep_derives_each_horizon_and_sum_once(monkeypatch):
-    # the sweep formula at every world of 5 S5 cells: one reach per cell on
-    # the base model and one per event clique in each carrier, one
+    # the sweep formula at every world of 5 S5 cells: one closure per cell
+    # on the base model and one per event clique in each carrier, one
     # desirability sum per distinct horizon
     m, cells, env = _five_cells()
     f = parse("O{i}(U.a | K{i} p) | O{i}(U.c | q)", env)
-    reaches, sums = Counter(), Counter()
-    reach, total = oughtcheck.submodel._reach, oughtcheck.expect._desirability_sum
+    closures, sums = Counter(), Counter()
+    closure, total = oughtcheck.submodel._closure, oughtcheck.expect._desirability_sum
 
-    def counting_reach(model, root, agent):
-        reaches[model] += 1
-        return reach(model, root, agent)
+    def counting_closure(model, succ, agent):
+        closures[model] += 1
+        return closure(model, succ, agent)
 
     def counting_sum(carrier, worlds):
         sums[carrier, worlds] += 1
         return total(carrier, worlds)
 
-    monkeypatch.setattr(oughtcheck.submodel, "_reach", counting_reach)
+    monkeypatch.setattr(oughtcheck.submodel, "_closure", counting_closure)
     monkeypatch.setattr(oughtcheck.expect, "_desirability_sum", counting_sum)
     verdicts = Counter(evaluate_plain(m, w, f, env) for w in m.worlds)
     assert verdicts[True] and verdicts[False]
-    assert reaches.pop(m) == 5
+    assert closures.pop(m) == 5
     # 5 carriers, each with one clique of instances per event a, b, c
-    assert sorted(reaches.values()) == [3] * 5
+    assert sorted(closures.values()) == [3] * 5
     assert set(sums.values()) == {1} and len(sums) == 15
     for cell in cells:
         assert len({id(m.successors("i", w)) for w in cell}) == 1
         assert len({id(m.valuation[w]) for w in cell}) == 2  # {p} and {q}
+
+
+def test_a_2000_world_sweep_passes_each_cell_once(monkeypatch):
+    # counts, not times: the base model's relation is closed once per cell,
+    # and K{i} runs its loop once per successor set it meets
+    m, cells, env = _five_cells(2000)
+    f = parse("O{i}(U.a | K{i} p) | O{i}(U.c | q)", env)
+    closures, loops = Counter(), Counter()
+    closure, ordered = oughtcheck.submodel._closure, GradedKripkeModel.ordered_successors
+
+    def counting_closure(model, succ, agent):
+        closures[model] += 1
+        return closure(model, succ, agent)
+
+    def counting_ordered(self, agent, world):
+        loops[self, self.successors(agent, world)] += 1
+        return ordered(self, agent, world)
+
+    monkeypatch.setattr(oughtcheck.submodel, "_closure", counting_closure)
+    monkeypatch.setattr(GradedKripkeModel, "ordered_successors", counting_ordered)
+    verdicts = Counter(evaluate_plain(m, w, f, env) for w in m.worlds)
+    assert verdicts[True] and verdicts[False]
+    assert closures[m] == 5
+    # K{i} p is read after U.a: one successor set per cell of the product
+    assert set(loops.values()) == {1} and len(loops) == 5
 
 
 def test_unknown_world_in_an_expectation_atom():

@@ -236,16 +236,19 @@ def test_a_very_long_chain_needs_no_deep_recursion():
 
 def test_an_isolated_root_is_not_memoized(monkeypatch):
     m = _line(3)
-    reaches = []
-    reach = oughtcheck.submodel._reach
+    closures = []
+    closure = oughtcheck.submodel._closure
 
-    def counting_reach(model, root, agent):
-        reaches.append(root)
-        return reach(model, root, agent)
+    def counting_closure(model, succ, agent):
+        closures.append(succ)
+        return closure(model, succ, agent)
 
-    monkeypatch.setattr(oughtcheck.submodel, "_reach", counting_reach)
+    monkeypatch.setattr(oughtcheck.submodel, "_closure", counting_closure)
     for _ in range(2):
         with pytest.raises(IsolatedRoot):
             horizon(m, "w2", "i")
         assert horizon(m, "w1", "i") == {"w2"}
-    assert reaches == ["w2", "w1", "w2"]
+    # w2's empty successor set raises before any closure and stores nothing;
+    # w1's set is closed once and then read from the memo
+    assert closures == [{"w2"}]
+    assert [key for key in m._cache if key[0] == "horizon"] == [("horizon", "i", {"w2"})]
