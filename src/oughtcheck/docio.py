@@ -74,6 +74,36 @@ def _is_pairs(value) -> bool:
     )
 
 
+def _adjacency(pairs: list, world_ids: List[str], known: set) -> Dict[str, set]:
+    """world -> set of successors, read in one pass over the pairs.  The
+    shape is checked once per pair type and membership once per world's
+    set; a list that fails either is read again pair by pair, so that the
+    error names its first bad pair."""
+    adj: Dict[str, set] = {w: set() for w in world_ids}
+    if all(issubclass(t, (list, tuple)) for t in set(map(type, pairs))):
+        try:
+            for w, u in pairs:
+                adj[w].add(u)
+        except (KeyError, TypeError, ValueError):
+            pass  # a pair of another length, or an unknown or unhashable id
+        else:
+            if all(s <= known for s in adj.values()):
+                return adj
+    return _adjacency_by_pair(pairs, world_ids, known)
+
+
+def _adjacency_by_pair(pairs: list, world_ids: List[str], known: set) -> Dict[str, set]:
+    adj: Dict[str, set] = {w: set() for w in world_ids}
+    for pair in pairs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ValidationError(f"relation pair {pair!r} is not a pair of world ids")
+        w, u = pair
+        if not (isinstance(w, str) and isinstance(u, str) and w in known and u in known):
+            raise UnknownWorld(f"relation pair {pair!r} mentions an unknown world")
+        adj[w].add(u)
+    return adj
+
+
 def model_from_doc(doc: Dict, strict_frame: bool = True) -> Tuple[GradedKripkeModel, Optional[str]]:
     """Build a model from a document; returns (model, designated point)."""
     _require(isinstance(doc, dict), "a model document is a JSON object")
@@ -111,15 +141,7 @@ def model_from_doc(doc: Dict, strict_frame: bool = True) -> Tuple[GradedKripkeMo
         if agent not in doc["agents"]:
             raise UnknownAgent(f"relation for undeclared agent {agent!r}")
         _require(isinstance(pairs, list), f"relation of {agent!r} is a list of pairs")
-        adj: Dict[str, set] = {w: set() for w in world_ids}
-        for pair in pairs:
-            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-                raise ValidationError(f"relation pair {pair!r} is not a pair of world ids")
-            w, u = pair
-            if not (isinstance(w, str) and isinstance(u, str) and w in known and u in known):
-                raise UnknownWorld(f"relation pair {pair!r} mentions an unknown world")
-            adj[w].add(u)
-        relations[agent] = adj
+        relations[agent] = _adjacency(pairs, world_ids, known)
     model = GradedKripkeModel(
         agents=doc["agents"],
         atoms=doc["atoms"],

@@ -49,11 +49,16 @@ def _expected_value(sub: GradedKripkeModel, agent: str) -> Fraction:
 def component_value(carrier: GradedKripkeModel, instance, agent: str) -> Fraction:
     """Expected desirability of the agent's action component of an instance:
     expected_value(agent_submodel(carrier, instance, agent)), read straight
-    off the carrier (memoized on it) instead of building that submodel —
-    the desirability summed over the instance's horizon, over its successor
-    count.  Instances that share a horizon share its sum."""
-    key = ("value", instance, agent)
-    return carrier.memo(key, _component_value, carrier, instance, agent)
+    off the carrier instead of building that submodel — the desirability
+    summed over the instance's horizon, over its successor count.  Both
+    depend on the instance's successor set only, so the value is memoized
+    per set; instances that share a horizon share its sum."""
+    try:
+        succ = carrier.relations[agent][instance]
+    except KeyError:  # an unknown world is named before an unknown agent
+        carrier.require_world(instance)
+        succ = carrier.successors(agent, instance)
+    return carrier.memo(("value", agent, succ), _component_value, carrier, instance, agent)
 
 
 def _component_value(carrier: GradedKripkeModel, instance, agent: str) -> Fraction:
@@ -107,17 +112,24 @@ def _rival_bound(carrier: GradedKripkeModel, instance, agent: str):
 
 
 def _compare_rivals(carrier: GradedKripkeModel, instance, agent: str):
+    """Rivals with one successor set have one value, so each distinct set is
+    valued and compared once; a rival whose set came earlier still counts
+    as compared."""
     best = error = None
     compared = 0
+    seen = set()
     for rival in rival_instances(carrier, instance):
         try:
-            value = component_value(carrier, rival, agent)
+            succ = carrier.successors(agent, rival)
+            if succ not in seen:
+                value = component_value(carrier, rival, agent)
+                seen.add(succ)
+                if best is None or best < value:
+                    best = value
         except CheckerError as exc:
             error = (type(exc), exc.args)  # no traceback, so no frames kept
             break
         compared += 1
-        if best is None or best < value:
-            best = value
     return best, error, compared
 
 

@@ -417,17 +417,18 @@ def _check_obligation_rules(rng, model, env, report: SuiteReport):
                             )
                         _compare_all(report, sub, w, tails[ev2], env, where)
                 o_form = Ought(i, st, phi)
+                k_form = Know(i, o_form)  # one node, so one outcome table for both checks
                 k_res = report.result("K-O")
                 try:
                     g1 = holds_globally(sub, o_form, env)
-                    g2 = holds_globally(sub, Know(i, o_form), env)
+                    g2 = holds_globally(sub, k_form, env)
                     k_res.record(g1 == g2, f"{sub.root} {dp.id}.{ev}")
                 except CheckerError:
                     k_res.record_error()
                 for w in sub.worlds:
                     _compare(
                         report.result("K-O-pointwise"),
-                        sub, w, o_form, Know(i, o_form), env,
+                        sub, w, o_form, k_form, env,
                         f"{sub.root}->{w} {dp.id}.{ev}",
                     )
 

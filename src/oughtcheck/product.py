@@ -38,40 +38,42 @@ def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
 
     env = action.env
     keys = action.event_keys
-    survives = {}
-    for w in model.worlds:
-        for key in keys:
-            if evaluate_plain(model, w, action.pre_formula(key), env):
-                survives.setdefault(w, []).append(key)
-
-    # each surviving key once: (base, event key) -> product world
-    images = {
-        w: [(key, extend_world(w, key)) for key in w_keys] for w, w_keys in survives.items()
-    }
+    pres = [(key, action.pre_formula(key)) for key in keys]
+    # one pass over the worlds, in world order: each surviving (world, event
+    # key) becomes a product world inheriting the world's facts and value
+    images = {}  # world -> [(event key, product world)]
     worlds = []
     eval_only = set()
+    valuation = {}
+    desirability = {}
     for w in model.worlds:
-        for _, pw in images.get(w, ()):
+        w_images = [
+            (key, extend_world(w, key)) for key, pre in pres if evaluate_plain(model, w, pre, env)
+        ]
+        if not w_images:
+            continue
+        images[w] = w_images
+        val, value = model.valuation[w], model.desirability[w]
+        for _, pw in w_images:
             worlds.append(pw)
-            if w in model.eval_only:
-                eval_only.add(pw)
-    if all(pw in eval_only for pw in worlds):
+            valuation[pw] = val
+            desirability[pw] = value
+        if w in model.eval_only:
+            eval_only.update(pw for _, pw in w_images)
+    if len(eval_only) == len(worlds):
         raise EmptyProduct(
             f"no world of {model.name or 'the model'} satisfies any precondition "
             f"of {action.id!r}"
         )
 
-    agents = model.agents
-    relations = {a: {} for a in agents}
-    for a in agents:
+    relations = {}
+    for a in model.agents:
         related = {k1: {k2 for k2 in keys if action.q_related(a, k1, k2)} for k1 in keys}
-        rel = relations[a]
+        rel = relations[a] = {}
+        succ_of = model.relations[a]
         targets_of = {}  # (base successor set, event key) -> product successors
-        for w in model.worlds:
-            w_images = images.get(w)
-            if not w_images:
-                continue
-            succ_w = model.successors(a, w)
+        for w, w_images in images.items():
+            succ_w = succ_of[w]
             for key, pw in w_images:
                 memo_key = (id(succ_w), key)
                 targets = targets_of.get(memo_key)
@@ -82,15 +84,8 @@ def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
                     )
                 rel[pw] = targets
 
-    valuation = {}
-    desirability = {}
-    for w, w_images in images.items():
-        for _, pw in w_images:
-            valuation[pw] = model.valuation[w]
-            desirability[pw] = model.desirability[w]
-
     out = GradedKripkeModel(
-        agents=agents,
+        agents=model.agents,
         atoms=model.atoms,
         worlds=worlds,
         relations=relations,

@@ -19,6 +19,7 @@ import pytest
 from hostspeed import probes, scale
 from oracles import OracleError, o_product, omodel
 from oughtcheck.actions import DecisionPoint, compose_all, env_of
+from oughtcheck.docio import actions_from_doc, model_from_doc
 from oughtcheck.errors import (
     CheckerError,
     EmptyProduct,
@@ -485,6 +486,54 @@ def test_ac9_update_preservation_and_composition():
           f" two points equals running them in turn, and emptiness matches"
           f" brute force on 80 adversarial points ({empties} empty): PASS")
     assert instances >= 200
+
+
+# -- the cold path of a sweep stays linear --------------------------------------------
+
+# Scaled seconds to load a 2,000-world, 5-cell pair document (800,000 pairs)
+# and evaluate two obligations at every world: about 0.17 s measured, with
+# the headroom of the module's ten-second budget (about three times what
+# the module takes).
+COLD_PATH_BUDGET = 0.5
+
+
+def _cell_doc(worlds: int, cells: int) -> dict:
+    """S5 model document for agent i: `cells` equal cells given as pair
+    lists, p at every other world of a cell, q at every third, values 0..9."""
+    ids = [f"w{k}" for k in range(worlds)]
+    blocks = [ids[k::cells] for k in range(cells)]
+    return {
+        "agents": ["i"],
+        "atoms": ["p", "q"],
+        "frame": "S5",
+        "worlds": [
+            {"id": w, "true_atoms": ["p"] * (k % 2) + ["q"] * (k % 3 == 0), "value": k % 10}
+            for k, w in enumerate(ids)
+        ],
+        "relations": {"i": [[w, u] for block in blocks for w in block for u in block]},
+    }
+
+
+def test_cold_sweep_is_linear():
+    doc = _cell_doc(2000, 5)
+    points, _ = actions_from_doc({
+        "id": "U", "owner": "i",
+        "events": [{"name": "a", "pre": "p"}, {"name": "b", "pre": "q"}, {"name": "c", "pre": "true"}],
+    })
+    env = env_of(points)
+    f = parse("O{i}(U.a | K{i} p) | O{i}(U.c | q)", env)
+    start = probes(SPEED_PROBES)
+    t0 = time.perf_counter()
+    model, _ = model_from_doc(doc)
+    verdicts = [evaluate_plain(model, w, f, env) for w in model.worlds]
+    raw = time.perf_counter() - t0
+    elapsed = scale(raw, start + probes(SPEED_PROBES))
+    print(f"[COLD] 2,000-world pair document loaded and swept in {elapsed:.3f}s"
+          f" on the host-speed scale (< {COLD_PATH_BUDGET}s), {raw:.3f}s raw")
+    assert True in verdicts and False in verdicts
+    assert elapsed < COLD_PATH_BUDGET, (
+        f"loading and sweeping took {elapsed:.3f}s on the host-speed scale ({raw:.3f}s raw)"
+    )
 
 
 # -- the whole gate must stay fast ---------------------------------------------------

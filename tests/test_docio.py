@@ -1,6 +1,7 @@
 """JSON documents for models and decision points, plus DOT export."""
 
 import json
+from collections import namedtuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -392,3 +393,73 @@ def test_actions_loader_fuzz_raises_only_checker_errors(doc):
         actions_from_doc(doc)
     except CheckerError:
         pass
+
+
+# --- the per-pair relation reader that model_from_doc replaced, kept as a reference
+
+
+def _per_pair_adjacency(doc):
+    """Reference: agent -> world -> successor set, each pair checked in list
+    order; raises the first bad pair's error."""
+    known = {e["id"] for e in doc["worlds"]}
+    out = {}
+    for agent, pairs in doc["relations"].items():
+        adj = {w: set() for w in known}
+        for pair in pairs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValidationError(f"relation pair {pair!r} is not a pair of world ids")
+            w, u = pair
+            if not (isinstance(w, str) and isinstance(u, str) and w in known and u in known):
+                raise UnknownWorld(f"relation pair {pair!r} mentions an unknown world")
+            adj[w].add(u)
+        out[agent] = adj
+    return out
+
+
+Pair = namedtuple("Pair", "w u")
+
+
+class PairList(list):
+    pass
+
+
+# one-letter ids, so that a two-letter string or a two-key object unpacks
+# into two known ids and only the shape check rejects it
+_IDS = ["a", "b", "c"]
+_member = st.sampled_from(_IDS)
+_good_pair = st.tuples(_member, _member).flatmap(
+    lambda p: st.sampled_from([list(p), tuple(p), Pair(*p), PairList(p)])
+)
+_odd_member = st.sampled_from([0, 7, None, ["a"], "zz", ""])
+_bad_pair = st.one_of(
+    st.sampled_from(["ab", "ca", None, {"a": "b", "b": "c"}]),
+    st.lists(_member, min_size=1, max_size=1),
+    st.lists(_member, min_size=3, max_size=3),
+    st.tuples(_member, _odd_member).map(list),
+    st.tuples(_odd_member, _member).map(list),
+    st.tuples(_odd_member, _member),
+)
+_pair_list = st.one_of(
+    st.lists(_good_pair, max_size=8),
+    st.lists(st.one_of(_good_pair, _good_pair, _bad_pair), max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=list(HealthCheck))
+@given(st.fixed_dictionaries({"a": _pair_list, "b": _pair_list}))
+def test_relation_lists_load_as_the_per_pair_reader_does(relations):
+    doc = {
+        "agents": ["a", "b"], "atoms": [], "frame": "K",
+        "worlds": [{"id": w} for w in _IDS],
+        "relations": relations,
+    }
+    try:
+        want = _per_pair_adjacency(doc)
+    except CheckerError as exc:
+        with pytest.raises(type(exc)) as got:
+            model_from_doc(doc)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    model, _ = model_from_doc(doc)
+    for agent, adj in want.items():
+        assert {w: set(model.successors(agent, w)) for w in _IDS} == adj

@@ -311,3 +311,67 @@ def test_atoms_match_the_per_rival_walk(frame):
     assert outcomes[True] and outcomes[False]
     if frame == "K":
         assert outcomes["IsolatedRoot"]
+
+
+def _per_rival_report(carrier, instance, agent):
+    """Reference: atom_report by valuing every rival afresh, in world order,
+    up to the first undefined one; raises that rival's error when no rival
+    before it beats the instance."""
+
+    def value(w):
+        return expected_value(agent_submodel(carrier, w, agent), agent)
+
+    mine = value(instance)
+    compared, error = {}, None
+    for rival in _scanned_rivals(carrier, instance):
+        try:
+            compared[rival] = value(rival)
+        except CheckerError as exc:
+            error = exc
+            break
+    if any(mine < v for v in compared.values()):
+        return False, mine, compared
+    if error is not None:
+        raise error
+    return True, mine, compared
+
+
+def _described(call):
+    try:
+        return call()
+    except CheckerError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "values, c_successors, verdicts",
+    [
+        ([0, 6, 1, 2, 9], set(), {IsolatedRoot}),
+        ([4, 6, 0, 0, 1], set(), {False, IsolatedRoot}),
+        ([4, 6, 0, 0, 1], {"c"}, {False, True}),
+    ],
+)
+def test_rivals_compared_once_per_successor_set(values, c_successors, verdicts):
+    # the rivals (a..e, T.r) of an instance repeat one successor set at a, b
+    # and d, with c's empty set (an undefined value) between them, unless
+    # c sees itself
+    successors = {"a": {"a", "b"}, "b": {"a", "b"}, "c": c_successors, "d": {"a", "b"}, "e": {"e"}}
+    worlds = ["a", "b", "c", "d", "e"]
+    m = GradedKripkeModel(
+        agents=["i"], atoms=[], worlds=worlds, relations={"i": successors},
+        valuation={w: () for w in worlds}, desirability=dict(zip(worlds, values)),
+    )
+    pm = product(m, DecisionPoint("T", "i", ["l", "r"], {"l": TRUE, "r": TRUE}))
+    outcomes = set()
+    for inst in pm.worlds:
+        want = _described(lambda: _per_rival_report(pm, inst, "i"))
+        assert _described(lambda: atom_report(pm, inst, "i")) == want
+        assert _described(lambda: atom_holds(pm, inst, "i")) == (
+            want[0] if isinstance(want[0], bool) else want
+        )
+        outcomes.add(want[0])
+    assert outcomes == verdicts
+    stored = {key for key in pm._cache if key[0] == "value"}
+    sets = {pm.successors("i", w) for w in pm.worlds}
+    assert stored == {("value", "i", s) for s in sets if s}
+    assert len(stored) < len([w for w in pm.worlds if pm.successors("i", w)])
