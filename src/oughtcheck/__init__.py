@@ -50,6 +50,7 @@ from .formula import (
     Not,
     Ought,
     TRUE,
+    complexity,
     to_text,
     trace_text,
 )
@@ -57,7 +58,7 @@ from .generate import GenParams, gen_decision_point, gen_formula, gen_model, run
 from .kripke import GradedKripkeModel, frame_violations, world_id
 from .parser import parse
 from .product import apply_sequence, product
-from .reduce import Translation, complexity, translate
+from .reduce import Translation, translate
 from .scenarios import SCENARIO_NAMES, ScenarioReport, run_scenario
 from .semantics import Verdict, evaluate, evaluate_plain, holds_globally
 from .submodel import agent_submodel, generated_submodel

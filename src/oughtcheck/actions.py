@@ -23,7 +23,24 @@ from .formula import Formula, Trace, contains_ought, make_trace, pre_formula
 from .kripke import ReadOnly
 
 
-class DecisionPoint(ReadOnly):
+class _Action(ReadOnly):
+    """What a decision point and a composition share.  Every action-like
+    object exposes: event_keys, pre_formula, q_related, related, owner."""
+
+    def related(self, agent: str) -> Dict[Trace, frozenset]:
+        """Event key -> the event keys `agent` cannot tell apart from it, by
+        q_related; built once per agent, as every product by this action
+        reads it."""
+        table = self._related.get(agent)
+        if table is None:
+            keys = self.event_keys
+            table = self._related[agent] = {
+                k1: frozenset([k2 for k2 in keys if self.q_related(agent, k1, k2)]) for k1 in keys
+            }
+        return table
+
+
+class DecisionPoint(_Action):
     """A named decision point owned by one agent.
 
     events: ordered tuple of event names (at least two).
@@ -78,8 +95,7 @@ class DecisionPoint(ReadOnly):
         bind(self, "agents", agents)
         bind(self, "relations", MappingProxyType(relations_map))
         bind(self, "extra_edges", extra_edges)
-
-    # Every action-like object exposes: event_keys, pre_formula, q_related, owner.
+        bind(self, "_related", {})  # agent -> related(agent)
 
     @property
     def event_keys(self) -> Tuple[Trace, ...]:
@@ -102,7 +118,7 @@ class DecisionPoint(ReadOnly):
         return f"DecisionPoint({self.id!r}, owner={self.owner!r}, events={self.events})"
 
 
-class ComposedAction(ReadOnly):
+class ComposedAction(_Action):
     """The composition of two action-like objects (left applied first).
     Attributes cannot be rebound and env is a read-only mapping, as memoized
     products are keyed by compositions too."""
@@ -120,6 +136,7 @@ class ComposedAction(ReadOnly):
             ka + kb for ka in first.event_keys for kb in second.event_keys
         ))
         bind(self, "extra_edges", first.extra_edges or second.extra_edges)
+        bind(self, "_related", {})  # agent -> related(agent)
 
     def pre_formula(self, key: Trace) -> Formula:
         return pre_formula(key, self.env)

@@ -258,22 +258,106 @@ def subformulas(f: Formula):
 
 
 def complexity(f: Formula, env) -> int:
-    """Size measure used to certify that obligation rewrites shrink formulas.
-    A trace weighs c(pre(t)), which folds left over its steps:
-    c(pre(t ; s)) = (4 + c(pre(t))) * c(pre(s))."""
-    if isinstance(f, (Truth, Falsity, Atom, ExpAtom)):
-        return 1
-    if isinstance(f, Not):
-        return 1 + complexity(f.sub, env)
-    if isinstance(f, And):
-        return 1 + max(complexity(f.left, env), complexity(f.right, env))
-    if isinstance(f, Know):
-        return 1 + complexity(f.sub, env)
-    if isinstance(f, Diamond):
-        return (4 + complexity(pre_formula(f.steps, env), env)) * complexity(f.sub, env)
-    if isinstance(f, Ought):
-        return (5 + complexity(pre_formula(f.steps, env), env)) * complexity(f.body, env)
+    """Size measure used to certify that obligation rewrites shrink formulas:
+    1 for a leaf, 1 + c(phi) for !phi and K{i} phi, 1 + max of the two sides
+    for a conjunction, (4 + c(pre(t))) * c(phi) for <t> phi and
+    (5 + c(pre(t))) * c(phi) for O{i}(t | phi).  A trace weighs c(pre(t)),
+    which folds left over its steps: c(pre(t ; s)) = (4 + c(pre(t))) * c(pre(s)).
+    Any nesting depth is fine."""
+    return _Measure(env).of(f)
+
+
+# how _Measure reads each node class; a subclass reads as the class it extends
+_LEAF, _UNARY, _AND, _DIAMOND, _OUGHT = range(1, 6)
+_KIND = {
+    Truth: _LEAF, Falsity: _LEAF, Atom: _LEAF, ExpAtom: _LEAF,
+    Not: _UNARY, Know: _UNARY, And: _AND, Diamond: _DIAMOND, Ought: _OUGHT,
+}
+# a leaf weighs 1 wherever it is met, so it is neither pushed nor stored
+_LEAVES = frozenset(cls for cls, kind in _KIND.items() if kind == _LEAF)
+
+
+def _inherited_kind(f) -> int:
+    for cls in type(f).__mro__:
+        if cls in _KIND:
+            return _KIND[cls]
     raise TypeError(f"not a formula: {f!r}")
+
+
+class _Measure:
+    """`complexity` in one env: `of(f)` is c(f), each node measured once.
+    An inner node's value is remembered by id, and the node is kept alive
+    so that no other node can take its id; a trace's weight c(pre(t)) is
+    remembered per trace.  The walk is post-order on its own stack and
+    pushes only children not yet measured."""
+
+    __slots__ = ("env", "_value", "_kept", "_weight")
+
+    def __init__(self, env):
+        self.env = env
+        self._value = {}  # id(node) -> c(node)
+        self._kept = []  # every node in _value
+        self._weight = {}  # trace -> c(pre(trace))
+
+    def of(self, f: Formula) -> int:
+        value = self._value
+        c = value.get(id(f))
+        if c is not None:
+            return c
+        env, kept, weight = self.env, self._kept, self._weight
+        stack = [f]
+        while stack:
+            g = stack[-1]
+            gid = id(g)
+            if gid in value:  # pushed twice before it was measured
+                stack.pop()
+                continue
+            kind = _KIND.get(g.__class__) or _inherited_kind(g)
+            if kind == _AND:
+                left, right = g.left, g.right
+                lc = 1 if left.__class__ in _LEAVES else value.get(id(left))
+                rc = 1 if right.__class__ in _LEAVES else value.get(id(right))
+                if lc is None or rc is None:
+                    if rc is None:
+                        stack.append(right)
+                    if lc is None:
+                        stack.append(left)
+                    continue
+                c = 1 + (lc if lc >= rc else rc)
+            elif kind == _UNARY:
+                sub = g.sub
+                c = 1 if sub.__class__ in _LEAVES else value.get(id(sub))
+                if c is None:
+                    stack.append(sub)
+                    continue
+                c += 1
+            elif kind == _LEAF:
+                c = 1
+            else:
+                # the trace is weighed before the body, so an unknown step
+                # raises before anything under it is read; like pre_formula,
+                # c(pre(t)) resolves the last step first
+                w = weight.get(g.steps)
+                if w is None:
+                    pres = [pre_of(env, d, e) for d, e in reversed(g.steps)]
+                    cs = [1 if p.__class__ in _LEAVES else value.get(id(p)) for p in pres]
+                    if None in cs:  # the first step's precondition goes on top
+                        stack.extend([p for p, pc in zip(pres, cs) if pc is None])
+                        continue
+                    w = cs[-1]
+                    for pc in reversed(cs[:-1]):
+                        w = (4 + w) * pc
+                    weight[g.steps] = w
+                body = g.sub if kind == _DIAMOND else g.body
+                c = 1 if body.__class__ in _LEAVES else value.get(id(body))
+                if c is None:
+                    stack.append(body)
+                    continue
+                c *= (4 if kind == _DIAMOND else 5) + w
+            value[gid] = c
+            kept.append(g)
+            stack.pop()
+        return value[id(f)]
 
 
 def contains_ought(f: Formula) -> bool:

@@ -68,7 +68,7 @@ def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
 
     relations = {}
     for a in model.agents:
-        related = {k1: {k2 for k2 in keys if action.q_related(a, k1, k2)} for k1 in keys}
+        related = action.related(a)
         rel = relations[a] = {}
         succ_of = model.relations[a]
         targets_of = {}  # (base successor set, event key) -> product successors

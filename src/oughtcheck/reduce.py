@@ -50,9 +50,9 @@ from .formula import (
     Not,
     Ought,
     Truth,
+    _Measure,
     big_and,
     check_owner,
-    complexity,
     point_of,
     pre_formula,
     pre_of,
@@ -111,6 +111,7 @@ class _Rewriter:
         self.mode = mode
         self.budget = budget
         self.steps: List[RewriteStep] = []
+        self.measure = _Measure(env).of
 
     def log(self, rule: str, before: Formula, after: Formula):
         if len(self.steps) >= self.budget:
@@ -118,12 +119,7 @@ class _Rewriter:
                 "rewriting exceeded its step budget; this is a bug, not an input error"
             )
         self.steps.append(
-            RewriteStep(
-                rule,
-                complexity(before, self.env),
-                complexity(after, self.env),
-                isinstance(before, Ought),
-            )
+            RewriteStep(rule, self.measure(before), self.measure(after), isinstance(before, Ought))
         )
 
     def rec(self, f: Formula) -> Formula:
@@ -147,25 +143,27 @@ class _Rewriter:
     # -- after-run diamonds ----------------------------------------------------
 
     def diamond(self, f: Diamond):
-        steps, body = f.steps, f.sub
-        pre = pre_formula(steps, self.env)
+        steps, body, env = f.steps, f.sub, self.env
         if isinstance(body, (Atom, Truth, Falsity)):
-            return "D-atom", And(pre, body)
+            return "D-atom", And(pre_formula(steps, env), body)
         if isinstance(body, ExpAtom):
-            return "D-e", And(pre, ExpAtom(body.agent, steps + body.steps))
+            return "D-e", And(pre_formula(steps, env), ExpAtom(body.agent, steps + body.steps))
         if isinstance(body, Not):
-            return "D-neg", And(pre, Not(Diamond(steps, body.sub)))
-        if isinstance(body, And):
-            return "D-and", And(Diamond(steps, body.left), Diamond(steps, body.right))
+            return "D-neg", And(pre_formula(steps, env), Not(Diamond(steps, body.sub)))
         if isinstance(body, Know):
-            owner = point_of(self.env, steps[-1][0]).owner
+            pre = pre_formula(steps, env)
+            owner = point_of(env, steps[-1][0]).owner
             if self.mode == "literal" and body.agent == owner:
                 return "D-K-drop", And(pre, body)
             boxes = [
                 Know(body.agent, Box(alt, body.sub))
-                for alt in q_event_alternatives(steps, body.agent, self.env)
+                for alt in q_event_alternatives(steps, body.agent, env)
             ]
             return "D-K", And(pre, big_and(boxes))
+        # the clauses below need no pre(t), but an unknown final step raises first
+        pre_of(env, *steps[-1])
+        if isinstance(body, And):
+            return "D-and", And(Diamond(steps, body.left), Diamond(steps, body.right))
         if isinstance(body, Diamond):
             return "D-chain", Diamond(steps + body.steps, body.sub)
         if isinstance(body, Ought):
@@ -176,29 +174,31 @@ class _Rewriter:
     # -- obligations -------------------------------------------------------------
 
     def ought(self, f: Ought):
-        i, steps, body = f.agent, f.steps, f.body
-        check_owner(self.env, i, steps, "obligation")
-        pre = pre_formula(steps, self.env)
-        e_self = ExpAtom(i, steps)
+        i, steps, body, env = f.agent, f.steps, f.body, self.env
+        check_owner(env, i, steps, "obligation")
         if isinstance(body, (Atom, Truth, Falsity)):
-            return "R1", And(And(pre, body), e_self)
+            return "R1", And(And(pre_formula(steps, env), body), ExpAtom(i, steps))
         if isinstance(body, ExpAtom):
-            return "O-e", And(And(pre, ExpAtom(body.agent, steps + body.steps)), e_self)
+            pre = pre_formula(steps, env)
+            return "O-e", And(And(pre, ExpAtom(body.agent, steps + body.steps)), ExpAtom(i, steps))
         if isinstance(body, Not):
+            pre = pre_formula(steps, env)
             if self.mode == "literal":
                 return "R3", And(pre, Not(Ought(i, steps, body.sub)))
-            return "R3+e", And(And(pre, Not(Ought(i, steps, body.sub))), e_self)
+            return "R3+e", And(And(pre, Not(Ought(i, steps, body.sub))), ExpAtom(i, steps))
+        # the clauses below need no pre(t), but an unknown final event raises first
+        pre_of(env, *steps[-1])
         if isinstance(body, And):
             return "R2", And(Ought(i, steps, body.left), Ought(i, steps, body.right))
         if isinstance(body, Know) and body.agent == i and self.mode == "literal":
             return "R4", Know(i, Ought(i, steps, body.sub))
         if isinstance(body, Diamond):
-            return "R5", And(Diamond(steps + body.steps, body.sub), e_self)
+            return "R5", And(Diamond(steps + body.steps, body.sub), ExpAtom(i, steps))
         if isinstance(body, Ought) and body.agent == i:
-            return "R6", And(Ought(i, steps + body.steps, body.body), e_self)
+            return "R6", And(Ought(i, steps + body.steps, body.body), ExpAtom(i, steps))
         if isinstance(body, (Know, Ought)):  # through the run
             rule = "O-K" if body.agent == i else "O-X"
-            return rule, And(Diamond(steps, body), e_self)
+            return rule, And(Diamond(steps, body), ExpAtom(i, steps))
         raise TypeError(f"not a formula: {body!r}")
 
 

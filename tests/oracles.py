@@ -35,6 +35,7 @@ from oughtcheck.formula import (
     Not,
     Ought,
     Truth,
+    pre_formula,
 )
 
 
@@ -264,4 +265,22 @@ def o_eval(om, w, f, env):
         if not o_eval(om, w, Diamond(f.steps, f.body), env):
             return False
         return _o_route(om, w, f.agent, f.steps, env)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def o_complexity(f, env):
+    """The rewrite certificate's measure, recursive and unmemoised, with
+    c(pre(t)) measured on the formula pre_formula builds."""
+    if isinstance(f, (Truth, Falsity, Atom, ExpAtom)):
+        return 1
+    if isinstance(f, Not):
+        return 1 + o_complexity(f.sub, env)
+    if isinstance(f, And):
+        return 1 + max(o_complexity(f.left, env), o_complexity(f.right, env))
+    if isinstance(f, Know):
+        return 1 + o_complexity(f.sub, env)
+    if isinstance(f, Diamond):
+        return (4 + o_complexity(pre_formula(f.steps, env), env)) * o_complexity(f.sub, env)
+    if isinstance(f, Ought):
+        return (5 + o_complexity(pre_formula(f.steps, env), env)) * o_complexity(f.body, env)
     raise TypeError(f"not a formula: {f!r}")

@@ -277,3 +277,19 @@ def test_edges_match_the_per_edge_loop(frame):
                 assert pm.relations[a] == want[a]
         done += 1
     assert extra > 20
+
+
+def test_event_relatedness_is_tabled_once_per_action_and_agent(line_model, pick, monkeypatch):
+    """Every product by one action reads the same table per agent: a second
+    build, on another model, asks q_related nothing more.  An agent the
+    action does not mention can only tell an event from itself."""
+    calls = []
+    q_related = DecisionPoint.q_related
+    monkeypatch.setattr(
+        DecisionPoint, "q_related", lambda self, *args: calls.append(args) or q_related(self, *args)
+    )
+    product(line_model, pick)
+    assert len(calls) == len(line_model.agents) * len(pick.events) ** 2
+    product(agent_submodel(line_model, "w0", "y"), pick)
+    assert len(calls) == len(line_model.agents) * len(pick.events) ** 2
+    assert pick.related("z") == {key: frozenset([key]) for key in pick.event_keys}
