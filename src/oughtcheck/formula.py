@@ -32,9 +32,25 @@ Step = Tuple[str, str]
 Trace = Tuple[Step, ...]
 
 
+def _is_normal(steps) -> bool:
+    """steps is already what make_trace returns: a tuple of (str, str) pairs."""
+    if steps.__class__ is not tuple:
+        return False
+    for step in steps:
+        if (
+            step.__class__ is not tuple
+            or len(step) != 2
+            or step[0].__class__ is not str
+            or step[1].__class__ is not str
+        ):
+            return False
+    return True
+
+
 def make_trace(steps) -> Trace:
-    """Normalize and validate a trace: one choice per decision point, in order."""
-    trace = tuple([(str(d), str(e)) for d, e in steps])
+    """Normalize and validate a trace: one choice per decision point, in order.
+    A trace already normal is kept as it is; every trace is validated."""
+    trace = steps if _is_normal(steps) else tuple([(str(d), str(e)) for d, e in steps])
     if not trace:
         raise ValidationError("a trace needs at least one step")
     return check_adjacency(trace)

@@ -202,36 +202,49 @@ def gen_formula(
     ban threads through negation, conjunction, and knowledge — which leave
     the context's trace alone — and resets under each emitted step.
     """
-    agents = list(model.agents)
-    points = list(env.values())
+    draw = _Draw(rng, list(model.agents), list(model.atoms), list(env.values()))
+    return draw.formula(depth, allow_ought, banned_dp)
 
-    def usable(banned: Optional[str]) -> List[DecisionPoint]:
-        return [d for d in points if d.id != banned]
 
-    def leaf(banned: Optional[str]) -> Formula:
+class _Draw:
+    """gen_formula's recursion.  A method rather than a nested function
+    that names itself: that closure would be a reference cycle holding the
+    model until the cyclic collector runs."""
+
+    __slots__ = ("rng", "agents", "atoms", "points")
+
+    def __init__(self, rng, agents, atoms, points):
+        self.rng, self.agents, self.atoms, self.points = rng, agents, atoms, points
+
+    def usable(self, banned: Optional[str]) -> List[DecisionPoint]:
+        return [d for d in self.points if d.id != banned]
+
+    def leaf(self, banned: Optional[str]) -> Formula:
+        rng = self.rng
         r = rng.random()
-        cands = usable(banned)
+        cands = self.usable(banned)
         if r < 0.55 or not cands:
-            return Atom(rng.choice(list(model.atoms)))
+            return Atom(rng.choice(self.atoms))
         if r < 0.65:
             return TRUE
         if r < 0.75:
-            return Not(Atom(rng.choice(list(model.atoms))))
+            return Not(Atom(rng.choice(self.atoms)))
         dp = rng.choice(cands)
         ev = rng.choice(list(dp.events))
         return ExpAtom(dp.owner, ((dp.id, ev),))
 
-    def rec(d: int, oughts: bool, banned: Optional[str]) -> Formula:
+    def formula(self, d: int, oughts: bool, banned: Optional[str]) -> Formula:
         if d <= 0:
-            return leaf(banned)
+            return self.leaf(banned)
+        rng, rec = self.rng, self.formula
         r = rng.random()
-        cands = usable(banned)
+        cands = self.usable(banned)
         if r < 0.2:
             return Not(rec(d - 1, oughts, banned))
         if r < 0.45:
             return And(rec(d - 1, oughts, banned), rec(d - 1, oughts, banned))
         if r < 0.65:
-            return Know(rng.choice(agents), rec(d - 1, oughts, banned))
+            return Know(rng.choice(self.agents), rec(d - 1, oughts, banned))
         if r < 0.85 and cands:
             dp = rng.choice(cands)
             st = ((dp.id, rng.choice(list(dp.events))),)
@@ -240,9 +253,7 @@ def gen_formula(
             dp = rng.choice(cands)
             st = ((dp.id, rng.choice(list(dp.events))),)
             return Ought(dp.owner, st, rec(d - 1, oughts, dp.id))
-        return leaf(banned)
-
-    return rec(depth, allow_ought, banned_dp)
+        return self.leaf(banned)
 
 
 # -- the suite ------------------------------------------------------------------

@@ -12,6 +12,13 @@ Diamond rewrites follow the usual structural argument of update logics and
 are logged uncertified.  A step budget guards against bugs: exceeding it
 raises NonTermination, which no well-formed input should ever do.
 
+The certificate costs nothing until it is read.  The log keeps each step's
+two sides; the first read of any weight (or of `certified`) measures every
+step, in log order, with one `formula._Measure` over the env as it was
+during the translation, then keeps only the integers.  That read cannot
+raise: the measure resolves the steps of the runs it weighs, and the
+rewriter has resolved every one of them before `translate` returns.
+
 One corner is inexpressible rather than wrong: an after-run diamond whose
 body is an expectation atom for the very run just taken (the atom refers to
 the landed world's own trace).  Rewriting it would need a trace that chains
@@ -61,16 +68,64 @@ from .formula import (
 MODES = ("standard", "literal")
 
 
-@dataclass
+class _Certificate:
+    """One translation's step weights, measured on first read.  Until then
+    it holds each logged step's (before, after) nodes and a snapshot of the
+    env, so a later change to the env changes no weight; `settle` measures
+    them all with one `_Measure` and lets go of the nodes and the env."""
+
+    __slots__ = ("env", "sides", "weights")
+
+    def __init__(self, env):
+        self.env = dict(env)
+        self.sides = []  # (before, after) per logged step
+        self.weights = None  # (c(before), c(after)) per step, once settled
+
+    def settle(self):
+        if self.weights is None:
+            measure = _Measure(self.env).of
+            self.weights = [(measure(before), measure(after)) for before, after in self.sides]
+            self.env = self.sides = None
+        return self.weights
+
+
 class RewriteStep:
-    rule: str
-    c_before: int
-    c_after: int
-    obligation_step: bool
+    """One logged rewrite: its rule, whether it rewrote an obligation, and
+    the complexity of its two sides, c_before and c_after."""
+
+    __slots__ = ("rule", "obligation_step", "_certificate", "_index")
+
+    def __init__(self, rule: str, obligation_step: bool, certificate: _Certificate, index: int):
+        self.rule = rule
+        self.obligation_step = obligation_step
+        self._certificate = certificate
+        self._index = index
+
+    @property
+    def c_before(self) -> int:
+        return self._certificate.settle()[self._index][0]
+
+    @property
+    def c_after(self) -> int:
+        return self._certificate.settle()[self._index][1]
 
     @property
     def decreasing(self) -> bool:
-        return self.c_after < self.c_before
+        c_before, c_after = self._certificate.settle()[self._index]
+        return c_after < c_before
+
+    def _fields(self):
+        return self.rule, self.c_before, self.c_after, self.obligation_step
+
+    def __eq__(self, other):
+        if not isinstance(other, RewriteStep):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "RewriteStep(rule={!r}, c_before={!r}, c_after={!r}, obligation_step={!r})".format(
+            *self._fields()
+        )
 
 
 @dataclass
@@ -111,16 +166,19 @@ class _Rewriter:
         self.mode = mode
         self.budget = budget
         self.steps: List[RewriteStep] = []
-        self.measure = _Measure(env).of
+        self.certificate = None  # made at the first logged step
 
     def log(self, rule: str, before: Formula, after: Formula):
-        if len(self.steps) >= self.budget:
+        n = len(self.steps)
+        if n >= self.budget:
             raise NonTermination(
                 "rewriting exceeded its step budget; this is a bug, not an input error"
             )
-        self.steps.append(
-            RewriteStep(rule, self.measure(before), self.measure(after), isinstance(before, Ought))
-        )
+        certificate = self.certificate
+        if certificate is None:
+            certificate = self.certificate = _Certificate(self.env)
+        certificate.sides.append((before, after))
+        self.steps.append(RewriteStep(rule, isinstance(before, Ought), certificate, n))
 
     def rec(self, f: Formula) -> Formula:
         while isinstance(f, (Ought, Diamond)):

@@ -307,6 +307,33 @@ def test_translate_json(capsys, scenario_docs):
     assert all(s["decreasing"] for s in doc["steps"] if s["obligation_step"])
 
 
+def test_translate_trace_pins_readme_headline(capsys, scenario_docs):
+    """README's "Translating obligations away" example, step for step."""
+    _, ap = scenario_docs["allergy"]
+    headline = "O{b}(U.delta | O{a}(U2.beta | K{a} A))"
+    code, out, _ = run(
+        capsys, "translate", "--actions", ap, "--formula", headline, "--json", "--trace"
+    )
+    assert code == 0
+    steps = json.loads(out)["steps"]
+    assert len(steps) == 19
+    assert [
+        (s["rule"], s["complexity_before"], s["complexity_after"], s["obligation_step"])
+        for s in steps[:3]
+    ] == [("O-X", 72, 61, True), ("O-K", 12, 11, True), ("D-K", 10, 13, False)]
+    code, _, err = run(capsys, "translate", "--actions", ap, "--formula", headline, "--trace")
+    assert code == 0
+    opening = [
+        "  [O] O-X            c 72 -> 61 [ok]",
+        "  [O] O-K            c 12 -> 11 [ok]",
+        "  [-] D-K            c 10 -> 13 [ok]",
+    ]
+    assert err.splitlines()[:3] == opening
+    assert err.splitlines()[-1] == "  obligation steps certified: True"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert "\n".join(opening) in readme
+
+
 def test_axioms_small_run(capsys):
     code, out, _ = run(capsys, "axioms", "--trials", "20", "--seed", "11")
     assert code == 0

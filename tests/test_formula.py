@@ -51,6 +51,26 @@ def test_make_trace_rejects_empty_and_adjacent_repeats():
     assert t == (("U", "a"), ("V", "b"), ("U", "c"))
 
 
+def test_make_trace_keeps_a_normal_trace_and_still_validates_it():
+    normal = (("U", "a"), ("V", "b"))
+    assert make_trace(normal) is normal
+    assert Diamond(normal, TRUE).steps is normal
+    for raw in ([["U", "a"], ["V", "b"]], [("U", "a"), ("V", "b")], (["U", "a"], ("V", "b"))):
+        t = make_trace(raw)
+        assert t == normal and all(type(step) is tuple for step in t)
+
+    class Name(str):
+        pass
+
+    t = make_trace(((Name("U"), 1),))
+    assert t == (("U", "1"),) and type(t[0][0]) is str
+    for bad in ((("U", "a"), ("U", "b")), ()):
+        with pytest.raises(ValidationError):
+            make_trace(bad)
+        with pytest.raises(ValidationError):
+            Ought("i", bad, TRUE)
+
+
 def test_trace_validation_applies_to_every_trace_carrier():
     for build in (
         lambda s: Diamond(s, TRUE),

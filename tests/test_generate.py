@@ -1,7 +1,9 @@
 """Random instance generation and the seeded validity suite."""
 
+import gc
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from oughtcheck.generate import (
     gen_model,
     run_axiom_suite,
 )
-from oughtcheck.kripke import frame_violations
+from oughtcheck.kripke import GradedKripkeModel, frame_violations
 from oughtcheck.reduce import _Rewriter, obligation_clause
 from oughtcheck.semantics import evaluate_plain
 
@@ -220,3 +222,24 @@ def test_a_broken_clause_shows_in_the_suite(monkeypatch):
 
     monkeypatch.setattr(_Rewriter, "ought", without_expectation)
     assert run_axiom_suite(30, 2026).axioms["R5"].counterexamples > 0
+
+
+def test_a_trial_frees_its_models_without_the_cyclic_collector(monkeypatch):
+    """Reference counting alone frees every model a trial builds, and with
+    it every product memoised on the model."""
+    built = []
+    init = GradedKripkeModel.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(GradedKripkeModel, "__init__", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        run_axiom_suite(1, 11)
+        alive = sum(ref() is not None for ref in built)
+    finally:
+        gc.enable()
+    assert len(built) > 1 and alive == 0

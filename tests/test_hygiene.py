@@ -1,5 +1,6 @@
 """Source hygiene: every module of the package uses each name it imports,
-and README names every kind of memo entry the package stores.
+README names every kind of memo entry the package stores, and no nested
+function names itself.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with `ast`.  An imported name counts as used when any `Name`
@@ -100,3 +101,45 @@ def test_the_memo_guard_reads_names_bound_to_keys():
         "    return m.memo(key, g) + m.memo(('other',), g)\n"
     )
     assert memo_kinds(source) == {"kind", "other"}
+
+
+def self_naming_closures(source: str):
+    """(name, line) of each function defined inside another function that
+    names itself.  Its name lives in a closure cell that refers back to the
+    function, so every call of the outer function leaves a reference cycle,
+    and whatever the closure holds (a model, say) stays alive until the
+    cyclic collector runs.  Make such a recursion a module-level function
+    or a method instead, passing in what it closed over."""
+    found = set()
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(
+                isinstance(node, ast.Name) and node.id == inner.name
+                for stmt in inner.body
+                for node in ast.walk(stmt)
+            ):
+                found.add((inner.name, inner.lineno))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_nested_function_names_itself(path):
+    assert self_naming_closures(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_closure_guard_sees_self_naming():
+    source = (
+        "def f(model):\n"
+        "    def rec(d):\n"
+        "        return model if d == 0 else rec(d - 1)\n"
+        "    def leaf():\n"
+        "        return model\n"
+        "    return rec(3), leaf()\n"
+        "def g(n):\n"
+        "    return g(n - 1) if n else 0\n"
+    )
+    assert self_naming_closures(source) == [("rec", 2)]

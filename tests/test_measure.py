@@ -164,4 +164,36 @@ def test_translation_measures_each_node_once(allergy_env, monkeypatch):
     monkeypatch.setattr(reduce, "_Measure", CountingMeasure)
     tr = reduce.translate(parse(HEADLINE, allergy_env), allergy_env)
     assert len(tr.steps) == 19
+    for s in tr.steps:
+        s.c_before, s.c_after
     assert stores and max(stores.values()) == 1
+
+
+def test_the_certificate_is_measured_when_first_read(allergy_env, monkeypatch):
+    """A work gate, counted: translating stores no weight and builds no
+    measure; the first read builds one and measures every step with it;
+    `obligation_clause` never builds one."""
+    built = []
+
+    class CountingMeasure(_Measure):
+        __slots__ = ()
+
+        def __init__(self, env):
+            super().__init__(env)
+            built.append(self)
+
+    monkeypatch.setattr(reduce, "_Measure", CountingMeasure)
+    f = parse(HEADLINE, allergy_env)
+    tr = reduce.translate(f, allergy_env)
+    assert reduce.obligation_clause(f, allergy_env)[0] == "O-X"
+    assert len(tr.steps) == 19 and built == []
+    assert tr.steps[-1].c_after > 0
+    (measure,) = built
+    stored = len(measure._value)
+    assert stored > 0
+    assert [s.c_before for s in tr.steps][:3] == [72, 12, 10]
+    assert tr.certified and len(built) == 1 and len(measure._value) == stored
+    # the nodes, the env snapshot and the measure are let go once read
+    certificate = tr.steps[0]._certificate
+    assert certificate.sides is None and certificate.env is None
+    assert len(certificate.weights) == 19

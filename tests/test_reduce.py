@@ -12,6 +12,7 @@ from oughtcheck.errors import (
     ValidationError,
 )
 from oughtcheck.formula import (
+    And,
     Atom,
     Diamond,
     ExpAtom,
@@ -270,6 +271,81 @@ def test_unknown_step_of_a_run_raises_unknown_event(allergy, via, position, unkn
             complexity(f, env)
         else:
             evaluate_plain(model, "w1", f, env)
+
+
+def _nested(context, inner):
+    """inner under a body that the named rule rewrites first."""
+    beta = (("U2", "beta"),)
+    if context == "R2":
+        return Ought("a", beta, And(Atom("A"), inner))
+    if context == "R5":
+        return Ought("a", beta, inner)
+    if context == "R6":
+        return Ought("a", beta, Ought("a", (("U", "delta"), ("U2", "alpha")), inner))
+    if context == "D-and":
+        return Diamond(beta, And(Atom("A"), inner))
+    return Diamond(beta, Know("a", inner))  # D-K
+
+
+NESTING = ["R2", "R5", "R6", "D-and", "D-K"]
+
+
+@pytest.mark.parametrize("context", NESTING)
+def test_nesting_contexts_apply_their_rule(allergy, context):
+    _, env = allergy
+    tr = translate(_nested(context, Diamond((("U", "delta"), ("U2", "alpha")), Atom("A"))), env)
+    assert tr.steps[0].rule == context
+    assert tr.certified
+
+
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("unknown", ["point", "event"])
+@pytest.mark.parametrize("context", NESTING)
+def test_unknown_step_nested_in_a_body_raises_unknown_event(allergy, context, unknown, position):
+    """`translate` itself raises, not a later read of its certificate."""
+    _, env = allergy
+    steps = [("U", "delta"), ("U2", "alpha")]
+    dp_id = steps[position][0]
+    steps[position] = ("X", "a") if unknown == "point" else (dp_id, "zz")
+    f = _nested(context, Diamond(tuple(steps), Atom("A")))
+    with pytest.raises(UnknownEvent):
+        translate(f, env)
+    with pytest.raises(UnknownEvent):
+        complexity(f, env)
+
+
+CERTIFIED_TEXTS = [
+    "O{b}(U.delta | O{a}(U2.beta | K{a} A))",
+    "O{b}(U.delta | !A)",
+    "O{b}(U.gamma | <U2.alpha> d)",
+    "K{b} <U.delta> O{a}(U2.beta | K{a} A)",
+    "<U.delta> <U2.alpha> p",
+    "O{b}(U.delta | (A & !A))",
+]
+
+
+@pytest.mark.parametrize("mode", ["standard", "literal"])
+def test_weights_read_late_are_those_of_the_translation(allergy, mode):
+    """Reading a finished translation's weights never raises, and changing
+    the env after `translate` changes none of them."""
+    _, env = allergy
+    heavier = DecisionPoint(
+        "U", "b", ("gamma", "delta"), {"gamma": TRUE, "delta": parse("(A & !d)")}
+    )
+
+    def log(tr):
+        return [(s.rule, s.c_before, s.c_after, s.obligation_step) for s in tr.steps]
+
+    for text in CERTIFIED_TEXTS:
+        f = parse(text, env)
+        want = log(translate(f, env, mode))
+        mine = dict(env)
+        tr = translate(f, mine, mode)
+        mine["U"] = heavier
+        del mine["U2"]
+        assert tr.certified, text
+        assert log(tr) == want
+        assert all(s.decreasing for s in tr.obligation_steps)
 
 
 def test_unknown_mode(allergy):
