@@ -30,7 +30,6 @@ from .errors import (
     NonTermination,
     NoSuccessors,
     ParseError,
-    TraceLeak,
     UnknownAgent,
     UnknownEvent,
     UnknownProductWorld,
@@ -80,7 +79,7 @@ __all__ = [
     "ExpAtom", "Formula", "GenParams", "GradedKripkeModel", "InternalError",
     "IsolatedRoot", "Know", "NonTermination", "NoSuccessors", "Not",
     "Ought", "ParseError", "SCENARIO_NAMES", "ScenarioReport", "TRUE",
-    "TraceLeak", "Translation", "UnknownAgent", "UnknownEvent",
+    "Translation", "UnknownAgent", "UnknownEvent",
     "UnknownProductWorld", "UnknownWorld", "Unsatisfiable",
     "ValidationError", "Verdict", "actions_from_doc", "actions_to_doc",
     "agent_submodel", "apply_sequence", "complexity", "component_value",

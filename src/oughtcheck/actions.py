@@ -18,8 +18,10 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Dict, Tuple
 
-from .errors import ValidationError, OughtInPrecondition, UnknownAgent, UnknownEvent
-from .formula import Formula, Trace, contains_ought, make_trace, pre_formula
+from .errors import (
+    CyclicPrecondition, OughtInPrecondition, UnknownAgent, UnknownEvent, ValidationError,
+)
+from .formula import Diamond, ExpAtom, Formula, Ought, Trace, make_trace, pre_formula, subformulas
 from .kripke import ReadOnly
 
 
@@ -44,7 +46,8 @@ class DecisionPoint(_Action):
     """A named decision point owned by one agent.
 
     events: ordered tuple of event names (at least two).
-    pre: event name -> precondition Formula (obligation-free).
+    pre: event name -> precondition Formula (obligation-free, and naming
+    no step of this point: CyclicPrecondition otherwise).
     relations: agent -> set of (event, event) pairs; the identity is always
     included.  `extra_edges` records whether anything beyond it was given.
     A relation for an agent outside `agents` (and the owner) raises
@@ -63,8 +66,12 @@ class DecisionPoint(_Action):
         for ev in events:
             if ev not in pre:
                 raise ValidationError(f"event {ev!r} of {dp_id!r} has no precondition")
-            if contains_ought(pre[ev]):
-                raise OughtInPrecondition(f"precondition of {dp_id}.{ev} contains an obligation")
+            where = f"precondition of {dp_id}.{ev}"
+            for g in subformulas(pre[ev]):
+                if isinstance(g, Ought):
+                    raise OughtInPrecondition(f"{where} contains an obligation")
+                if isinstance(g, (Diamond, ExpAtom)) and any(d == dp_id for d, _ in g.steps):
+                    raise CyclicPrecondition(f"{where} names its own decision point")
         agents = tuple(agents) if agents is not None else (owner,)
         if owner not in agents:
             agents = agents + (owner,)
@@ -149,10 +156,6 @@ class ComposedAction(_Action):
 
     def __repr__(self):
         return f"ComposedAction({self.id!r})"
-
-
-def compose(first, second) -> ComposedAction:
-    return ComposedAction(first, second)
 
 
 def compose_all(actions) -> object:

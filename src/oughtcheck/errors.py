@@ -66,9 +66,19 @@ class InternalError(CheckerError):
     """An invariant of this package failed; not a user error."""
 
 
-class TraceLeak(InternalError):
-    """A product world carries a trace that does not match its construction."""
-
-
 class NonTermination(InternalError):
     """The rewriting engine exceeded its step budget."""
+
+
+class Stored:
+    """What a memo keeps of a CheckerError to raise it again: its class and
+    args, without the traceback and so without the frames it holds."""
+
+    __slots__ = ("cls", "args")
+
+    def __init__(self, exc: CheckerError):
+        self.cls = type(exc)
+        self.args = exc.args
+
+    def rebuild(self) -> CheckerError:
+        return self.cls(*self.args)

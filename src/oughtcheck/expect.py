@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CheckerError, NoDecisionContext, NoSuccessors
+from .errors import CheckerError, NoDecisionContext, NoSuccessors, Stored
 from .kripke import GradedKripkeModel, trace_of, world_id
 from .submodel import horizon
 
@@ -39,11 +39,7 @@ def _expected_value(sub: GradedKripkeModel, agent: str) -> Fraction:
         raise NoSuccessors(
             f"agent {agent!r} has no successors of {world_id(sub.root)} here"
         )
-    total = 0
-    for w in sub.worlds:
-        if w not in sub.eval_only:
-            total += sub.desirability[w]
-    return Fraction(total, divisor)
+    return Fraction(_desirability_sum(sub, sub.domain_worlds()), divisor)
 
 
 def component_value(carrier: GradedKripkeModel, instance, agent: str) -> Fraction:
@@ -94,9 +90,9 @@ def rival_instances(carrier: GradedKripkeModel, instance):
 def _rival_groups(carrier: GradedKripkeModel) -> dict:
     """Surviving instances by (prefix, final decision point), in world order."""
     groups = {}
-    for w in carrier.worlds:
+    for w in carrier.domain_worlds():
         t = trace_of(w)
-        if t and w not in carrier.eval_only:
+        if t:
             groups.setdefault((t[:-1], t[-1][0]), []).append(w)
     return groups
 
@@ -104,8 +100,8 @@ def _rival_groups(carrier: GradedKripkeModel) -> dict:
 def _rival_bound(carrier: GradedKripkeModel, instance, agent: str):
     """What atom_holds compares against, shared by every instance with the
     same prefix and final step: the best rival value before the first rival
-    in world order whose value is undefined, that rival's error as
-    (class, args), and how many rivals were compared (error is None when
+    in world order whose value is undefined, that rival's error, stored,
+    and how many rivals were compared (error is None when
     every rival is defined; best is None when no rival comes first)."""
     key = ("bound", *_final_step(instance), agent)
     return carrier.memo(key, _compare_rivals, carrier, instance, agent)
@@ -127,7 +123,7 @@ def _compare_rivals(carrier: GradedKripkeModel, instance, agent: str):
                 if best is None or best < value:
                     best = value
         except CheckerError as exc:
-            error = (type(exc), exc.args)  # no traceback, so no frames kept
+            error = Stored(exc)
             break
         compared += 1
     return best, error, compared
@@ -150,7 +146,7 @@ def _atom_verdict(carrier: GradedKripkeModel, instance, agent: str) -> bool:
     if best is not None and mine < best:
         return False
     if error is not None:
-        raise error[0](*error[1])
+        raise error.rebuild()
     return True
 
 

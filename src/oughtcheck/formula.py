@@ -160,6 +160,19 @@ class Ought(Formula):
         object.__setattr__(self, "steps", make_trace(self.steps))
 
 
+_NODE_CLASSES = frozenset({Truth, Falsity, Atom, ExpAtom, Not, And, Know, Diamond, Ought})
+
+
+def node_class(f) -> type:
+    """The node class f's class is or derives from: tables keyed by node
+    class read a subclass as the class it extends.  TypeError for anything
+    that is not a formula."""
+    for cls in type(f).__mro__:
+        if cls in _NODE_CLASSES:
+            return cls
+    raise TypeError(f"not a formula: {f!r}")
+
+
 # --- derived forms -----------------------------------------------------------
 
 TRUE = Truth()
@@ -283,7 +296,7 @@ def complexity(f: Formula, env) -> int:
     return _Measure(env).of(f)
 
 
-# how _Measure reads each node class; a subclass reads as the class it extends
+# how _Measure reads each node class
 _LEAF, _UNARY, _AND, _DIAMOND, _OUGHT = range(1, 6)
 _KIND = {
     Truth: _LEAF, Falsity: _LEAF, Atom: _LEAF, ExpAtom: _LEAF,
@@ -291,13 +304,6 @@ _KIND = {
 }
 # a leaf weighs 1 wherever it is met, so it is neither pushed nor stored
 _LEAVES = frozenset(cls for cls, kind in _KIND.items() if kind == _LEAF)
-
-
-def _inherited_kind(f) -> int:
-    for cls in type(f).__mro__:
-        if cls in _KIND:
-            return _KIND[cls]
-    raise TypeError(f"not a formula: {f!r}")
 
 
 class _Measure:
@@ -328,7 +334,7 @@ class _Measure:
             if gid in value:  # pushed twice before it was measured
                 stack.pop()
                 continue
-            kind = _KIND.get(g.__class__) or _inherited_kind(g)
+            kind = _KIND.get(g.__class__) or _KIND[node_class(g)]
             if kind == _AND:
                 left, right = g.left, g.right
                 lc = 1 if left.__class__ in _LEAVES else value.get(id(left))

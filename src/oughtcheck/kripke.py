@@ -2,11 +2,14 @@
 
 Worlds are hashable keys.  Base models use strings; models produced by
 updates use (base_id, trace) pairs where the trace is a tuple of
-(decision_point, event) steps.  A model may carry a designated root (for
-submodels) and a set of evaluation-only worlds: retained roots that can be
-evaluated at but do not belong to the model's domain proper (they are
-excluded from expectation sums, rival sets, and global quantification).
-An evaluation-only world keeps its outgoing edges, and no edge enters one.
+(decision_point, event) steps.  trace_of states the rule: a key is an
+updated world's exactly when it is a pair whose second item is a non-empty
+tuple; any other key, (b, ()) included, is a base world's.  A model may
+carry a designated root (for submodels) and a set of evaluation-only
+worlds: retained roots that can be evaluated at but do not belong to the
+model's domain proper (they are excluded from expectation sums, rival sets,
+and global quantification).  An evaluation-only world keeps its outgoing
+edges, and no edge enters one.
 
 Desirability values are plain machine ints, bounded at load so sums can
 never silently overflow anything downstream.
@@ -27,21 +30,22 @@ EMPTY_TRACE: Tuple = ()
 
 
 def trace_of(world) -> Tuple:
-    """The update trace a world key carries; () for base worlds."""
-    if isinstance(world, tuple) and len(world) == 2 and isinstance(world[1], tuple):
+    """The update trace a world key carries: its second item when the key is
+    a pair whose second item is a non-empty tuple, else () for a base world."""
+    if isinstance(world, tuple) and len(world) == 2 and isinstance(world[1], tuple) and world[1]:
         return world[1]
     return EMPTY_TRACE
 
 
 def base_of(world):
-    if isinstance(world, tuple) and len(world) == 2 and isinstance(world[1], tuple):
-        return world[0]
-    return world
+    """The base world a key was updated from; a base world's key itself."""
+    return world[0] if trace_of(world) else world
 
 
 def extend_world(world, steps: Iterable[Tuple[str, str]]):
-    """Key of the world reached from `world` by running the given steps."""
-    if isinstance(world, tuple) and len(world) == 2 and isinstance(world[1], tuple):
+    """Key of the world reached from `world` by running the given steps; the
+    walker calls it at every step, so trace_of's test is inlined."""
+    if isinstance(world, tuple) and len(world) == 2 and isinstance(world[1], tuple) and world[1]:
         return (world[0], world[1] + tuple(steps))
     return (world, tuple(steps))
 
@@ -51,7 +55,7 @@ def world_id(world) -> str:
     trace = trace_of(world)
     if not trace:
         return str(world)
-    return f"{base_of(world)}@{trace_text(trace)}"
+    return f"{world[0]}@{trace_text(trace)}"
 
 
 class ReadOnly:

@@ -7,22 +7,23 @@ inherited — acting never changes the facts' value, only what is reachable.
 
 Worlds are ordered base-first, then by event order, which keeps every
 report deterministic.  Retained evaluation roots propagate: their images
-survive as evaluation-only worlds with outgoing edges only.
+survive as evaluation-only worlds with outgoing edges only.  A product
+world's key is extend_world of its parent's, so it is not checked again.
 """
 
 from __future__ import annotations
 
-from .errors import CheckerError, EmptyProduct, TraceLeak
-from .kripke import GradedKripkeModel, base_of, extend_world, trace_of, world_id
+from .errors import CheckerError, EmptyProduct, Stored
+from .kripke import GradedKripkeModel, extend_world
 
 
 def product(model: GradedKripkeModel, action) -> GradedKripkeModel:
     """The update of `model` by `action` (memoized on the model).  An update
-    that raises a CheckerError is memoized as that error, as (class, args),
-    and raises it again on every later call."""
+    that raises a CheckerError is memoized as that error, stored, and raises
+    it again on every later call."""
     out = model.memo(("product", action), _update_or_error, model, action)
-    if out.__class__ is tuple:
-        raise out[0](*out[1])
+    if out.__class__ is Stored:
+        raise out.rebuild()
     return out
 
 
@@ -30,15 +31,14 @@ def _update_or_error(model: GradedKripkeModel, action):
     try:
         return _update(model, action)
     except CheckerError as exc:
-        return (type(exc), exc.args)  # no traceback, so no frames kept
+        return Stored(exc)
 
 
 def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
     from .semantics import evaluate_plain  # late import: semantics uses products
 
     env = action.env
-    keys = action.event_keys
-    pres = [(key, action.pre_formula(key)) for key in keys]
+    pres = [(key, action.pre_formula(key)) for key in action.event_keys]
     # one pass over the worlds, in world order: each surviving (world, event
     # key) becomes a product world inheriting the world's facts and value
     images = {}  # world -> [(event key, product world)]
@@ -84,7 +84,7 @@ def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
                     )
                 rel[pw] = targets
 
-    out = GradedKripkeModel(
+    return GradedKripkeModel(
         agents=model.agents,
         atoms=model.atoms,
         worlds=worlds,
@@ -95,23 +95,6 @@ def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
         eval_only=frozenset(eval_only),
         name=f"{model.name or 'model'}*{action.id}",
     )
-    _check_traces(model, out, keys[0])
-    return out
-
-
-def _check_traces(parent: GradedKripkeModel, child: GradedKripkeModel, sample_key):
-    """Internal invariant: every product world extends a parent world's trace
-    by exactly one event key of the applied action."""
-    step_len = len(sample_key)
-    for pw in child.worlds:
-        base, trace = base_of(pw), trace_of(pw)
-        if len(trace) < step_len:
-            raise TraceLeak(f"product world {world_id(pw)} lost its trace")
-        parent_key = (base, trace[:-step_len]) if len(trace) > step_len else base
-        if not parent.has_world(parent_key):
-            raise TraceLeak(
-                f"product world {world_id(pw)} does not extend a parent world"
-            )
 
 
 def apply_sequence(model: GradedKripkeModel, actions) -> GradedKripkeModel:

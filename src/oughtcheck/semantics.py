@@ -9,7 +9,8 @@ evaluate_plain runs it for a bare verdict and evaluate runs it with a trail,
 the list that receives each node's Verdict; the two paths differ only in
 whether a node is recorded, so they give the same verdict, or raise the same
 error, on every input.  The walker dispatches by node type through one table
-of clauses, one per node class.
+of clauses, one per node class; formula.node_class reads a subclass as the
+node class it extends.
 
 Conventions that matter and are easy to get wrong:
 
@@ -22,7 +23,7 @@ Conventions that matter and are easy to get wrong:
   erroring successor in world order.
 * Knowledge keeps its body's outcomes on the node.  Both paths store, for
   each successor world they walk a Know node's body at, the outcome:
-  True, False, or the CheckerError raised, as (class, args), raised again
+  True, False, or the CheckerError raised, as a stored error raised again
   on a later visit.  The verdict at a world depends only on its successor
   set, so the table also keeps one outcome per successor set: the
   successor that decides it (the first erroring one in world order, else
@@ -72,7 +73,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional
 
-from .errors import CheckerError, UnknownProductWorld, ValidationError
+from .errors import CheckerError, Stored, UnknownProductWorld, ValidationError
 from .expect import atom_holds, atom_report
 from .formula import (
     And,
@@ -87,6 +88,7 @@ from .formula import (
     Truth,
     check_adjacency,
     check_owner,
+    node_class,
     point_of,
     pre_of,
     to_text,
@@ -209,16 +211,8 @@ def _walk(model, world, f, env, rec) -> bool:
     try:
         clause = _CLAUSES[type(f)]
     except KeyError:
-        clause = _inherited_clause(f)
+        clause = _CLAUSES[node_class(f)]
     return clause(model, world, f, env, rec)
-
-
-def _inherited_clause(f):
-    """The clause of the nearest node class f's class derives from."""
-    for cls in type(f).__mro__:
-        if cls in _CLAUSES:
-            return _CLAUSES[cls]
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # One clause per node class.  Each body serves both paths: its children are
@@ -272,9 +266,8 @@ def _know(model, world, f, env, rec) -> bool:
     witness = table.get(succ, _UNSEEN)
     if witness is _UNSEEN:
         witness = _decide(model, world, f, env, table, succ)
-    elif witness is not None and table[witness].__class__ is tuple:
-        cls, args = table[witness]
-        raise cls(*args)
+    elif witness is not None and table[witness].__class__ is Stored:
+        raise table[witness].rebuild()
     if rec is None:
         return witness is None
     if witness is None:
@@ -298,12 +291,12 @@ def _decide(model, world, f, env, table, succ):
             try:
                 holds = table[u] = _walk(model, u, f.sub, env, None)
             except CheckerError as exc:
-                table[u] = (type(exc), exc.args)  # no traceback, so no frames kept
+                table[u] = Stored(exc)
                 table[succ] = u
                 raise
-        elif holds.__class__ is tuple:
+        elif holds.__class__ is Stored:
             table[succ] = u
-            raise holds[0](*holds[1])
+            raise holds.rebuild()
         if not holds and witness is None:
             witness = u
     table[succ] = witness
@@ -312,7 +305,7 @@ def _decide(model, world, f, env, table, succ):
 
 def _outcomes(f: Know, model, env) -> dict:
     """f's table for (model, env): {successor world: outcome of f.sub}, True,
-    False, or the CheckerError the walk raised, as (class, args), and
+    False, or the CheckerError the walk raised, stored, and
     {successor set: the successor that decides f, or None}.  The model
     is held weakly, and env by identity and by a snapshot of its items, so a
     table made for another model or env, or for env before a change, is

@@ -5,13 +5,18 @@ import pytest
 from oughtcheck.actions import (
     ComposedAction,
     DecisionPoint,
-    compose,
     compose_all,
     env_of,
     validate_decision_point,
 )
-from oughtcheck.errors import OughtInPrecondition, UnknownAgent, UnknownEvent, ValidationError
-from oughtcheck.formula import Atom, Diamond, Know, Not, Ought, TRUE
+from oughtcheck.errors import (
+    CyclicPrecondition,
+    OughtInPrecondition,
+    UnknownAgent,
+    UnknownEvent,
+    ValidationError,
+)
+from oughtcheck.formula import And, Atom, Diamond, ExpAtom, Know, Not, Ought, TRUE
 from oughtcheck.kripke import GradedKripkeModel
 from oughtcheck.product import product
 
@@ -100,7 +105,7 @@ def test_pre_formula_rejects_foreign_keys():
 def test_composition_flattens():
     u = _dp("U", "i", ("a", "b"), pre={"a": Atom("p"), "b": TRUE})
     v = _dp("V", "j", ("x", "y"), pre={"x": Atom("q"), "y": TRUE})
-    c = compose(u, v)
+    c = ComposedAction(u, v)
     assert c.id == "U;V"
     assert c.owner == "j"
     assert set(c.agents) == {"i", "j"}
@@ -119,7 +124,7 @@ def test_composition_flattens():
 def test_composition_relations_are_pairwise():
     u = _dp("U", "i", ("a", "b"))
     v = _dp("V", "j", ("x", "y"), relations={"j": {("x", "y")}})
-    c = compose(u, v)
+    c = ComposedAction(u, v)
     k = lambda e1, e2: ((("U", e1), ("V", e2)))
     assert c.q_related("j", k("a", "x"), k("a", "y"))
     assert not c.q_related("j", k("a", "x"), k("b", "y"))
@@ -129,7 +134,7 @@ def test_composition_relations_are_pairwise():
 def test_no_back_to_back_composition_of_same_point():
     u = _dp("U")
     with pytest.raises(ValidationError):
-        compose(u, u)
+        ComposedAction(u, u)
     v = _dp("V")
     # U;V;U is fine: the occurrences are separated
     c = compose_all([u, v, u])
@@ -194,7 +199,7 @@ def test_a_composition_cannot_change_under_its_products():
     )
     u = _dp("U", "i", ("a", "b", "c"))
     v = _dp("V", "i", ("x", "y"), pre={"x": Atom("p"), "y": Atom("q")})
-    c = compose(u, v)
+    c = ComposedAction(u, v)
     updated = product(m, c)
     assert len(updated.worlds) == 6
     with pytest.raises(TypeError):
@@ -206,3 +211,38 @@ def test_a_composition_cannot_change_under_its_products():
             delattr(c, name)
     assert c.env["V"] is v and c.id == "U;V"
     assert product(m, c) is updated
+
+
+_SELF_NAMING = {
+    "diamond": Diamond((("U", "y"),), Atom("p")),
+    "expectation": ExpAtom("a", (("U", "y"),)),
+    "later-step": Diamond((("V", "x"), ("U", "y")), Atom("p")),
+}
+_CONTEXTS = {
+    "bare": lambda f: f,
+    "not": Not,
+    "and": lambda f: And(TRUE, f),
+    "know": lambda f: Know("a", f),
+}
+
+
+@pytest.mark.parametrize("context", _CONTEXTS, ids=str)
+@pytest.mark.parametrize("pre", _SELF_NAMING, ids=str)
+def test_a_precondition_naming_its_own_point_is_cyclic(pre, context):
+    v = DecisionPoint("V", "a", ["x", "y"], {"x": TRUE, "y": TRUE})
+    with pytest.raises(CyclicPrecondition, match=r"^precondition of U\.x "):
+        DecisionPoint(
+            "U", "a", ["x", "y"],
+            {"x": _CONTEXTS[context](_SELF_NAMING[pre]), "y": TRUE},
+            env={"V": v},
+        )
+
+
+def test_a_precondition_naming_an_earlier_point_builds():
+    v = DecisionPoint("V", "a", ["x", "y"], {"x": TRUE, "y": Atom("p")})
+    u = DecisionPoint(
+        "U", "a", ["x", "y"],
+        {"x": Know("a", Diamond((("V", "x"),), Atom("p"))), "y": Not(ExpAtom("a", (("V", "y"),)))},
+        env={"V": v},
+    )
+    assert u.env["V"] is v

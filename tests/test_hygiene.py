@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package uses each name it imports,
-README names every kind of memo entry the package stores, and no nested
-function names itself.
+README names every kind of memo entry the package stores, no nested
+function names itself, and the rules for stored errors and world keys are
+each written in one module only.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with `ast`.  An imported name counts as used when any `Name`
@@ -143,3 +144,79 @@ def test_the_closure_guard_sees_self_naming():
         "    return g(n - 1) if n else 0\n"
     )
     assert self_naming_closures(source) == [("rec", 2)]
+
+
+def args_reads(source: str):
+    """Lines that read an `.args` attribute: where an error is taken apart to
+    be stored by hand.  errors.Stored is the one place that does it."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "args"
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_errors_stores_an_error(path):
+    found = args_reads(path.read_text(encoding="utf-8"))
+    assert bool(found) == (path.name == "errors.py"), found
+
+
+def test_the_stored_error_guard_sees_a_hand_built_one():
+    source = (
+        "def f(model):\n"
+        "    try:\n"
+        "        return build(model)\n"
+        "    except CheckerError as exc:\n"
+        "        return (type(exc), exc.args)\n"
+        "def g(ns):\n"
+        "    return ns.arg\n"
+    )
+    assert args_reads(source) == [5]
+
+
+def key_shape_tests(source: str):
+    """Lines that test whether item 1 of something is a tuple, the test that
+    tells an updated world's key from a base world's: isinstance(x[1], tuple),
+    or x[1].__class__ / type(x[1]) compared with tuple.  kripke.trace_of
+    states that rule, and extend_world repeats its test inline."""
+    def item_one(node):
+        return isinstance(node, ast.Subscript) and getattr(node.slice, "value", None) == 1
+
+    def is_tuple(node):
+        return isinstance(node, ast.Name) and node.id == "tuple"
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            if len(node.args) == 2 and item_one(node.args[0]) and is_tuple(node.args[1]):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Compare) and any(map(is_tuple, node.comparators)):
+            left = node.left
+            if isinstance(left, ast.Attribute) and left.attr == "__class__":
+                left = left.value
+            elif isinstance(left, ast.Call) and getattr(left.func, "id", None) == "type":
+                left = left.args[0] if left.args else left
+            if item_one(left):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_kripke_tests_a_world_key_shape(path):
+    found = key_shape_tests(path.read_text(encoding="utf-8"))
+    assert bool(found) == (path.name == "kripke.py"), found
+
+
+def test_the_key_shape_guard_sees_each_spelling():
+    source = (
+        "def f(w, steps):\n"
+        "    if isinstance(w, tuple) and len(w) == 2 and isinstance(w[1], tuple):\n"
+        "        return w[1]\n"
+        "    if w[1].__class__ is tuple:\n"
+        "        return ()\n"
+        "    if type(w[1]) is not tuple:\n"
+        "        return ()\n"
+        "    return isinstance(w[0], tuple) or isinstance(steps, tuple)\n"
+    )
+    assert key_shape_tests(source) == [2, 4, 6]

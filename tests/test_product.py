@@ -6,7 +6,7 @@ from importlib import import_module
 import pytest
 
 from oracles import o_eval, o_product, omodel
-from oughtcheck.actions import DecisionPoint, compose
+from oughtcheck.actions import ComposedAction, DecisionPoint
 from oughtcheck.errors import EmptyProduct, IsolatedRoot, Unsatisfiable
 from oughtcheck.formula import Atom, Not, TRUE
 from oughtcheck.generate import GenParams, gen_decision_point, gen_model
@@ -261,7 +261,7 @@ def test_edges_match_the_per_edge_loop(frame):
         except Unsatisfiable:
             continue
         extra += u.extra_edges
-        cases = [(m, u), (m, compose(u, v))]
+        cases = [(m, u), (m, ComposedAction(u, v))]
         try:
             cases.append((agent_submodel(m, m.worlds[0], u.owner), u))
         except IsolatedRoot:

@@ -7,7 +7,7 @@ and composition all reach it and raise the same error class.
 
 import pytest
 
-from oughtcheck.actions import DecisionPoint, compose, env_of
+from oughtcheck.actions import ComposedAction, DecisionPoint, env_of
 from oughtcheck.docio import actions_from_doc, actions_to_doc
 from oughtcheck.errors import ParseError, UnknownEvent, ValidationError
 from oughtcheck.formula import (
@@ -72,7 +72,7 @@ ADJACENCY = {
     "relative e, evaluate": lambda m, pts, env: evaluate(
         *_after_delta(m, env), ExpAtom("b", G), env
     ),
-    "compose": lambda m, pts, env: compose(env["U"], env["U"]),
+    "compose": lambda m, pts, env: ComposedAction(env["U"], env["U"]),
     "actions_from_doc": lambda m, pts, env: actions_from_doc(
         _doc_with_pre(pts, "<U.delta;U.gamma> A")
     ),
