@@ -95,8 +95,10 @@ class DecisionPoint(_Action):
         bind(self, "id", dp_id)
         bind(self, "owner", owner)
         # resolution environment for decision points mentioned inside the
-        # preconditions (earlier declarations only); includes this point
-        bind(self, "env", MappingProxyType({**(env or {}), dp_id: self}))
+        # preconditions (earlier declarations only).  It leaves out this
+        # point, which no precondition of it can name: holding itself would
+        # make every point a reference cycle.
+        bind(self, "env", MappingProxyType(dict(env or {})))
         bind(self, "events", events)
         bind(self, "pre", MappingProxyType({ev: pre[ev] for ev in events}))
         bind(self, "agents", agents)
@@ -137,7 +139,12 @@ class ComposedAction(_Action):
         bind(self, "second", second)
         bind(self, "id", f"{first.id};{second.id}")
         bind(self, "owner", second.owner)
-        bind(self, "env", MappingProxyType({**first.env, **second.env}))
+        # its preconditions name the points it composes, so env holds them
+        env = {**first.env, **second.env}
+        for part in (first, second):
+            if isinstance(part, DecisionPoint):
+                env[part.id] = part
+        bind(self, "env", MappingProxyType(env))
         bind(self, "agents", tuple(dict.fromkeys(tuple(first.agents) + tuple(second.agents))))
         bind(self, "event_keys", tuple(
             ka + kb for ka in first.event_keys for kb in second.event_keys

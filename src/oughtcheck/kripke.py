@@ -80,6 +80,16 @@ class GradedKripkeModel(ReadOnly):
     per distinct set (valuations likewise).  Attributes cannot be rebound,
     and relations (outer and per agent), valuation and desirability are
     read-only mappings, so that what memo stores stays sound.
+
+    The constructor normalises what it is given: every valuation and
+    successor set becomes a frozenset shared per distinct set, and every
+    desirability an int.  `_derived=True` skips that step and binds the
+    mappings as given; only product and submodel pass it.  They derive
+    every model from one already built: their mappings are keyed by exactly
+    `worlds`, hold the parent's valuation objects and ints, hold successor
+    sets they have shared one object per distinct set, and are not touched
+    again once handed over.  So normalising them again would change
+    nothing.  The model check (_basic_check) runs on every model.
     """
 
     def __init__(
@@ -95,25 +105,22 @@ class GradedKripkeModel(ReadOnly):
         agent_filter: Optional[str] = None,
         eval_only: FrozenSet = frozenset(),
         name: Optional[str] = None,
+        *,
+        _derived: bool = False,
     ):
-        worlds = tuple(worlds)
-        # one frozenset object per distinct set: an S5 cell's worlds share
-        # their successor set, which also lets frame_violations skip them
-        shared: Dict = {}
-
-        def one(items) -> FrozenSet:
-            s = frozenset(items)
-            return shared.setdefault(s, s)
-
+        agents, worlds = tuple(agents), tuple(worlds)
+        if not _derived:
+            relations, valuation, desirability = _normalised(
+                agents, worlds, relations, valuation, desirability
+            )
         bind = object.__setattr__
-        bind(self, "agents", tuple(agents))
+        bind(self, "agents", agents)
         bind(self, "atoms", tuple(atoms))
         bind(self, "worlds", worlds)
-        bind(self, "valuation", MappingProxyType({w: one(valuation[w]) for w in worlds}))
-        bind(self, "desirability", MappingProxyType({w: int(desirability[w]) for w in worlds}))
+        bind(self, "valuation", MappingProxyType(valuation))
+        bind(self, "desirability", MappingProxyType(desirability))
         bind(self, "relations", MappingProxyType({
-            a: MappingProxyType({w: one(relations.get(a, {}).get(w, ())) for w in worlds})
-            for a in self.agents
+            a: MappingProxyType(relations[a]) for a in agents
         }))
         bind(self, "frame", frame)
         bind(self, "root", root)
@@ -179,6 +186,23 @@ class GradedKripkeModel(ReadOnly):
         for w in self.worlds:
             for u in self.ordered_successors(agent, w):
                 yield (w, u)
+
+
+def _normalised(agents, worlds, relations, valuation, desirability):
+    """(relations, valuation, desirability) restricted to `worlds`, with
+    frozen sets and int values.  Each distinct set is one object: an S5
+    cell's worlds share their successor set, which also lets frame_violations
+    skip them."""
+    shared: Dict = {}
+
+    def one(items) -> FrozenSet:
+        s = frozenset(items)
+        return shared.setdefault(s, s)
+
+    valuation = {w: one(valuation[w]) for w in worlds}
+    desirability = {w: int(desirability[w]) for w in worlds}
+    relations = {a: {w: one(relations.get(a, {}).get(w, ())) for w in worlds} for a in agents}
+    return relations, valuation, desirability
 
 
 def _index_of(worlds) -> Dict:

@@ -8,7 +8,9 @@ inherited — acting never changes the facts' value, only what is reachable.
 Worlds are ordered base-first, then by event order, which keeps every
 report deterministic.  Retained evaluation roots propagate: their images
 survive as evaluation-only worlds with outgoing edges only.  A product
-world's key is extend_world of its parent's, so it is not checked again.
+world's key is extend_world of its parent's, so it is not checked again,
+and its facts and value are its parent world's objects, so the model is
+built without normalising them again.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
         )
 
     relations = {}
+    shared = {}  # one object per distinct product successor set
     for a in model.agents:
         related = action.related(a)
         rel = relations[a] = {}
@@ -79,9 +82,10 @@ def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
                 targets = targets_of.get(memo_key)
                 if targets is None:
                     ok = related[key]
-                    targets = targets_of[memo_key] = frozenset(
+                    targets = frozenset(
                         [upw for u in succ_w for ukey, upw in images.get(u, ()) if ukey in ok]
                     )
+                    targets = targets_of[memo_key] = shared.setdefault(targets, targets)
                 rel[pw] = targets
 
     return GradedKripkeModel(
@@ -94,6 +98,7 @@ def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
         frame="K",
         eval_only=frozenset(eval_only),
         name=f"{model.name or 'model'}*{action.id}",
+        _derived=True,
     )
 
 

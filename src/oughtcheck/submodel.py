@@ -47,6 +47,7 @@ def _restrict(model: GradedKripkeModel, root, domain, agent_filter):
     eval_only = frozenset() if root_in else frozenset([root])
 
     relations = {}
+    shared = {}  # one object per distinct kept set
     for a in model.agents:
         rel = model.relations[a]
         cut = {}  # one intersection per distinct successor set
@@ -55,7 +56,8 @@ def _restrict(model: GradedKripkeModel, root, domain, agent_filter):
             s = rel[w]
             inside = cut.get(s)
             if inside is None:
-                inside = cut[s] = s if s <= domain else s & domain
+                inside = s if s <= domain else s & domain
+                inside = cut[s] = shared.setdefault(inside, inside)
             kept[w] = inside
 
     return GradedKripkeModel(
@@ -70,6 +72,7 @@ def _restrict(model: GradedKripkeModel, root, domain, agent_filter):
         agent_filter=agent_filter,
         eval_only=eval_only,
         name=f"{model.name or 'model'}|{agent_filter or '*'}@{world_id(root)}",
+        _derived=True,
     )
 
 

@@ -61,14 +61,17 @@ def omodel(m):
 
 
 def o_trace(w):
-    if isinstance(w, tuple) and len(w) == 2 and isinstance(w[1], tuple):
+    """An updated world's key is a pair whose second item is a non-empty
+    tuple, its trace; any other key, (b, ()) included, is a base world's."""
+    if isinstance(w, tuple) and len(w) == 2 and isinstance(w[1], tuple) and w[1]:
         return w[1]
     return ()
 
 
 def o_extend(w, step):
-    if isinstance(w, tuple) and len(w) == 2 and isinstance(w[1], tuple):
-        return (w[0], w[1] + (step,))
+    t = o_trace(w)
+    if t:
+        return (w[0], t + (step,))
     return (w, (step,))
 
 

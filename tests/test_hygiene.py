@@ -1,7 +1,8 @@
 """Source hygiene: every module of the package uses each name it imports,
 README names every kind of memo entry the package stores, no nested
-function names itself, and the rules for stored errors and world keys are
-each written in one module only.
+function names itself, the rules for stored errors and world keys are
+each written in one module only, and only product and submodel build a
+model without normalising its input.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with `ast`.  An imported name counts as used when any `Name`
@@ -220,3 +221,32 @@ def test_the_key_shape_guard_sees_each_spelling():
         "    return isinstance(w[0], tuple) or isinstance(steps, tuple)\n"
     )
     assert key_shape_tests(source) == [2, 4, 6]
+
+
+def derived_builds(source: str):
+    """Lines of calls that pass `_derived`, the keyword that makes
+    GradedKripkeModel bind its mappings without normalising them.  Only
+    product and submodel pass it, as they build from a model already
+    normalised; a module that reads outside input must not."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and any(k.arg == "_derived" for k in node.keywords)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_product_and_submodel_skip_normalising(path):
+    found = derived_builds(path.read_text(encoding="utf-8"))
+    assert bool(found) == (path.name in ("product.py", "submodel.py")), found
+
+
+def test_the_derived_guard_sees_a_derived_build():
+    source = (
+        "def f(doc):\n"
+        "    a = GradedKripkeModel(**doc, _derived=True)\n"
+        "    b = kripke.GradedKripkeModel(\n"
+        "        doc['agents'], _derived=flag)\n"
+        "    return g(derived=True), a, b\n"
+    )
+    assert derived_builds(source) == [2, 3]

@@ -1,6 +1,7 @@
 """The world-key rule: a key is an updated world's exactly when it is a pair
 whose second item is a non-empty tuple, and any other key is a base world's.
-trace_of states it; base_of, extend_world and the product follow it."""
+trace_of states it; base_of, extend_world, the product and the oracle follow
+it."""
 
 from collections import namedtuple
 
@@ -11,6 +12,8 @@ from oughtcheck.formula import Atom, Ought, TRUE
 from oughtcheck.kripke import GradedKripkeModel, base_of, extend_world, trace_of, world_id
 from oughtcheck.product import product
 from oughtcheck.semantics import evaluate, evaluate_plain
+
+from oracles import o_eval, o_extend, o_product, o_trace, omodel
 
 Pair = namedtuple("Pair", "base trace")
 
@@ -35,6 +38,8 @@ def test_extend_world_follows_the_rule_of_trace_of(key, steps):
     out = extend_world(key, steps)
     assert trace_of(out) == trace_of(key) + steps
     assert base_of(out) == base_of(key)
+    assert o_trace(key) == trace_of(key)
+    assert o_extend(key, steps[0]) == extend_world(key, steps[:1])
 
 
 def test_a_pair_with_an_empty_trace_is_a_base_key():
@@ -85,3 +90,16 @@ def test_an_obligation_at_a_base_world_keyed_with_an_empty_trace():
     values = v.children[-1].values
     assert values["instance"] == "('w', ())@U.x"
     assert values["rivals"] == {"v@U.y": 2}
+
+
+def test_the_oracle_agrees_at_a_base_world_keyed_with_an_empty_trace():
+    m = _empty_trace_model()
+    om = omodel(m)
+    pm, opm = product(m, U), o_product(om, U, ENV)
+    assert list(pm.worlds) == opm["order"]
+    for a in pm.agents:
+        assert {(w, u) for w, u in pm.pairs(a)} == opm["rel"][a]
+    for w in m.worlds:
+        for ev in ("x", "y"):
+            f = Ought("i", (("U", ev),), TRUE)
+            assert evaluate_plain(m, w, f, ENV) == o_eval(om, w, f, ENV)
