@@ -21,7 +21,9 @@ from typing import Dict, Tuple
 from .errors import (
     CyclicPrecondition, OughtInPrecondition, UnknownAgent, UnknownEvent, ValidationError,
 )
-from .formula import Diamond, ExpAtom, Formula, Ought, Trace, make_trace, pre_formula, subformulas
+from .formula import (
+    MAX_DEPTH, Diamond, ExpAtom, Formula, Ought, Trace, depth, make_trace, pre_formula, subformulas,
+)
 from .kripke import ReadOnly
 
 
@@ -67,11 +69,16 @@ class DecisionPoint(_Action):
             if ev not in pre:
                 raise ValidationError(f"event {ev!r} of {dp_id!r} has no precondition")
             where = f"precondition of {dp_id}.{ev}"
+            nodes = 0
             for g in subformulas(pre[ev]):
+                nodes += 1
                 if isinstance(g, Ought):
                     raise OughtInPrecondition(f"{where} contains an obligation")
                 if isinstance(g, (Diamond, ExpAtom)) and any(d == dp_id for d, _ in g.steps):
                     raise CyclicPrecondition(f"{where} names its own decision point")
+            # no more nodes than the limit, no deeper than it
+            if nodes > MAX_DEPTH and depth(pre[ev]) > MAX_DEPTH:
+                raise ValidationError(f"{where} nests past the nesting limit of {MAX_DEPTH}")
         agents = tuple(agents) if agents is not None else (owner,)
         if owner not in agents:
             agents = agents + (owner,)

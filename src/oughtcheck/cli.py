@@ -4,8 +4,8 @@ Exit codes: 0 — success (a checked formula holds); 1 — a checked formula
 fails, a scenario misses its expected verdicts, or the axiom suite finds
 counterexamples in the expected-clean set; 2 — bad input (unparseable
 formula, malformed document, unknown world, frame violation, empty
-product); 3 — an internal invariant broke or an exception that is not a
-CheckerError escaped (a RecursionError on a very deep formula, say), which
+product, a formula nested past formula.MAX_DEPTH); 3 — an internal
+invariant broke or an exception that is not a CheckerError escaped, which
 is a bug; 141 — standard output was closed before the output ended (a
 pipe into `head`, say): the output stops there, quietly.
 """

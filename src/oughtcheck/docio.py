@@ -119,19 +119,18 @@ def model_from_doc(doc: Dict, strict_frame: bool = True) -> Tuple[GradedKripkeMo
     world_ids: List[str] = []
     valuation = {}
     desirability = {}
+    # each message is built only when its check fails: this loop runs once
+    # per world
     for entry in doc["worlds"]:
-        _require(
-            isinstance(entry, dict) and isinstance(entry.get("id"), str),
-            f"world entry {entry!r} is an object with a string 'id'",
-        )
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)):
+            raise ValidationError(f"world entry {entry!r} is an object with a string 'id'")
         wid = entry["id"]
         true_atoms = entry.get("true_atoms", [])
-        _require(_is_strings(true_atoms), f"'true_atoms' of {wid!r} is a list of strings")
+        if not _is_strings(true_atoms):
+            raise ValidationError(f"'true_atoms' of {wid!r} is a list of strings")
         value = entry.get("value", 0)
-        _require(
-            isinstance(value, int) and not isinstance(value, bool),
-            f"'value' of {wid!r} is not an integer: {value!r}",
-        )
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"'value' of {wid!r} is not an integer: {value!r}")
         world_ids.append(wid)
         valuation[wid] = frozenset(true_atoms)
         desirability[wid] = value
@@ -217,7 +216,9 @@ class _Earlier(dict):
 
 
 def _check_point_shape(entry) -> None:
-    _require(isinstance(entry, dict), f"decision point {entry!r} is a JSON object")
+    # as for world entries, each message is built only when its check fails
+    if not isinstance(entry, dict):
+        raise ValidationError(f"decision point {entry!r} is a JSON object")
     for key in ("id", "owner", "events"):
         if key not in entry:
             raise ValidationError(f"decision point document lacks {key!r}")
@@ -226,24 +227,26 @@ def _check_point_shape(entry) -> None:
         "a decision point's 'id' and 'owner' are strings",
     )
     events = entry["events"]
-    _require(
+    if not (
         isinstance(events, list)
         and all(
             isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("pre"), str)
             for e in events
-        ),
-        f"'events' of {entry['id']!r} is a list of objects with string 'name' and 'pre'",
-    )
+        )
+    ):
+        raise ValidationError(
+            f"'events' of {entry['id']!r} is a list of objects with string 'name' and 'pre'"
+        )
     relations = entry.get("relations")
-    _require(
+    if not (
         relations is None
-        or (isinstance(relations, dict) and all(map(_is_pairs, relations.values()))),
-        f"'relations' of {entry['id']!r} maps agents to lists of event-name pairs",
-    )
-    _require(
-        entry.get("agents") is None or _is_strings(entry["agents"]),
-        f"'agents' of {entry['id']!r} is a list of strings",
-    )
+        or (isinstance(relations, dict) and all(map(_is_pairs, relations.values())))
+    ):
+        raise ValidationError(
+            f"'relations' of {entry['id']!r} maps agents to lists of event-name pairs"
+        )
+    if not (entry.get("agents") is None or _is_strings(entry["agents"])):
+        raise ValidationError(f"'agents' of {entry['id']!r} is a list of strings")
 
 
 def actions_from_doc(doc) -> Tuple[List[DecisionPoint], List[str]]:

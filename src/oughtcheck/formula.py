@@ -286,6 +286,60 @@ def subformulas(f: Formula):
             stack.append(g.body)
 
 
+# The nesting limit.  Every walk but subformulas, depth and complexity
+# recurses once or more per level, and a formula this deep leaves room on
+# CPython's default stack for the deepest of them: the explained walk of
+# translate's output, which nests up to five times deeper than its input.
+MAX_DEPTH = 64
+
+
+def depth(f: Formula, known=None) -> int:
+    """How deep f nests: the operators on its longest branch, 0 for a leaf.
+    The walk keeps its own stack, so any nesting depth is fine, and measures
+    each distinct node once.  `known` maps id(node) to the depth of nodes
+    measured before, which the caller keeps alive; it is filled in."""
+    value = {} if known is None else known
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in value:
+            stack.pop()
+            continue
+        kind = _KIND.get(g.__class__) or _KIND[node_class(g)]
+        if kind == _AND:
+            left, right = value.get(id(g.left)), value.get(id(g.right))
+            if left is None or right is None:
+                if right is None:
+                    stack.append(g.right)
+                if left is None:
+                    stack.append(g.left)
+                continue
+            d = 1 + (left if left >= right else right)
+        elif kind == _LEAF:
+            d = 0
+        else:
+            sub = g.body if kind == _OUGHT else g.sub
+            d = value.get(id(sub))
+            if d is None:
+                stack.append(sub)
+                continue
+            d += 1
+        value[id(g)] = d
+        stack.pop()
+    return value[id(f)]
+
+
+def refuse_past_limit(f: Formula) -> None:
+    """ValidationError when f nests deeper than MAX_DEPTH.  An entry that
+    meets a RecursionError calls it: past the limit the input is bad, and
+    within it the entry raises the RecursionError again, as a bug."""
+    d = depth(f)
+    if d > MAX_DEPTH:
+        raise ValidationError(
+            f"formula nests {d} levels deep, past the nesting limit of {MAX_DEPTH}"
+        ) from None
+
+
 def complexity(f: Formula, env) -> int:
     """Size measure used to certify that obligation rewrites shrink formulas:
     1 for a leaf, 1 + c(phi) for !phi and K{i} phi, 1 + max of the two sides

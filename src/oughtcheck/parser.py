@@ -16,6 +16,12 @@ core AST.
 When a decision-point environment is supplied, trace steps are resolved
 eagerly: unknown decision points or events fail the parse, and the agent of
 an obligation or expectation atom must own the final step's event.
+
+Nesting is limited (formula.MAX_DEPTH): a formula may nest at most that
+many operators deep, counted on the core AST (`p | q` is `!(!p & !q)`,
+three levels), and its parentheses at most that many deep.  A text too
+short to pass the limit is read as it is; a longer one by _Nested, which
+counts while it reads and refuses at the first level past the limit.
 """
 
 from __future__ import annotations
@@ -34,11 +40,13 @@ from .formula import (
     Formula,
     Implies,
     Know,
+    MAX_DEPTH,
     Not,
     Or,
     Ought,
     TRUE,
     check_owner,
+    depth,
     make_trace,
     pre_of,
 )
@@ -55,11 +63,20 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 # starts one level up
 _BINARY = {"->": (1, Implies, True), "|": (2, Or, False), "&": (3, And, False)}
 
+# the tokens that open a prefix operator, besides K when a brace follows
+_PREFIX = frozenset(["!", "<", "["])
+
+# A text of at most this many tokens cannot pass the nesting limit: each
+# token adds at most one and a half levels (n `|`s in 2n + 1 tokens nest 3n
+# deep), it opens fewer parentheses than it has tokens, and the parse
+# recurses at most three calls per token.
+_SHORT = 2 * MAX_DEPTH // 3 + 1
+
 
 class _Parser:
-    def __init__(self, text: str, env: Optional[dict]):
+    def __init__(self, text: str, toks: list, env: Optional[dict]):
         self.text = text
-        self.toks = _TOKEN.findall(text)
+        self.toks = toks
         self.i = 0
         self.env = env
 
@@ -93,13 +110,24 @@ class _Parser:
     def binary(self, floor: int = 1) -> Formula:
         """The longest formula here whose top-level connectives have level >= floor."""
         f = self.unary()
-        while self.peek() in _BINARY:
-            level, node, right = _BINARY[self.peek()]
-            if level < floor:
-                break
-            self.next()
-            f = node(f, self.binary(level if right else level + 1))
+        op = self.connective(floor, f)
+        while op is not None:
+            node, right_floor = op
+            f = node(f, self.binary(right_floor))
+            op = self.connective(floor, f)
         return f
+
+    def connective(self, floor: int, left: Formula):
+        """The binary connective next in the input, read when its level is
+        floor or more: its node and its right operand's floor.  None when
+        there is none.  left, its left operand, is for _Nested to measure."""
+        i = self.i
+        op = _BINARY.get(self.toks[i]) if i < len(self.toks) else None
+        if op is None or op[0] < floor:
+            return None
+        self.i = i + 1
+        level, node, right = op
+        return node, level if right else level + 1
 
     def unary(self) -> Formula:
         tok = self.peek()
@@ -185,7 +213,71 @@ class _Parser:
         return (dp, ev)
 
 
+class _Nested(_Parser):
+    """The parser for a text long enough to nest past MAX_DEPTH.  It counts
+    while it reads, and ends the parse with a ParseError that names the
+    limit at the first count past it, before it recurses any deeper:
+
+    * open calls of binary, and of unary at a prefix operator.  Each opens
+      a level at the reading position (a right operand, an obligation's
+      body, a prefix operator's operand), except the outermost binary and
+      the one in each parenthesis, so the count less those is a lower
+      bound of the depth there;
+    * open parentheses;
+    * the depth of each formula built, measured as its connectives join it
+      (formula.depth, each node once), which is exact, and which stops a
+      chain of left operands, read without recursion, at the limit too."""
+
+    def __init__(self, text: str, toks: list, env: Optional[dict]):
+        super().__init__(text, toks, env)
+        self.open = 0
+        self.parens = 0
+        self.depths = {}  # id(node) -> depth, for formula.depth
+
+    def too_deep(self, what: str) -> ParseError:
+        return ParseError(f"{what} more than {MAX_DEPTH} levels deep, the nesting limit")
+
+    def enter(self) -> None:
+        self.open += 1
+        if self.open - self.parens - 1 > MAX_DEPTH:
+            raise self.too_deep("formula nests")
+
+    def binary(self, floor: int = 1) -> Formula:
+        self.enter()
+        f = super().binary(floor)
+        self.open -= 1
+        return f
+
+    def unary(self) -> Formula:
+        tok = self.peek()
+        if tok not in _PREFIX and not (tok == "K" and self._brace_follows()):
+            return super().unary()
+        self.enter()
+        f = super().unary()
+        self.open -= 1
+        return f
+
+    def primary(self) -> Formula:
+        if self.peek() != "(":
+            return super().primary()
+        self.parens += 1
+        if self.parens > MAX_DEPTH:
+            raise self.too_deep("parentheses nest")
+        f = super().primary()
+        self.parens -= 1
+        return f
+
+    def connective(self, floor: int, left: Formula):
+        # left was read from the first i tokens: at most _SHORT of them
+        # cannot nest past the limit
+        if self.i > _SHORT and depth(left, self.depths) > MAX_DEPTH:
+            raise self.too_deep("formula nests")
+        return super().connective(floor, left)
+
+
 def parse(text: str, env: Optional[dict] = None) -> Formula:
     """Parse formula text.  `env` maps decision-point ids to DecisionPoints;
-    when given, trace steps and ownership are validated during the parse."""
-    return _Parser(text, env).parse()
+    when given, trace steps and ownership are validated during the parse.
+    A text that nests past formula.MAX_DEPTH raises ParseError."""
+    toks = _TOKEN.findall(text)
+    return (_Parser if len(toks) <= _SHORT else _Nested)(text, toks, env).parse()

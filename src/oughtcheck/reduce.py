@@ -60,9 +60,11 @@ from .formula import (
     _Measure,
     big_and,
     check_owner,
+    node_class,
     point_of,
     pre_formula,
     pre_of,
+    refuse_past_limit,
 )
 
 MODES = ("standard", "literal")
@@ -181,83 +183,152 @@ class _Rewriter:
         self.steps.append(RewriteStep(rule, isinstance(before, Ought), certificate, n))
 
     def rec(self, f: Formula) -> Formula:
-        while isinstance(f, (Ought, Diamond)):
-            rule, after = self.ought(f) if isinstance(f, Ought) else self.diamond(f)
+        rewrites, clause = _REC.get(f.__class__) or _REC[node_class(f)]
+        while rewrites:  # an obligation or a diamond: one logged step, then go on
+            rule, after = clause(self, f)
             self.log(rule, f, after)
             f = after
-        if isinstance(f, (Atom, Truth, Falsity)):
-            return f
-        if isinstance(f, ExpAtom):
-            check_owner(self.env, f.agent, f.steps, "expectation atom")
-            return f
-        if isinstance(f, Not):
-            return Not(self.rec(f.sub))
-        if isinstance(f, And):
-            return And(self.rec(f.left), self.rec(f.right))
-        if isinstance(f, Know):
-            return Know(f.agent, self.rec(f.sub))
-        raise TypeError(f"not a formula: {f!r}")
+            rewrites, clause = _REC.get(f.__class__) or _REC[node_class(f)]
+        return clause(self, f)
+
+    def _leaf(self, f):
+        return f
+
+    def _exp_atom(self, f):
+        check_owner(self.env, f.agent, f.steps, "expectation atom")
+        return f
+
+    def _not(self, f):
+        return Not(self.rec(f.sub))
+
+    def _and(self, f):
+        return And(self.rec(f.left), self.rec(f.right))
+
+    def _know(self, f):
+        return Know(f.agent, self.rec(f.sub))
 
     # -- after-run diamonds ----------------------------------------------------
 
     def diamond(self, f: Diamond):
-        steps, body, env = f.steps, f.sub, self.env
-        if isinstance(body, (Atom, Truth, Falsity)):
-            return "D-atom", And(pre_formula(steps, env), body)
-        if isinstance(body, ExpAtom):
-            return "D-e", And(pre_formula(steps, env), ExpAtom(body.agent, steps + body.steps))
-        if isinstance(body, Not):
-            return "D-neg", And(pre_formula(steps, env), Not(Diamond(steps, body.sub)))
-        if isinstance(body, Know):
-            pre = pre_formula(steps, env)
-            owner = point_of(env, steps[-1][0]).owner
-            if self.mode == "literal" and body.agent == owner:
-                return "D-K-drop", And(pre, body)
-            boxes = [
-                Know(body.agent, Box(alt, body.sub))
-                for alt in q_event_alternatives(steps, body.agent, env)
-            ]
-            return "D-K", And(pre, big_and(boxes))
-        # the clauses below need no pre(t), but an unknown final step raises first
-        pre_of(env, *steps[-1])
-        if isinstance(body, And):
-            return "D-and", And(Diamond(steps, body.left), Diamond(steps, body.right))
-        if isinstance(body, Diamond):
-            return "D-chain", Diamond(steps + body.steps, body.sub)
-        if isinstance(body, Ought):
-            # the inner obligation is rewritten (and logged) first
-            return "D-after-ought", Diamond(steps, self.rec(body))
-        raise TypeError(f"not a formula: {body!r}")
+        body = f.sub
+        pre_of(self.env, *f.steps[-1])  # an unknown final step raises before any clause
+        clause = _DIAMOND.get(body.__class__) or _DIAMOND[node_class(body)]
+        return clause(self, f.steps, body)
+
+    def _d_atom(self, steps, body):
+        return "D-atom", And(pre_formula(steps, self.env), body)
+
+    def _d_e(self, steps, body):
+        return "D-e", And(pre_formula(steps, self.env), ExpAtom(body.agent, steps + body.steps))
+
+    def _d_neg(self, steps, body):
+        return "D-neg", And(pre_formula(steps, self.env), Not(Diamond(steps, body.sub)))
+
+    def _d_know(self, steps, body):
+        env = self.env
+        pre = pre_formula(steps, env)
+        owner = point_of(env, steps[-1][0]).owner
+        if self.mode == "literal" and body.agent == owner:
+            return "D-K-drop", And(pre, body)
+        boxes = [
+            Know(body.agent, Box(alt, body.sub))
+            for alt in q_event_alternatives(steps, body.agent, env)
+        ]
+        return "D-K", And(pre, big_and(boxes))
+
+    def _d_and(self, steps, body):
+        return "D-and", And(Diamond(steps, body.left), Diamond(steps, body.right))
+
+    def _d_chain(self, steps, body):
+        return "D-chain", Diamond(steps + body.steps, body.sub)
+
+    def _d_ought(self, steps, body):
+        # the inner obligation is rewritten (and logged) first
+        return "D-after-ought", Diamond(steps, self.rec(body))
 
     # -- obligations -------------------------------------------------------------
 
     def ought(self, f: Ought):
-        i, steps, body, env = f.agent, f.steps, f.body, self.env
-        check_owner(env, i, steps, "obligation")
-        if isinstance(body, (Atom, Truth, Falsity)):
-            return "R1", And(And(pre_formula(steps, env), body), ExpAtom(i, steps))
-        if isinstance(body, ExpAtom):
-            pre = pre_formula(steps, env)
-            return "O-e", And(And(pre, ExpAtom(body.agent, steps + body.steps)), ExpAtom(i, steps))
-        if isinstance(body, Not):
-            pre = pre_formula(steps, env)
-            if self.mode == "literal":
-                return "R3", And(pre, Not(Ought(i, steps, body.sub)))
-            return "R3+e", And(And(pre, Not(Ought(i, steps, body.sub))), ExpAtom(i, steps))
-        # the clauses below need no pre(t), but an unknown final event raises first
-        pre_of(env, *steps[-1])
-        if isinstance(body, And):
-            return "R2", And(Ought(i, steps, body.left), Ought(i, steps, body.right))
-        if isinstance(body, Know) and body.agent == i and self.mode == "literal":
+        i, steps, body = f.agent, f.steps, f.body
+        check_owner(self.env, i, steps, "obligation")
+        pre_of(self.env, *steps[-1])  # an unknown final event raises before any clause
+        clause = _OUGHT.get(body.__class__) or _OUGHT[node_class(body)]
+        return clause(self, i, steps, body)
+
+    def _r1(self, i, steps, body):
+        return "R1", And(And(pre_formula(steps, self.env), body), ExpAtom(i, steps))
+
+    def _o_e(self, i, steps, body):
+        pre = pre_formula(steps, self.env)
+        return "O-e", And(And(pre, ExpAtom(body.agent, steps + body.steps)), ExpAtom(i, steps))
+
+    def _r3(self, i, steps, body):
+        pre = pre_formula(steps, self.env)
+        if self.mode == "literal":
+            return "R3", And(pre, Not(Ought(i, steps, body.sub)))
+        return "R3+e", And(And(pre, Not(Ought(i, steps, body.sub))), ExpAtom(i, steps))
+
+    def _r2(self, i, steps, body):
+        return "R2", And(Ought(i, steps, body.left), Ought(i, steps, body.right))
+
+    def _o_know(self, i, steps, body):
+        if body.agent == i and self.mode == "literal":
             return "R4", Know(i, Ought(i, steps, body.sub))
-        if isinstance(body, Diamond):
-            return "R5", And(Diamond(steps + body.steps, body.sub), ExpAtom(i, steps))
-        if isinstance(body, Ought) and body.agent == i:
+        return self._through(i, steps, body)
+
+    def _r5(self, i, steps, body):
+        return "R5", And(Diamond(steps + body.steps, body.sub), ExpAtom(i, steps))
+
+    def _o_ought(self, i, steps, body):
+        if body.agent == i:
             return "R6", And(Ought(i, steps + body.steps, body.body), ExpAtom(i, steps))
-        if isinstance(body, (Know, Ought)):  # through the run
-            rule = "O-K" if body.agent == i else "O-X"
-            return rule, And(Diamond(steps, body), ExpAtom(i, steps))
-        raise TypeError(f"not a formula: {body!r}")
+        return self._through(i, steps, body)
+
+    def _through(self, i, steps, body):
+        """O-K or O-X: a knowledge or obligation body that no clause above
+        takes, judged through the run."""
+        rule = "O-K" if body.agent == i else "O-X"
+        return rule, And(Diamond(steps, body), ExpAtom(i, steps))
+
+
+# Each node class's clause, looked up by type(f), and by formula.node_class
+# when a subclass misses.  _REC's flag marks the classes rewritten in place
+# (one logged step at a time); the others are copied, their children rewritten.
+_REC = {
+    Atom: (False, _Rewriter._leaf),
+    Truth: (False, _Rewriter._leaf),
+    Falsity: (False, _Rewriter._leaf),
+    ExpAtom: (False, _Rewriter._exp_atom),
+    Not: (False, _Rewriter._not),
+    And: (False, _Rewriter._and),
+    Know: (False, _Rewriter._know),
+    Diamond: (True, _Rewriter.diamond),
+    Ought: (True, _Rewriter.ought),
+}
+# <t> phi by the class of phi
+_DIAMOND = {
+    Atom: _Rewriter._d_atom,
+    Truth: _Rewriter._d_atom,
+    Falsity: _Rewriter._d_atom,
+    ExpAtom: _Rewriter._d_e,
+    Not: _Rewriter._d_neg,
+    Know: _Rewriter._d_know,
+    And: _Rewriter._d_and,
+    Diamond: _Rewriter._d_chain,
+    Ought: _Rewriter._d_ought,
+}
+# O{i}(t | phi) by the class of phi
+_OUGHT = {
+    Atom: _Rewriter._r1,
+    Truth: _Rewriter._r1,
+    Falsity: _Rewriter._r1,
+    ExpAtom: _Rewriter._o_e,
+    Not: _Rewriter._r3,
+    And: _Rewriter._r2,
+    Know: _Rewriter._o_know,
+    Diamond: _Rewriter._r5,
+    Ought: _Rewriter._o_ought,
+}
 
 
 def obligation_clause(f: Ought, env: Dict, mode: str = "standard"):
@@ -272,7 +343,12 @@ def translate(
     f: Formula, env: Dict, mode: str = "standard", budget: int = 100_000
 ) -> Translation:
     """f without obligations (and, in standard mode, without after-run
-    diamonds), and the log of its rewrite steps; a budget of n allows n."""
+    diamonds), and the log of its rewrite steps; a budget of n allows n.
+    A formula nested past formula.MAX_DEPTH raises ValidationError."""
     rw = _Rewriter(env, mode, budget)
-    out = rw.rec(f)
+    try:
+        out = rw.rec(f)
+    except RecursionError:
+        refuse_past_limit(f)
+        raise
     return Translation(out, rw.steps)

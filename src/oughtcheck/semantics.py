@@ -91,6 +91,7 @@ from .formula import (
     node_class,
     point_of,
     pre_of,
+    refuse_past_limit,
     to_text,
 )
 from .kripke import GradedKripkeModel, extend_world, trace_of, world_id
@@ -171,21 +172,33 @@ class Verdict:
 
 
 def evaluate_plain(model: GradedKripkeModel, world, f: Formula, env: Dict) -> bool:
-    """Truth value of f at (model, world); no explanation structure."""
-    return _walk(model, world, f, env, None)
+    """Truth value of f at (model, world); no explanation structure.  A
+    formula nested past formula.MAX_DEPTH raises ValidationError."""
+    try:
+        return _walk(model, world, f, env, None)
+    except RecursionError:
+        refuse_past_limit(f)
+        raise
 
 
 def evaluate(model: GradedKripkeModel, world, f: Formula, env: Dict) -> Verdict:
     """Evaluate with a full explanation tree: the walk of evaluate_plain,
-    recorded."""
+    recorded.  A formula nested past formula.MAX_DEPTH raises
+    ValidationError."""
     trail: List[Verdict] = []
-    _walk(model, world, f, env, trail)
+    try:
+        _walk(model, world, f, env, trail)
+    except RecursionError:
+        refuse_past_limit(f)
+        raise
     return trail[0]
 
 
 def holds_globally(model: GradedKripkeModel, f: Formula, env: Dict) -> bool:
     """True when f holds at every world of the model's domain (retained
-    evaluation roots are outside the quantification range)."""
+    evaluation roots are outside the quantification range).  Each world is
+    evaluate_plain's, so a formula nested past formula.MAX_DEPTH raises
+    ValidationError here too."""
     return first_failure(model, f, env) is None
 
 

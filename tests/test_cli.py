@@ -450,15 +450,60 @@ def test_internal_errors_have_their_own_exit_code(capsys, scenario_docs, monkeyp
     assert "internal error: boom" in err
 
 
-def test_uncaught_exceptions_exit_3_not_1(capsys, scenario_docs):
+def test_uncaught_exceptions_exit_3_not_1(capsys, scenario_docs, monkeypatch):
     mp, ap = scenario_docs["miners"]
+
+    def broken(*a, **k):
+        raise RuntimeError("an invariant the evaluator relies on broke")
+
+    monkeypatch.setattr(cli, "evaluate", broken)
     code, out, err = run(
-        capsys, "check", "--model", mp, "--actions", ap, "--formula", "!" * 3000 + "A",
+        capsys, "check", "--model", mp, "--actions", ap, "--formula", "O{i}(U.gamma | true)",
     )
     assert code == 3
-    assert err.strip() == "internal error: RecursionError"
+    assert err.strip() == "internal error: RuntimeError"
     assert "Traceback" not in err
     assert out == ""
+
+
+_DEEP = {
+    "not": lambda n: "!" * n + "A",
+    "and": lambda n: " & ".join(["A"] * (n + 1)),
+    "or": lambda n: " | ".join(["A"] * (n + 1)),
+    "know": lambda n: "K{i} " * n + "A",
+    "parens": lambda n: "(" * n + "A" + ")" * n,
+}
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+@pytest.mark.parametrize("kind", sorted(_DEEP))
+def test_deep_formulas_are_bad_input(capsys, scenario_docs, kind, n):
+    """Nesting past the limit exits 2 with a ParseError that names it,
+    whatever nests: an operator, a derived form or a parenthesis."""
+    mp, ap = scenario_docs["miners"]
+    code, out, err = run(
+        capsys, "check", "--model", mp, "--actions", ap, "--formula", _DEEP[kind](n),
+    )
+    assert code == 2
+    assert err.startswith("error: ") and "64 levels deep, the nesting limit" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
+def test_a_formula_at_the_limit_checks_and_translates(capsys, scenario_docs):
+    """64 levels, the limit, in the shape whose translation nests deepest:
+    knowledge under an after-run diamond."""
+    mp, ap = scenario_docs["allergy"]
+    text = "<U.gamma> " + "K{a} " * 63 + "A"
+    code, out, err = run(
+        capsys, "check", "--model", mp, "--actions", ap, "--formula", text,
+        "--explain", "--json",
+    )
+    assert code in (0, 1), err
+    assert json.loads(out)["formula"] == text
+    code, out, err = run(capsys, "translate", "--actions", ap, "--formula", text, "--json")
+    assert code == 0, err
+    assert json.loads(out)["input"] == text
 
 
 def test_unreadable_documents_are_bad_input(capsys, tmp_path):

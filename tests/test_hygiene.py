@@ -1,8 +1,9 @@
 """Source hygiene: every module of the package uses each name it imports,
 README names every kind of memo entry the package stores, no nested
 function names itself, the rules for stored errors and world keys are
-each written in one module only, and only product and submodel build a
-model without normalising its input.
+each written in one module only, only product and submodel build a
+model without normalising its input, and only the public entries that
+apply the nesting limit catch a RecursionError.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with `ast`.  An imported name counts as used when any `Name`
@@ -250,3 +251,51 @@ def test_the_derived_guard_sees_a_derived_build():
         "    return g(derived=True), a, b\n"
     )
     assert derived_builds(source) == [2, 3]
+
+
+def recursion_catchers(source: str):
+    """(function, line) of each handler that catches RecursionError.  The
+    nesting limit's rule, that a RecursionError past the limit is bad input
+    and any other a bug, is applied at the public entries only:
+    evaluate_plain and evaluate (holds_globally evaluates through
+    evaluate_plain) and translate."""
+    def names(node):
+        if node is None:
+            return []
+        parts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return [getattr(p, "id", getattr(p, "attr", None)) for p in parts]
+
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ExceptHandler) and "RecursionError" in names(node.type):
+                    found.append((func.name, node.lineno))
+    return sorted(found)
+
+
+_CATCHERS = {"semantics.py": ["evaluate", "evaluate_plain"], "reduce.py": ["translate"]}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_public_entries_catch_a_recursion_error(path):
+    found = recursion_catchers(path.read_text(encoding="utf-8"))
+    assert [name for name, _ in found] == _CATCHERS.get(path.name, []), found
+
+
+def test_the_recursion_guard_sees_each_spelling():
+    source = (
+        "def f(x):\n"
+        "    try:\n"
+        "        return g(x)\n"
+        "    except RecursionError:\n"
+        "        raise\n"
+        "def h(x):\n"
+        "    try:\n"
+        "        return g(x)\n"
+        "    except (ValueError, builtins.RecursionError):\n"
+        "        return None\n"
+        "    except Exception:\n"
+        "        return None\n"
+    )
+    assert recursion_catchers(source) == [("f", 4), ("h", 9)]

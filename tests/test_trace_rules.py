@@ -166,5 +166,7 @@ def test_structural_walk_takes_any_depth():
     assert not contains_ought(deep) and not contains_diamond(deep)
     assert contains_ought(_not_chain(10_000, Ought("i", D, TRUE)))
     assert sum(1 for _ in subformulas(deep)) == 10_001
-    point = DecisionPoint("V", "i", ("a", "b"), {"a": deep, "b": TRUE})
-    assert point.pre["a"] is deep
+    # a point measures its preconditions on its own stack too, and refuses
+    # one past the nesting limit as bad input
+    with pytest.raises(ValidationError, match="nests past the nesting limit"):
+        DecisionPoint("V", "i", ("a", "b"), {"a": deep, "b": TRUE})
