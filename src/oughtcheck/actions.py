@@ -22,25 +22,30 @@ from .errors import (
     CyclicPrecondition, OughtInPrecondition, UnknownAgent, UnknownEvent, ValidationError,
 )
 from .formula import (
-    MAX_DEPTH, Diamond, ExpAtom, Formula, Ought, Trace, depth, make_trace, pre_formula, subformulas,
+    MAX_DEPTH, _VALUATION_NODES, Diamond, ExpAtom, Formula, Ought, Trace, depth, make_trace,
+    pre_formula, subformulas,
 )
 from .kripke import ReadOnly
 
 
 class _Action(ReadOnly):
     """What a decision point and a composition share.  Every action-like
-    object exposes: event_keys, pre_formula, q_related, related, owner."""
+    object exposes: event_keys, pre_formula, q_related, related, owner, and
+    propositional, true when every precondition is built from atoms, true,
+    false, ! and & only, so that the valuation of a world decides it."""
 
     def related(self, agent: str) -> Dict[Trace, frozenset]:
         """Event key -> the event keys `agent` cannot tell apart from it, by
-        q_related; built once per agent, as every product by this action
-        reads it."""
+        q_related, one object per distinct set; built once per agent, as
+        every product by this action reads it."""
         table = self._related.get(agent)
         if table is None:
             keys = self.event_keys
-            table = self._related[agent] = {
-                k1: frozenset([k2 for k2 in keys if self.q_related(agent, k1, k2)]) for k1 in keys
-            }
+            table = self._related[agent] = {}
+            shared = {}
+            for k1 in keys:
+                ok = frozenset([k2 for k2 in keys if self.q_related(agent, k1, k2)])
+                table[k1] = shared.setdefault(ok, ok)
         return table
 
 
@@ -52,6 +57,8 @@ class DecisionPoint(_Action):
     no step of this point: CyclicPrecondition otherwise).
     relations: agent -> set of (event, event) pairs; the identity is always
     included.  `extra_edges` records whether anything beyond it was given.
+    `propositional` records whether every precondition is built from the
+    node classes a valuation decides (formula._VALUATION_NODES) only.
     A relation for an agent outside `agents` (and the owner) raises
     UnknownAgent.
     Attributes cannot be rebound, and env, pre and relations are read-only
@@ -65,6 +72,7 @@ class DecisionPoint(_Action):
             raise ValidationError(f"decision point {dp_id!r} needs at least two events")
         if len(set(events)) != len(events):
             raise ValidationError(f"duplicate event names in {dp_id!r}")
+        propositional = True
         for ev in events:
             if ev not in pre:
                 raise ValidationError(f"event {ev!r} of {dp_id!r} has no precondition")
@@ -72,6 +80,7 @@ class DecisionPoint(_Action):
             nodes = 0
             for g in subformulas(pre[ev]):
                 nodes += 1
+                propositional = propositional and isinstance(g, _VALUATION_NODES)
                 if isinstance(g, Ought):
                     raise OughtInPrecondition(f"{where} contains an obligation")
                 if isinstance(g, (Diamond, ExpAtom)) and any(d == dp_id for d, _ in g.steps):
@@ -111,6 +120,7 @@ class DecisionPoint(_Action):
         bind(self, "agents", agents)
         bind(self, "relations", MappingProxyType(relations_map))
         bind(self, "extra_edges", extra_edges)
+        bind(self, "propositional", propositional)
         bind(self, "_related", {})  # agent -> related(agent)
 
     @property
@@ -157,6 +167,8 @@ class ComposedAction(_Action):
             ka + kb for ka in first.event_keys for kb in second.event_keys
         ))
         bind(self, "extra_edges", first.extra_edges or second.extra_edges)
+        # a composed precondition is an after-run formula, never propositional
+        bind(self, "propositional", False)
         bind(self, "_related", {})  # agent -> related(agent)
 
     def pre_formula(self, key: Trace) -> Formula:

@@ -82,18 +82,24 @@ def rival_instances(carrier: GradedKripkeModel, instance):
     point, different final event.  Evaluation-only worlds never count."""
     prefix, (final_dp, final_ev) = _final_step(instance)
     groups = carrier.memo(("rival_groups",), _rival_groups, carrier)
-    return [
-        w for w in groups.get((prefix, final_dp), ()) if trace_of(w)[-1][1] != final_ev
-    ]
+    return [w for w, ev in groups.get((prefix, final_dp), ()) if ev != final_ev]
 
 
 def _rival_groups(carrier: GradedKripkeModel) -> dict:
-    """Surviving instances by (prefix, final decision point), in world order."""
+    """Surviving instances by (prefix, final decision point), in world order,
+    each as (instance, its final event)."""
     groups = {}
+    # id(trace) -> (its group, its final event): a product's worlds share
+    # their trace objects, and keep them alive
+    member_of = {}
     for w in carrier.domain_worlds():
         t = trace_of(w)
         if t:
-            groups.setdefault((t[:-1], t[-1][0]), []).append(w)
+            member = member_of.get(id(t))
+            if member is None:
+                dp, ev = t[-1]
+                member = member_of[id(t)] = (groups.setdefault((t[:-1], dp), []), ev)
+            member[0].append((w, member[1]))
     return groups
 
 
@@ -110,13 +116,14 @@ def _rival_bound(carrier: GradedKripkeModel, instance, agent: str):
 def _compare_rivals(carrier: GradedKripkeModel, instance, agent: str):
     """Rivals with one successor set have one value, so each distinct set is
     valued and compared once; a rival whose set came earlier still counts
-    as compared."""
+    as compared.  The instance was valued first, so `agent` is known."""
     best = error = None
     compared = 0
     seen = set()
+    succ_of = carrier.relations[agent]
     for rival in rival_instances(carrier, instance):
+        succ = succ_of[rival]
         try:
-            succ = carrier.successors(agent, rival)
             if succ not in seen:
                 value = component_value(carrier, rival, agent)
                 seen.add(succ)

@@ -161,6 +161,9 @@ class Ought(Formula):
 
 
 _NODE_CLASSES = frozenset({Truth, Falsity, Atom, ExpAtom, Not, And, Know, Diamond, Ought})
+# the node classes a world's valuation decides: a formula built only from
+# them holds at every world with the same valuation or at none
+_VALUATION_NODES = (Truth, Falsity, Atom, Not, And)
 
 
 def node_class(f) -> type:

@@ -216,7 +216,7 @@ def _in_world_order(model: GradedKripkeModel, worlds) -> Tuple:
 def _basic_check(m: GradedKripkeModel) -> None:
     if not m.worlds:
         raise ValidationError("a model needs at least one world")
-    if len(set(m.worlds)) != len(m.worlds):
+    if len(m._world_set) != len(m.worlds):
         raise ValidationError("duplicate world ids")
     if not m.agents:
         raise ValidationError("a model needs at least one agent")
@@ -224,24 +224,24 @@ def _basic_check(m: GradedKripkeModel) -> None:
         raise ValidationError("duplicate agent names")
     if m.frame not in FRAME_CLASSES:
         raise ValidationError(f"unknown frame class {m.frame!r}")
-    # each distinct valuation and successor set is checked once, at the
-    # first world in world order that has it
-    atoms = set(m.atoms)
-    checked = set()
-    for w in m.worlds:
-        val = m.valuation[w]
-        if val not in checked:
-            checked.add(val)
-            extra = val - atoms
+    # each distinct valuation is checked once, and every value in one pass;
+    # only a model that fails is read world by world, in world order, to
+    # name the first world at fault
+    atoms = frozenset(m.atoms)
+    if not all(val <= atoms for val in set(m.valuation.values())) or (
+        max(map(abs, m.desirability.values())) > MAX_DESIRABILITY
+    ):
+        for w in m.worlds:
+            extra = m.valuation[w] - atoms
             if extra:
                 raise ValidationError(
                     f"world {world_id(w)} uses undeclared atoms {sorted(extra)}"
                 )
-        value = m.desirability[w]
-        if abs(value) > MAX_DESIRABILITY:
-            raise ValidationError(
-                f"desirability {value} at {world_id(w)} exceeds the supported range"
-            )
+            value = m.desirability[w]
+            if abs(value) > MAX_DESIRABILITY:
+                raise ValidationError(
+                    f"desirability {value} at {world_id(w)} exceeds the supported range"
+                )
     if not m.eval_only <= m._world_set:
         raise ValidationError("an evaluation-only id names no world of the model")
     checked = set()

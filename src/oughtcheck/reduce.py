@@ -54,6 +54,7 @@ from .formula import (
     Falsity,
     Formula,
     Know,
+    MAX_DEPTH,
     Not,
     Ought,
     Truth,
@@ -211,6 +212,7 @@ class _Rewriter:
 
     def diamond(self, f: Diamond):
         body = f.sub
+        _refuse_a_long_run(f.steps)
         pre_of(self.env, *f.steps[-1])  # an unknown final step raises before any clause
         clause = _DIAMOND.get(body.__class__) or _DIAMOND[node_class(body)]
         return clause(self, f.steps, body)
@@ -250,6 +252,7 @@ class _Rewriter:
 
     def ought(self, f: Ought):
         i, steps, body = f.agent, f.steps, f.body
+        _refuse_a_long_run(steps)
         check_owner(self.env, i, steps, "obligation")
         pre_of(self.env, *steps[-1])  # an unknown final event raises before any clause
         clause = _OUGHT.get(body.__class__) or _OUGHT[node_class(body)]
@@ -289,6 +292,18 @@ class _Rewriter:
         takes, judged through the run."""
         rule = "O-K" if body.agent == i else "O-X"
         return rule, And(Diamond(steps, body), ExpAtom(i, steps))
+
+
+def _refuse_a_long_run(steps) -> None:
+    """ValidationError for a run of more than MAX_DEPTH steps.  pre(t) of a
+    run of n steps is <t[:-1]> pre(last), which D-atom unfolds one step per
+    level, so a run nests n levels deep once rewritten, and counts against
+    the nesting limit; so does a run that D-chain, R5 or R6 joins."""
+    if len(steps) > MAX_DEPTH:
+        raise ValidationError(
+            f"a run of {len(steps)} steps unfolds {len(steps)} levels deep, past the "
+            f"nesting limit of {MAX_DEPTH}"
+        )
 
 
 # Each node class's clause, looked up by type(f), and by formula.node_class

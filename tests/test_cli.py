@@ -506,6 +506,44 @@ def test_a_formula_at_the_limit_checks_and_translates(capsys, scenario_docs):
     assert json.loads(out)["input"] == text
 
 
+@pytest.fixture(scope="module")
+def two_point_docs(tmp_path_factory):
+    """U (owned by a) and V (owned by b), whose event x is always available
+    and y never, over a two-world S5 model."""
+    root = tmp_path_factory.mktemp("runs")
+    model = {
+        "agents": ["a", "b"], "atoms": ["A"], "frame": "S5",
+        "worlds": [{"id": "w1", "true_atoms": ["A"], "value": 1}, {"id": "w2", "value": 0}],
+        "relations": {a: [[w, u] for w in ("w1", "w2") for u in ("w1", "w2")] for a in "ab"},
+    }
+    actions = {"actions": [
+        {"id": dp, "owner": owner, "agents": ["a", "b"],
+         "events": [{"name": "x", "pre": "true"}, {"name": "y", "pre": "false"}]}
+        for dp, owner in (("U", "a"), ("V", "b"))
+    ]}
+    mp, ap = root / "model.json", root / "actions.json"
+    mp.write_text(json.dumps(model))
+    ap.write_text(json.dumps(actions))
+    return str(mp), str(ap)
+
+
+@pytest.mark.parametrize("n", [800, 1500])
+def test_a_long_run_is_bad_input_to_translate_only(capsys, two_point_docs, n):
+    """translate unfolds a run one step per level, so a run past the
+    nesting limit exits 2 naming it (800 steps used to exit 3 with a
+    RecursionError); check runs the steps one by one and takes it."""
+    mp, ap = two_point_docs
+    text = "<" + ";".join(f"{'UV'[k % 2]}.x" for k in range(n)) + "> A"
+    code, out, err = run(capsys, "translate", "--actions", ap, "--formula", text)
+    assert code == 2
+    assert err.startswith(f"error: a run of {n} steps") and "the nesting limit of 64" in err
+    assert "Traceback" not in err and out == ""
+    code, out, err = run(
+        capsys, "check", "--model", mp, "--actions", ap, "--formula", text, "--at", "w1"
+    )
+    assert code == 0, err
+
+
 def test_unreadable_documents_are_bad_input(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -2,8 +2,9 @@
 README names every kind of memo entry the package stores, no nested
 function names itself, the rules for stored errors and world keys are
 each written in one module only, only product and submodel build a
-model without normalising its input, and only the public entries that
-apply the nesting limit catch a RecursionError.
+model without normalising its input, only the public entries that apply
+the nesting limit catch a RecursionError, and the node classes a
+valuation decides are stated once and read by the decision point alone.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with `ast`.  An imported name counts as used when any `Name`
@@ -299,3 +300,82 @@ def test_the_recursion_guard_sees_each_spelling():
         "        return None\n"
     )
     assert recursion_catchers(source) == [("f", 4), ("h", 9)]
+
+
+# the node classes a world's valuation decides, by name
+_VALUATION_DECIDES = {"Truth", "Falsity", "Atom", "Not", "And"}
+
+
+def valuation_class_statements(source: str):
+    """Lines of tuple, list or set displays that state the node classes a
+    valuation decides: every item a name among them, Atom, Not and And
+    included.  formula._VALUATION_NODES states them, next to _NODE_CLASSES."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            names = [getattr(item, "id", None) for item in node.elts]
+            if {"Atom", "Not", "And"} <= set(names) <= _VALUATION_DECIDES:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def valuation_class_readers(source: str):
+    """(qualified function name, line) of each read of _VALUATION_NODES.  Only
+    DecisionPoint's constructor reads it, in the walk that records whether a
+    point is propositional, so that product can trust that one flag."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Name) and node.id == "_VALUATION_NODES":
+            if isinstance(node.ctx, ast.Load):
+                found.append((where, node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr == "_VALUATION_NODES":
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_classes_a_valuation_decides_are_stated_once(path):
+    source = path.read_text(encoding="utf-8")
+    found = valuation_class_statements(source)
+    if path.name != "formula.py":
+        assert found == []
+        return
+    body = ast.parse(source).body
+    at = next(
+        k for k, stmt in enumerate(body)
+        if isinstance(stmt, ast.Assign) and getattr(stmt.targets[0], "id", None) == "_NODE_CLASSES"
+    )
+    stated = body[at + 1]
+    assert isinstance(stated, ast.Assign) and stated.targets[0].id == "_VALUATION_NODES"
+    assert found == [stated.value.lineno]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_decision_point_constructor_reads_them(path):
+    found = valuation_class_readers(path.read_text(encoding="utf-8"))
+    want = ["DecisionPoint.__init__"] if path.name == "actions.py" else []
+    assert [where for where, _ in found] == want, found
+
+
+def test_the_valuation_guards_see_each_spelling():
+    source = (
+        "from .formula import _VALUATION_NODES\n"
+        "LEAVES = (Truth, Falsity, Atom)\n"
+        "DECIDED = {Atom, Not, And}\n"
+        "MIXED = [Atom, Not, And, Know]\n"
+        "class P:\n"
+        "    def __init__(self, f):\n"
+        "        self.flag = isinstance(f, _VALUATION_NODES)\n"
+        "    def check(self, g):\n"
+        "        return isinstance(g, (Truth, Atom, Not, And)) or formula._VALUATION_NODES\n"
+        "_VALUATION_NODES = None\n"
+    )
+    assert valuation_class_statements(source) == [3, 9]
+    assert valuation_class_readers(source) == [("P.__init__", 7), ("P.check", 9)]

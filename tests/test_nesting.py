@@ -4,7 +4,9 @@ The parser counts nesting while it reads and refuses a text past the limit
 with ParseError; evaluate_plain, evaluate, holds_globally and translate
 refuse an AST built in code past it with ValidationError, measured only
 after a RecursionError; DecisionPoint refuses such a precondition.  A
-formula exactly at the limit goes through every walk.
+formula exactly at the limit goes through every walk.  translate counts a
+run's steps against the limit too, as it unfolds a run one step per level;
+evaluation runs the steps one after another and takes a run of any length.
 """
 
 import copy
@@ -21,6 +23,7 @@ from oughtcheck.errors import CheckerError, ParseError, ValidationError
 from oughtcheck.formula import (
     MAX_DEPTH, TRUE, And, Atom, Box, Diamond, ExpAtom, Implies, Know, Not, Or, Ought, depth, to_text,
 )
+from oughtcheck.kripke import GradedKripkeModel
 from oughtcheck.parser import _TOKEN, _Nested, _Parser, parse
 from oughtcheck.reduce import translate
 from oughtcheck.scenarios import allergy_model
@@ -182,3 +185,50 @@ def test_readme_states_the_limit():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     stated = re.findall(r"nest at most \*\*(\d+)\*\* levels", readme)
     assert stated == [str(MAX_DEPTH)]
+
+
+def _long_run(n):
+    """n steps alternating between U (owned by a) and V (owned by b)."""
+    return tuple(("U" if k % 2 == 0 else "V", "x") for k in range(n))
+
+
+@pytest.fixture(scope="module")
+def two_points():
+    """U and V, whose event x is always available and y never, so a run of
+    x steps keeps every world and grows no model; and a two-world model."""
+    points = [
+        DecisionPoint(dp, owner, ["x", "y"], {"x": TRUE, "y": Not(TRUE)}, agents=["a", "b"])
+        for dp, owner in (("U", "a"), ("V", "b"))
+    ]
+    model = GradedKripkeModel(
+        agents=["a", "b"], atoms=["A"], worlds=["w1", "w2"],
+        relations={a: {"w1": {"w1", "w2"}, "w2": {"w1", "w2"}} for a in ("a", "b")},
+        valuation={"w1": {"A"}, "w2": set()}, desirability={"w1": 1, "w2": 0}, frame="S5",
+    )
+    return model, env_of(points)
+
+
+def test_translate_takes_a_run_at_the_limit(two_points):
+    _, env = two_points
+    out = translate(Diamond(_long_run(MAX_DEPTH), A), env).result
+    assert depth(out) == MAX_DEPTH
+    with pytest.raises(ValidationError, match=f"past the nesting limit of {MAX_DEPTH}"):
+        translate(Diamond(_long_run(MAX_DEPTH + 1), A), env)
+
+
+@pytest.mark.parametrize("n", [800, 1500])
+def test_translate_refuses_a_long_run_that_evaluation_takes(two_points, n):
+    """translate unfolds a run one step per level, so a run past the limit
+    is bad input there (at 800 steps it used to overflow the stack), while
+    evaluation runs the steps one after another and takes it."""
+    model, env = two_points
+    run = _long_run(n)
+    owner = "b" if n % 2 == 0 else "a"
+    message = f"a run of {n} steps unfolds {n} levels deep, past the nesting limit of {MAX_DEPTH}"
+    for f in (Diamond(run, A), Ought(owner, run, A), Not(And(A, Diamond(run, Not(A))))):
+        with pytest.raises(ValidationError, match=message):
+            translate(f, env)
+    f = Diamond(run, A)
+    assert evaluate_plain(model, "w1", f, env) is True
+    assert evaluate_plain(model, "w2", f, env) is False
+    assert evaluate(model, "w1", f, env).holds is True

@@ -5,12 +5,12 @@ from importlib import import_module
 
 import pytest
 
-from oracles import o_eval, o_product, omodel
+from oracles import OracleError, o_eval, o_product, omodel
 from oughtcheck.actions import ComposedAction, DecisionPoint
-from oughtcheck.errors import EmptyProduct, IsolatedRoot, Unsatisfiable
-from oughtcheck.formula import Atom, Not, TRUE
+from oughtcheck.errors import CheckerError, EmptyProduct, IsolatedRoot, Unsatisfiable
+from oughtcheck.formula import And, Atom, Diamond, ExpAtom, Know, Not, TRUE
 from oughtcheck.generate import GenParams, gen_decision_point, gen_model
-from oughtcheck.kripke import extend_world
+from oughtcheck.kripke import GradedKripkeModel, extend_world
 from oughtcheck.product import apply_sequence, product
 from oughtcheck.semantics import evaluate_plain
 from oughtcheck.submodel import agent_submodel
@@ -91,8 +91,6 @@ def test_product_is_memoized(line_model, pick):
 
 
 def test_eval_only_images_stay_eval_only():
-    from oughtcheck.kripke import GradedKripkeModel
-
     m = GradedKripkeModel(
         agents=["x"],
         atoms=["p"],
@@ -166,6 +164,112 @@ def test_against_oracle():
             assert pm.valuation[w] == opm["val"][w]
             assert pm.desirability[w] == opm["des"][w]
         done += 1
+
+
+def _mixed_pre(rng, model, earlier):
+    """A precondition that is propositional about half the time, and else
+    reads more than the valuation: knowledge, or, when an earlier point is
+    given, an after-run diamond over it or an expectation atom about it."""
+    atoms = list(model.atoms)
+
+    def literal():
+        a = Atom(rng.choice(atoms))
+        return Not(a) if rng.random() < 0.4 else a
+
+    shape = rng.randrange(7 if earlier is not None else 5)
+    if shape == 0:
+        return literal()
+    if shape == 1:
+        return And(literal(), Not(literal()))
+    if shape == 2:
+        return TRUE
+    if shape == 3:
+        return Know(rng.choice(model.agents), literal())
+    if shape == 4:
+        return Not(Know(rng.choice(model.agents), Not(literal())))
+    step = ((earlier.id, rng.choice(earlier.events)),)
+    if shape == 5:
+        return Diamond(step, literal())
+    return ExpAtom(earlier.owner, step)
+
+
+def _mixed_point(rng, model, dp_id, earlier=None):
+    events = ("x", "y", "z")[: rng.randint(2, 3)]
+    return DecisionPoint(
+        dp_id, rng.choice(model.agents), events,
+        {ev: _mixed_pre(rng, model, earlier) for ev in events},
+        agents=list(model.agents), env={earlier.id: earlier} if earlier is not None else None,
+    )
+
+
+def _oracle_update(om, action, env):
+    """The brute-force update; a composition is its parts, one after the
+    other, as the composition law states."""
+    if isinstance(action, ComposedAction):
+        return _oracle_update(_oracle_update(om, action.first, env), action.second, env)
+    return o_product(om, action, env)
+
+
+def _splits_a_valuation(om, point, env):
+    """Whether two worlds with one valuation keep different events."""
+    kept = {}
+    for w in om["order"]:
+        try:
+            events = tuple(e for e in point.events if o_eval(om, w, point.pre[e], env))
+        except OracleError:
+            continue
+        if kept.setdefault(om["val"][w], events) != events:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("frame", ["S5", "KD45", "K"])
+def test_both_precondition_paths_against_the_oracle(frame):
+    """product decides a propositional point's preconditions once per
+    valuation and walks any other point's at every world.  On models of up
+    to 12 worlds over two atoms, where valuations repeat, both paths must
+    give the oracle's worlds, order, edges, facts, values and
+    evaluation-only worlds, or fail where it fails; the points mix
+    propositional preconditions with knowledge, after-run and expectation
+    ones, and compositions are checked too."""
+    rng = random.Random(f"precondition paths:{frame}")
+    params = GenParams(min_worlds=6, max_worlds=12, max_agents=2, atoms=("p", "q"), frame=frame)
+    paths = {True: 0, False: 0}
+    compared = errors = splits = 0
+    for _ in range(40):
+        m = gen_model(rng, params)
+        v = _mixed_point(rng, m, "V")
+        u = _mixed_point(rng, m, "U", earlier=v)
+        env = {"V": v, "U": u}
+        cases = [(m, v), (m, u), (m, ComposedAction(v, u)), (m, ComposedAction(u, v))]
+        try:
+            cases.append((agent_submodel(m, m.worlds[0], u.owner), u))
+        except IsolatedRoot:
+            pass
+        splits += any(_splits_a_valuation(omodel(m), p, env) for p in (u, v) if not p.propositional)
+        for base, action in cases:
+            paths[action.propositional] += 1
+            try:
+                want = _oracle_update(omodel(base), action, env)
+            except (OracleError, CheckerError):
+                want = None
+            try:
+                pm = product(base, action)
+            except CheckerError:
+                assert want is None, (frame, action)
+                errors += 1
+                continue
+            assert want is not None, (frame, action)
+            assert list(pm.worlds) == want["order"]
+            assert pm.eval_only == frozenset(want["eval_only"])
+            for a in pm.agents:
+                assert {(w, x) for w in pm.worlds for x in pm.successors(a, w)} == want["rel"][a]
+            for w in pm.worlds:
+                assert pm.valuation[w] == want["val"][w]
+                assert pm.desirability[w] == want["des"][w]
+            compared += 1
+    assert paths[True] >= 20 and paths[False] >= 150
+    assert compared >= 120 and errors >= 20 and splits >= 10
 
 
 def test_oracle_empty_matches_package_empty(line_model):
@@ -293,3 +397,89 @@ def test_event_relatedness_is_tabled_once_per_action_and_agent(line_model, pick,
     product(agent_submodel(line_model, "w0", "y"), pick)
     assert len(calls) == len(line_model.agents) * len(pick.events) ** 2
     assert pick.related("z") == {key: frozenset([key]) for key in pick.event_keys}
+
+
+def _sweep_shaped():
+    """200 worlds in 5 S5 cells, 4 valuations over p and q, and a point U of
+    3 events guarded by p, q and true."""
+    worlds = [f"w{k}" for k in range(200)]
+    cells = [worlds[k::5] for k in range(5)]
+    model = GradedKripkeModel(
+        agents=["i"], atoms=["p", "q"], worlds=worlds,
+        relations={"i": {w: cell for cell in cells for w in cell}},
+        valuation={w: [("p", "q"), ("p",), ("q",), ()][k % 4] for k, w in enumerate(worlds)},
+        desirability={w: k % 10 for k, w in enumerate(worlds)},
+        frame="S5",
+    )
+    point = DecisionPoint("U", "i", ["a", "b", "c"], {"a": Atom("p"), "b": Atom("q"), "c": TRUE})
+    return model, point
+
+
+def test_a_propositional_point_is_walked_once_per_valuation(monkeypatch):
+    """A work gate, counted rather than timed: updating 200 worlds with 4
+    valuations by 3 propositional preconditions walks 4 x 3 of them; a
+    point with a knowledge precondition is walked at every world."""
+    semantics = import_module("oughtcheck.semantics")
+    walks = []
+    evaluate = semantics.evaluate_plain
+    monkeypatch.setattr(
+        semantics, "evaluate_plain", lambda *args: walks.append(args[1]) or evaluate(*args)
+    )
+    model, point = _sweep_shaped()
+    assert point.propositional
+    pm = product(model, point)
+    assert len(walks) <= 4 * 3 and len(pm.worlds) == 400
+    walks.clear()
+    knowing = DecisionPoint("K", "i", ["a", "b"], {"a": Know("i", Atom("p")), "b": TRUE})
+    assert not knowing.propositional
+    product(model, knowing)
+    assert len(walks) == 200 * 2
+
+
+def test_product_successor_sets_are_built_once_per_successor_and_relatedness_set(monkeypatch):
+    """A work gate, counted: along a run of 3 points, each agent's product
+    successor sets are built once per (successor set, set of related
+    events) among the surviving images, so an agent blind to a point's
+    events builds one per successor set, not one per event."""
+    builds = []
+    # the one frozenset product makes is a product successor set
+    monkeypatch.setattr(
+        import_module("oughtcheck.product"), "frozenset",
+        lambda items: builds.append(1) or frozenset(items), raising=False,
+    )
+    model, _ = _sweep_shaped()
+    halves = (model.worlds[:100], model.worlds[100:])
+    model = GradedKripkeModel(
+        agents=["a", "b"], atoms=model.atoms, worlds=model.worlds,
+        relations={
+            "a": model.relations["i"],
+            "b": {w: halves[k // 100] for k, w in enumerate(model.worlds)},
+        },
+        valuation=model.valuation, desirability=model.desirability, frame="S5",
+    )
+    pres = {"x": Atom("p"), "y": Not(Atom("q")), "z": TRUE}
+    run = []
+    for k, (owner, blind) in enumerate([("a", "b"), ("b", "a"), ("a", "b")]):
+        events = ["x", "y", "z"]
+        run.append(DecisionPoint(
+            f"U{k}", owner, events, pres, agents=["a", "b"],
+            relations={blind: [(e1, e2) for e1 in events for e2 in events]},
+        ))
+    for point in run:
+        builds.clear()
+        pm = product(model, point)
+        want = 0
+        for a in model.agents:
+            pairs = {
+                (model.relations[a][w], frozenset(k2 for k2 in point.event_keys
+                                                  if point.q_related(a, key, k2)))
+                for w in model.worlds
+                for key in point.event_keys
+                if pm.has_world(extend_world(w, key))
+            }
+            if a != point.owner:  # blind: one related set for every event
+                assert len(pairs) == len({succ for succ, _ in pairs})
+            want += len(pairs)
+        assert len(builds) == want
+        model = pm
+    assert len(model.worlds) > 200
