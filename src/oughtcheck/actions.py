@@ -116,16 +116,14 @@ class DecisionPoint(_Action):
         # make every point a reference cycle.
         bind(self, "env", MappingProxyType(dict(env or {})))
         bind(self, "events", events)
+        # one 1-step trace per event, bound once: every product build reads it
+        bind(self, "event_keys", tuple(((dp_id, ev),) for ev in events))
         bind(self, "pre", MappingProxyType({ev: pre[ev] for ev in events}))
         bind(self, "agents", agents)
         bind(self, "relations", MappingProxyType(relations_map))
         bind(self, "extra_edges", extra_edges)
         bind(self, "propositional", propositional)
         bind(self, "_related", {})  # agent -> related(agent)
-
-    @property
-    def event_keys(self) -> Tuple[Trace, ...]:
-        return tuple(((self.id, ev),) for ev in self.events)
 
     def pre_formula(self, key: Trace) -> Formula:
         ((dp, ev),) = key

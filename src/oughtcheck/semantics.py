@@ -32,10 +32,11 @@ Conventions that matter and are easy to get wrong:
   the first, reads that entry and walks nothing.  World keys (strings and
   (base, trace) pairs) never equal a set key.  The table serves one
   (model, env): the model is held weakly, and env by identity and by a
-  snapshot of its items, so another model or a changed env starts an
-  empty one.  It sits on the node because a table in model.memo would be
-  keyed by node identity.  evaluate then walks the body with a trail at
-  one world only: the witness, the first failing successor in world order.
+  snapshot of its items (_made_for, the rule the step table below follows
+  too), so another model or a changed env starts an empty one.  It sits on
+  the node because a table in model.memo would be keyed by node identity.
+  evaluate then walks the body with a trail at one world only: the
+  witness, the first failing successor in world order.
 * Trails render on demand.  evaluate records, per node, the formula node,
   the world key and, for an expectation node, (carrier, instance, agent);
   a Verdict's text, where, note and values render on first read and are
@@ -43,6 +44,18 @@ Conventions that matter and are easy to get wrong:
   expectation node keeps its carrier alive until its values are read.
 * The after-run diamond is strict: every step's precondition must hold at
   the current world before descending.
+* Runs keep their steps on the model.  Each (model, decision point) has a
+  step table, memoised as ("steps", point): the model's product by the
+  point, built at the first available step, and for each (world, event)
+  asked so far the world key reached, or None where the precondition
+  fails.  Both paths read and fill it, so a step is decided once per
+  (model, world, event), and evaluate walks the precondition again with a
+  trail, as it walks a Know node's witness.  A precondition walk or product
+  build that raises stores nothing, so the same error is raised again.  It
+  serves one env by the rule the Know table follows (_made_for), so it is
+  sound for any precondition, whatever its nodes.  The table is on the
+  model, not on a node, because its key names no formula: the point is
+  shared by every formula that runs it.
 * An obligation O{i}(t | phi) is the conjunction of (1) <t> phi at the
   current world of the current ambient model, evaluated first, and (2) the
   expectation atom for running t, whose carrier is built from the agent's
@@ -320,16 +333,22 @@ def _outcomes(f: Know, model, env) -> dict:
     """f's table for (model, env): {successor world: outcome of f.sub}, True,
     False, or the CheckerError the walk raised, stored, and
     {successor set: the successor that decides f, or None}.  The model
-    is held weakly, and env by identity and by a snapshot of its items, so a
-    table made for another model or env, or for env before a change, is
-    replaced by an empty one."""
+    is held weakly, and env as _made_for states, so a table made for another
+    model or env, or for env before a change, is replaced by an empty one."""
     held = f._outcomes
-    items = tuple(env.items())
-    if held is not None and held[0]() is model and held[1] is env and held[2] == items:
+    if held is not None and held[0]() is model and _made_for(env, held[1], held[2]):
         return held[3]
     table: dict = {}
-    object.__setattr__(f, "_outcomes", (weakref.ref(model), env, items, table))
+    object.__setattr__(f, "_outcomes", (weakref.ref(model), env, dict(env), table))
     return table
+
+
+def _made_for(env, held_env, snapshot) -> bool:
+    """The env rule of the walker's tables, the K outcome table and the step
+    table: a table made for held_env, whose items were then snapshot (a
+    dict), serves env only when env is that very object and its items are
+    unchanged."""
+    return held_env is env and snapshot == env
 
 
 def _diamond(model, world, f, env, rec) -> bool:
@@ -375,19 +394,56 @@ _CLAUSES = {
 }
 
 
+class _Steps:
+    """A step table: the runs of one decision point from one model, for one
+    env.  product is the model's product by the point, built at the first
+    available step; decided maps (world, event) to the world key reached, or
+    to None where the event's precondition fails.  env and snapshot are
+    what _made_for reads."""
+
+    __slots__ = ("point", "product", "env", "snapshot", "decided")
+
+    def __init__(self):
+        self.product = self.env = self.snapshot = None
+
+
+def _steps(model, env, dp_id) -> _Steps:
+    """The step table of (model, the point env names dp_id) for env.  A table
+    made for another env, or for env before a change, starts its entries
+    again; its product does not depend on env, so it is kept."""
+    point = point_of(env, dp_id)
+    table = model.memo(("steps", point), _Steps)
+    if not _made_for(env, table.env, table.snapshot):  # also a new table
+        table.point, table.env, table.snapshot, table.decided = point, env, dict(env), {}
+    return table
+
+
 def _run(model, world, steps, env, rec):
     """Run the steps from (model, world), each only where its precondition
     holds; a trail records each precondition's Verdict.  Returns the model
     and world reached and None, or the model and world where the run stops
-    and the step that is not available there."""
-    for dp_id, ev in steps:
-        available = _walk(model, world, pre_of(env, dp_id, ev), env, rec)
-        if rec is not None:
-            rec[-1].clause = f"precondition {dp_id}.{ev}"
-        if not available:
-            return model, world, (dp_id, ev)
-        model = product(model, point_of(env, dp_id))
-        world = extend_world(world, ((dp_id, ev),))
+    and the step that is not available there.  Each step is read from its
+    step table, and decided there on the first visit; the explained path
+    walks the precondition again with the trail."""
+    for step in steps:
+        dp_id, ev = step
+        table = _steps(model, env, dp_id)
+        decided = table.decided  # a reset by a nested walk leaves this one aside
+        key = (world, ev)
+        reached = decided.get(key, _UNSEEN)
+        if reached is _UNSEEN or rec is not None:
+            available = _walk(model, world, pre_of(env, dp_id, ev), env, rec)
+            if rec is not None:
+                rec[-1].clause = f"precondition {dp_id}.{ev}"
+            if reached is _UNSEEN:
+                if available and table.product is None:
+                    table.product = product(model, table.point)
+                reached = decided[key] = (
+                    extend_world(world, (step,)) if available else None
+                )
+        if reached is None:
+            return model, world, step
+        model, world = table.product, reached
     return model, world, None
 
 
@@ -447,19 +503,27 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
     the submodel would copy the model, so the carrier is the model's own
     product by the point: the very product the run's goal conjunct
     descends into.  An
-    EmptyProduct raised there names the model, not a copy of it."""
-    cur_m, cur_w, stuck = _run(model, world, steps[:-1], env, None)
-    if stuck is not None:
-        raise UnknownProductWorld(
-            f"{world_id(cur_w)} does not survive {stuck[0]}.{stuck[1]}"
-        )
+    EmptyProduct raised there names the model, not a copy of it.  The
+    instance is read from the step table where that goal conjunct has just
+    run the final step, and made afresh only where nothing ran it."""
+    cur_m, cur_w = model, world
+    if len(steps) > 1:
+        cur_m, cur_w, stuck = _run(model, world, steps[:-1], env, None)
+        if stuck is not None:
+            raise UnknownProductWorld(
+                f"{world_id(cur_w)} does not survive {stuck[0]}.{stuck[1]}"
+            )
     dp_id, ev = steps[-1]
-    pre_of(env, dp_id, ev)  # an unknown decision point or event raises here
-    point = point_of(env, dp_id)
+    table = _steps(cur_m, env, dp_id)
+    point = table.point
+    # the goal conjunct of an obligation has just run this step here
+    instance = table.decided.get((cur_w, ev))
+    if instance is None:
+        pre_of(env, dp_id, ev)  # an unknown event raises here
+        instance = extend_world(cur_w, steps[-1:])
     h = horizon(cur_m, cur_w, agent)
     key = ("carrier", agent, h if cur_w in h else cur_w, point)
     carrier = cur_m.memo(key, _carrier, cur_m, cur_w, agent, h, point)
-    instance = extend_world(cur_w, ((dp_id, ev),))
     if not carrier.has_world(instance):
         raise UnknownProductWorld(
             f"{world_id(cur_w)} does not survive {dp_id}.{ev}"

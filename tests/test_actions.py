@@ -37,6 +37,14 @@ def test_basic_shape():
     assert validate_decision_point(d) == []
 
 
+def test_event_keys_are_bound_once():
+    d = _dp(events=("a", "b", "c"))
+    assert d.event_keys is d.event_keys
+    assert d.event_keys == tuple(((d.id, ev),) for ev in d.events)
+    with pytest.raises(AttributeError):
+        d.event_keys = ()
+
+
 def test_needs_two_events():
     with pytest.raises(ValidationError):
         _dp(events=("only",), pre={"only": TRUE})

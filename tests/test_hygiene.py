@@ -1,10 +1,11 @@
 """Source hygiene: every module of the package uses each name it imports,
-README names every kind of memo entry the package stores, no nested
-function names itself, the rules for stored errors and world keys are
-each written in one module only, only product and submodel build a
-model without normalising its input, only the public entries that apply
-the nesting limit catch a RecursionError, and the node classes a
-valuation decides are stated once and read by the decision point alone.
+README names every kind of memo entry the package stores, only kripke
+touches the dict behind model.memo, no nested function names itself, the
+rules for stored errors and world keys are each written in one module
+only, only product and submodel build a model without normalising its
+input, only the public entries that apply the nesting limit catch a
+RecursionError, and the node classes a valuation decides are stated once
+and read by the decision point alone.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with `ast`.  An imported name counts as used when any `Name`
@@ -105,6 +106,34 @@ def test_the_memo_guard_reads_names_bound_to_keys():
         "    return m.memo(key, g) + m.memo(('other',), g)\n"
     )
     assert memo_kinds(source) == {"kind", "other"}
+
+
+def cache_reads(source: str):
+    """Lines that read or write a `._cache` attribute.  Every derived result
+    goes through model.memo, so only kripke.py, which defines it, touches
+    the dict behind it."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_cache"
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_kripke_touches_the_memo_dict(path):
+    found = cache_reads(path.read_text(encoding="utf-8"))
+    assert bool(found) == (path.name == "kripke.py"), found
+
+
+def test_the_memo_dict_guard_sees_reads_and_writes():
+    source = (
+        "def f(model, key):\n"
+        "    hit = model._cache.get(key)\n"
+        "    model._cache[key] = hit\n"
+        "    object.__setattr__(model, '_cache', {})\n"
+        "    return model.memo(key, g), getattr(model, 'cache')\n"
+    )
+    assert cache_reads(source) == [2, 3]
 
 
 def self_naming_closures(source: str):
