@@ -39,12 +39,15 @@ def product(model: GradedKripkeModel, action) -> GradedKripkeModel:
 
 def _update_or_error(model: GradedKripkeModel, action):
     try:
-        return _update(model, action)
+        return _update(model, action, model.agents)
     except CheckerError as exc:
         return Stored(exc)
 
 
-def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
+def _update(model: GradedKripkeModel, action, agents) -> GradedKripkeModel:
+    """The update of `model` by `action`, relating `agents` only.  product
+    relates every agent of the model; an expectation carrier relates only
+    its own agent, the one relation an expectation reads."""
     from .semantics import evaluate_plain  # late import: semantics uses products
 
     env = action.env
@@ -88,7 +91,7 @@ def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
     # set, relatedness set): a blind agent's once per successor set
     relations = {}
     shared = {}  # one object per distinct product successor set
-    for a in model.agents:
+    for a in agents:
         related = action.related(a)  # one object per distinct relatedness set
         rel = relations[a] = {}
         succ_of = model.relations[a]
@@ -121,7 +124,7 @@ def _update(model: GradedKripkeModel, action) -> GradedKripkeModel:
                 rel[pw] = targets
 
     return GradedKripkeModel(
-        agents=model.agents,
+        agents=agents,
         atoms=model.atoms,
         worlds=worlds,
         relations=relations,

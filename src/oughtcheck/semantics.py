@@ -65,10 +65,15 @@ Conventions that matter and are easy to get wrong:
   so a failing precondition never trips an undefined expectation.  The
   carrier is built once per (agent, horizon, decision point) and shared by
   every root inside that horizon (a whole S5 cell); a root outside its own
-  horizon gets its own.  A horizon that is every world of the model
-  restricts nothing (no edge enters an evaluation-only world, so such a
-  world is in no horizon): the carrier is then the model's own product by
-  the point, the one the goal conjunct descended into.
+  horizon gets its own.  The carrier relates the agent only, which is all
+  an expectation reads.  The submodel it updates keeps every agent's edges
+  inside the horizon, as a precondition may read them, but it is not kept
+  once the update is built.  A carrier build that raises is kept as its
+  error, stored, and raises it again on a later visit.  A horizon that is
+  every world of the model restricts nothing (no edge enters an
+  evaluation-only world, so such a world is in no horizon): the carrier is
+  then the model's own product by the point, with every agent, the one the
+  goal conjunct descended into.
 * A bare expectation atom e{i; s} at a world with trace t resolves in one
   of three ways: s equals t (the current model is the carrier), s strictly
   extends t (run the difference as above), or s is read relative to the
@@ -108,8 +113,8 @@ from .formula import (
     to_text,
 )
 from .kripke import GradedKripkeModel, extend_world, trace_of, world_id
-from .product import product
-from .submodel import agent_submodel, horizon
+from .product import _update, product
+from .submodel import _restrict, horizon
 
 
 @dataclass
@@ -498,14 +503,11 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
     other root of H up to the root itself, which the update never reads, so
     the carrier is shared per (agent, H, decision point): one per
     information cell in S5.  A root outside its horizon is retained in its
-    submodel as an evaluation point and gets a carrier of its own.  When H
-    is every world of the model (no edge enters an evaluation-only world),
-    the submodel would copy the model, so the carrier is the model's own
-    product by the point: the very product the run's goal conjunct
-    descends into.  An
-    EmptyProduct raised there names the model, not a copy of it.  The
-    instance is read from the step table where that goal conjunct has just
-    run the final step, and made afresh only where nothing ran it."""
+    submodel as an evaluation point and gets a carrier of its own.  A
+    carrier build that raises is kept under the carrier's key as that
+    error, stored, and raises it again on a later visit.  The instance is
+    read from the step table where the goal conjunct has just run the final
+    step, and made afresh only where nothing ran it."""
     cur_m, cur_w = model, world
     if len(steps) > 1:
         cur_m, cur_w, stuck = _run(model, world, steps[:-1], env, None)
@@ -524,6 +526,8 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
     h = horizon(cur_m, cur_w, agent)
     key = ("carrier", agent, h if cur_w in h else cur_w, point)
     carrier = cur_m.memo(key, _carrier, cur_m, cur_w, agent, h, point)
+    if carrier.__class__ is Stored:
+        raise carrier.rebuild()
     if not carrier.has_world(instance):
         raise UnknownProductWorld(
             f"{world_id(cur_w)} does not survive {dp_id}.{ev}"
@@ -531,7 +535,20 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
     return carrier, instance
 
 
-def _carrier(model: GradedKripkeModel, root, agent: str, h, point) -> GradedKripkeModel:
-    if len(h) < len(model.worlds):
-        model = agent_submodel(model, root, agent)
-    return product(model, point)
+def _carrier(model: GradedKripkeModel, root, agent: str, h, point):
+    """The carrier of (agent, horizon h of root, point), or the CheckerError
+    its build raises, stored.  It relates only `agent`, the one relation an
+    expectation reads.  The agent submodel it updates keeps every agent's
+    edges inside h, since a precondition may read them, but it is built
+    here without being memoised: once updated, nothing reads it again.
+    When h is every world of the model (no edge enters an evaluation-only
+    world), the submodel would copy the model, so the carrier is the
+    model's own product by the point, with every agent: the very product
+    the run's goal conjunct descends into.  An EmptyProduct raised there
+    names the model, not a copy of it."""
+    try:
+        if len(h) == len(model.worlds):
+            return product(model, point)
+        return _update(_restrict(model, root, h, agent), point, (agent,))
+    except CheckerError as exc:
+        return Stored(exc)

@@ -4,8 +4,9 @@ touches the dict behind model.memo, no nested function names itself, the
 rules for stored errors and world keys are each written in one module
 only, only product and submodel build a model without normalising its
 input, only the public entries that apply the nesting limit catch a
-RecursionError, and the node classes a valuation decides are stated once
-and read by the decision point alone.
+RecursionError, the node classes a valuation decides are stated once
+and read by the decision point alone, and only an expectation carrier asks
+the product build to relate fewer agents than its model has.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with `ast`.  An imported name counts as used when any `Name`
@@ -408,3 +409,66 @@ def test_the_valuation_guards_see_each_spelling():
     )
     assert valuation_class_statements(source) == [3, 9]
     assert valuation_class_readers(source) == [("P.__init__", 7), ("P.check", 9)]
+
+
+def narrow_updates(source: str):
+    """(function, line) of each use of the product build `_update` that may
+    relate fewer agents than its model has: a call whose agents argument is
+    not `<model>.agents`, with <model> the name passed as the model, and
+    any use that is not a call, whose arguments cannot be read.  Only an
+    expectation carrier relates fewer, as an expectation reads its agent's
+    relation alone; an update elsewhere that did would lose a relation."""
+    found = []
+
+    def own_agents(call):
+        slots = dict(zip(("model", "action", "agents"), call.args))
+        slots.update((k.arg, k.value) for k in call.keywords)
+        model, agents = slots.get("model"), slots.get("agents")
+        return (
+            isinstance(model, ast.Name)
+            and isinstance(agents, ast.Attribute)
+            and agents.attr == "agents"
+            and isinstance(agents.value, ast.Name)
+            and agents.value.id == model.id
+        )
+
+    def visit(node, where, called):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == "_update":
+                called = func
+                if not own_agents(node):
+                    found.append((where, node.lineno))
+        elif node is not called and getattr(node, "id", getattr(node, "attr", None)) == "_update":
+            found.append((where, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, called)
+
+    visit(ast.parse(source), "<module>", None)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_carrier_relates_fewer_agents(path):
+    found = narrow_updates(path.read_text(encoding="utf-8"))
+    want = ["_carrier"] if path.name == "semantics.py" else []
+    assert [where for where, _ in found] == want, found
+
+
+def test_the_agents_guard_sees_each_spelling():
+    source = (
+        "def ambient(model, action):\n"
+        "    return _update(model, action, model.agents)\n"
+        "def _carrier(model, action, agent):\n"
+        "    return _update(sub(model), action, (agent,))\n"
+        "def other(m, n, action):\n"
+        "    a = product._update(m, action, n.agents)\n"
+        "    b = _update(model=m, action=action, agents=m.agents)\n"
+        "    c = _update(m, action, agents=m.agents[:1])\n"
+        "    return m.memo(key, _update, m, action, m.agents), a, b, c\n"
+    )
+    assert narrow_updates(source) == [
+        ("_carrier", 4), ("other", 6), ("other", 8), ("other", 9)
+    ]

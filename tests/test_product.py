@@ -304,9 +304,9 @@ def test_an_empty_update_is_built_once_and_raises_each_time(line_model, monkeypa
     builds = []
     update = product_module._update
 
-    def counted(model, action):
+    def counted(model, action, agents):
         builds.append(action.id)
-        return update(model, action)
+        return update(model, action, agents)
 
     monkeypatch.setattr(product_module, "_update", counted)
     dp = DecisionPoint("Z", "x", ("a", "b"), {"a": Not(TRUE), "b": Not(TRUE)}, agents=["x", "y"])

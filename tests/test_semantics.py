@@ -2,8 +2,10 @@
 agreement with the brute-force oracle on random instances."""
 
 import copy
+import gc
 import importlib
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -13,6 +15,7 @@ from oughtcheck.actions import DecisionPoint, env_of
 from oughtcheck.docio import model_from_doc, model_to_doc
 from oughtcheck.errors import (
     CheckerError,
+    EmptyProduct,
     InternalError,
     IsolatedRoot,
     UnknownEvent,
@@ -46,8 +49,9 @@ from oughtcheck.kripke import GradedKripkeModel, extend_world, world_id
 from oughtcheck.product import product
 from oughtcheck.parser import parse
 from oughtcheck.semantics import atom_carrier, evaluate, evaluate_plain, holds_globally
-from oughtcheck.submodel import agent_submodel
+from oughtcheck.submodel import agent_submodel, horizon
 import oughtcheck.expect
+import oughtcheck.semantics
 import oughtcheck.submodel
 
 
@@ -585,6 +589,100 @@ def test_kd45_root_outside_its_horizon_gets_its_own_carrier():
     )
 
 
+@pytest.mark.parametrize("frame", ["S5", "KD45", "K"])
+def test_a_carrier_relates_only_its_agent(frame):
+    # W's preconditions read other agents' edges inside the horizon, so the
+    # submodel a carrier updates keeps them; the carrier keeps only its agent
+    lean = whole = 0
+    for seed in range(12):
+        try:
+            ref_m, ref_env = _shared_instance(seed, frame)
+        except Unsatisfiable:
+            continue
+        m, env = _shared_instance(seed, frame)  # a copy that shares no cache
+        runs = [(("U", e),) for e in env["U"].events] + [(("W", e),) for e in env["W"].events]
+        for w in m.worlds:
+            for agent in m.agents:
+                for steps in runs:
+                    try:
+                        carrier = _sharing_route(m, w, agent, steps, env)
+                    except CheckerError:
+                        continue
+                    point = env[steps[0][0]]
+                    where = f"seed {seed} {frame}: {agent} {steps} at {w}"
+                    if len(horizon(m, w, agent)) == len(m.worlds):
+                        assert carrier is product(m, point), where
+                        assert carrier.agents == m.agents, where
+                        whole += 1
+                        continue
+                    ref = product(agent_submodel(ref_m, w, agent), ref_env[steps[0][0]])
+                    assert carrier.agents == (agent,), where
+                    assert carrier.worlds == ref.worlds, where
+                    assert carrier.eval_only == ref.eval_only, where
+                    assert dict(carrier.valuation) == dict(ref.valuation), where
+                    assert dict(carrier.desirability) == dict(ref.desirability), where
+                    assert dict(carrier.relations[agent]) == dict(ref.relations[agent]), where
+                    lean += 1
+    assert lean > 50, lean
+    if frame == "S5":
+        assert whole > 0
+
+
+def test_a_whole_horizon_carrier_keeps_every_agent(line_model, pick, pick_env):
+    # y's horizon is every world: its carrier is the ambient product itself
+    carrier = _sharing_route(line_model, "w2", "y", (("P", "lo"),), pick_env)
+    assert carrier is product(line_model, pick)
+    assert carrier.agents == ("x", "y")
+    # x's is a cell: a carrier of x alone
+    assert _sharing_route(line_model, "w2", "x", (("P", "lo"),), pick_env).agents == ("x",)
+
+
+def test_a_carrier_keeps_no_submodel(monkeypatch):
+    m, env = _shared_instance(3, "S5")
+    restrict = oughtcheck.semantics._restrict
+    made = []
+
+    def recording(model, *args):
+        sub = restrict(model, *args)
+        made.append(weakref.ref(sub))
+        return sub
+
+    monkeypatch.setattr(oughtcheck.semantics, "_restrict", recording)
+    gc.disable()  # freed by reference counting alone, not by the collector
+    try:
+        for w in m.worlds:
+            for e in env["W"].events:
+                _outcome(lambda: evaluate_plain(m, w, ExpAtom(env["W"].owner, (("W", e),)), env))
+        assert made and all(ref() is None for ref in made)
+    finally:
+        gc.enable()
+    assert not [key for key in m._cache if key[0] == "sub"]
+
+
+def test_a_carrier_that_raises_is_built_once(line_model, monkeypatch):
+    # nothing survives Z in x's cell {w0, w1}, though w2 and w3 survive it
+    # in the model: the carrier's own build raises EmptyProduct
+    z = DecisionPoint("Z", "x", ["a", "b"], {"a": Not(Atom("p")), "b": Not(Atom("p"))})
+    env = env_of([z])
+    product(line_model, z)
+    update = oughtcheck.semantics._update
+    builds = []
+
+    def counted(model, action, agents):
+        builds.append(agents)
+        return update(model, action, agents)
+
+    monkeypatch.setattr(oughtcheck.semantics, "_update", counted)
+    atom = ExpAtom("x", (("Z", "a"),))
+    raised = []
+    for w in ("w0", "w1", "w0"):
+        with pytest.raises(EmptyProduct) as info:
+            evaluate_plain(line_model, w, atom, env)
+        raised.append((type(info.value), str(info.value)))
+    assert builds == [("x",)]
+    assert raised[0] == raised[1] == raised[2] and "'Z'" in raised[0][1]
+
+
 def _one_cell():
     """An S5 submodel of agent i that is one cell of i, with j's and k's
     edges inside it, and two decision points owned by i whose preconditions
@@ -632,12 +730,15 @@ def test_a_whole_horizon_carrier_is_the_models_own_product(monkeypatch):
         built["submodel"] += 1
         return restrict(model, *args)
 
-    def counting_update(model, action):
+    def counting_update(model, action, agents):
         built[action.id] += 1
-        return update(model, action)
+        return update(model, action, agents)
 
-    monkeypatch.setattr(oughtcheck.submodel, "_restrict", counting_restrict)
-    monkeypatch.setattr(products, "_update", counting_update)
+    # the carrier build calls both by the names semantics imports
+    for module in (oughtcheck.submodel, oughtcheck.semantics):
+        monkeypatch.setattr(module, "_restrict", counting_restrict)
+    for module in (products, oughtcheck.semantics):
+        monkeypatch.setattr(module, "_update", counting_update)
     goal = Atom("q")
     outcomes = {}
     for w in sub.worlds:
