@@ -13,6 +13,10 @@ implication and the box are derived forms; their constructors return core
 nodes, so printing always yields the core syntax and parse(print(f)) is the
 identity on ASTs.
 
+Nodes are hash-consed: a node constructor returns the one live node with
+its class and field values, so equal formulas are one object, compared and
+hashed by identity (Formula states the rules).
+
 Each rule that makes a trace meaningful is stated here once, and the
 parser, the loaders, the evaluator, the rewriter and composition call it:
 check_adjacency, also through make_trace (a decision point never follows
@@ -23,6 +27,7 @@ and pre_formula (pre(t), the precondition the run needs).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields
 from typing import Tuple
 
@@ -67,36 +72,108 @@ def check_adjacency(trace: Trace) -> Trace:
     return trace
 
 
+class _Ref(weakref.ref):
+    """The intern table's reference to a live node; key is its entry."""
+
+    __slots__ = ("key",)
+
+
+# The intern table: (class, *field values) -> the one live node with them.
+# Children are nodes, and a node hashes and compares by identity, so no key
+# hashes or compares recursively.  Each node constructor reads it inline.
+_live: dict = {}
+_lookup = _live.get
+
+
+def _forget(ref, live=_live) -> None:
+    """A node died: drop its entry, unless a new node took the key first."""
+    if live.get(ref.key) is ref:
+        del live[ref.key]
+
+
+_new = object.__new__
+_bind = object.__setattr__
+
+
 class Formula:
-    __slots__ = ()
+    """A formula node.  Each node class's constructor returns the one live
+    node of that class with those field values (hash-consing), so equal
+    formulas are one object: == is identity, hash is object.__hash__, and a
+    result keyed by a node (the K outcome table in a model's memo) serves
+    every formula that contains it.  A subclass of a node class interns
+    under its own class.  A node leaves the table when it dies."""
+
+    __slots__ = ("__weakref__",)
 
     def __str__(self) -> str:
         return to_text(self)
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        # copies and pickles rebuild a node from its fields: a frozen node
-        # refuses the attribute stores copy would make, and state kept off
-        # the fields (Know's outcome table) is not carried over
+        # a pickle rebuilds the node through its constructor, which returns
+        # the live node with the same fields if there is one
         return type(self), tuple(getattr(self, fld.name) for fld in fields(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Truth(Formula):
     __slots__ = ()
 
+    def __new__(cls):
+        key = (cls,)
+        ref = _lookup(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        ref = _live[key] = _Ref(node, _forget)
+        ref.key = key
+        return node
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Falsity(Formula):
     __slots__ = ()
 
+    def __new__(cls):
+        key = (cls,)
+        ref = _lookup(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        ref = _live[key] = _Ref(node, _forget)
+        ref.key = key
+        return node
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Atom(Formula):
     __slots__ = ("name",)
     name: str
 
+    def __new__(cls, name):
+        key = (cls, name)
+        ref = _lookup(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _bind(node, "name", name)
+        ref = _live[key] = _Ref(node, _forget)
+        ref.key = key
+        return node
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class ExpAtom(Formula):
     """e{agent; trace}: running `trace` is expectation-best for `agent`."""
 
@@ -104,38 +181,87 @@ class ExpAtom(Formula):
     agent: str
     steps: Trace
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", make_trace(self.steps))
+    def __new__(cls, agent, steps):
+        steps = make_trace(steps)
+        key = (cls, agent, steps)
+        ref = _lookup(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _bind(node, "agent", agent)
+        _bind(node, "steps", steps)
+        ref = _live[key] = _Ref(node, _forget)
+        ref.key = key
+        return node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Not(Formula):
     __slots__ = ("sub",)
     sub: Formula
 
+    def __new__(cls, sub):
+        key = (cls, sub)
+        ref = _lookup(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _bind(node, "sub", sub)
+        ref = _live[key] = _Ref(node, _forget)
+        ref.key = key
+        return node
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class And(Formula):
     __slots__ = ("left", "right")
     left: Formula
     right: Formula
 
+    def __new__(cls, left, right):
+        key = (cls, left, right)
+        ref = _lookup(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _bind(node, "left", left)
+        _bind(node, "right", right)
+        ref = _live[key] = _Ref(node, _forget)
+        ref.key = key
+        return node
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Know(Formula):
-    """K{agent} phi.  `_outcomes` is not a field: it holds the evaluator's
-    table of phi's outcomes at successor worlds (semantics._know), and takes
-    no part in ==, hash, repr or copies."""
+    """K{agent} phi.  The evaluator keeps phi's outcomes at successor worlds
+    in each model's memo, keyed by this node (semantics._know)."""
 
-    __slots__ = ("agent", "sub", "_outcomes")
+    __slots__ = ("agent", "sub")
     agent: str
     sub: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "_outcomes", None)
+    def __new__(cls, agent, sub):
+        key = (cls, agent, sub)
+        ref = _lookup(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _bind(node, "agent", agent)
+        _bind(node, "sub", sub)
+        ref = _live[key] = _Ref(node, _forget)
+        ref.key = key
+        return node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Diamond(Formula):
     """<trace> phi: the trace survives here and phi holds afterwards."""
 
@@ -143,11 +269,23 @@ class Diamond(Formula):
     steps: Trace
     sub: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", make_trace(self.steps))
+    def __new__(cls, steps, sub):
+        steps = make_trace(steps)
+        key = (cls, steps, sub)
+        ref = _lookup(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _bind(node, "steps", steps)
+        _bind(node, "sub", sub)
+        ref = _live[key] = _Ref(node, _forget)
+        ref.key = key
+        return node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Ought(Formula):
     """O{agent}(trace | phi): running `trace` is obliged given goal phi."""
 
@@ -156,8 +294,21 @@ class Ought(Formula):
     steps: Trace
     body: Formula
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", make_trace(self.steps))
+    def __new__(cls, agent, steps, body):
+        steps = make_trace(steps)
+        key = (cls, agent, steps, body)
+        ref = _lookup(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _bind(node, "agent", agent)
+        _bind(node, "steps", steps)
+        _bind(node, "body", body)
+        ref = _live[key] = _Ref(node, _forget)
+        ref.key = key
+        return node
 
 
 _NODE_CLASSES = frozenset({Truth, Falsity, Atom, ExpAtom, Not, And, Know, Diamond, Ought})

@@ -21,20 +21,22 @@ Conventions that matter and are easy to get wrong:
   successor, in world order, so an undefined instance inside someone's
   horizon always raises, and the error raised is that of the first
   erroring successor in world order.
-* Knowledge keeps its body's outcomes on the node.  Both paths store, for
-  each successor world they walk a Know node's body at, the outcome:
-  True, False, or the CheckerError raised, as a stored error raised again
-  on a later visit.  The verdict at a world depends only on its successor
-  set, so the table also keeps one outcome per successor set: the
-  successor that decides it (the first erroring one in world order, else
-  the first failing one), or None when the body holds at every successor.
-  A world whose set was seen before, as every world of an S5 cell after
-  the first, reads that entry and walks nothing.  World keys (strings and
-  (base, trace) pairs) never equal a set key.  The table serves one
-  (model, env): the model is held weakly, and env by identity and by a
-  snapshot of its items (_made_for, the rule the step table below follows
-  too), so another model or a changed env starts an empty one.  It sits on
-  the node because a table in model.memo would be keyed by node identity.
+* Knowledge keeps its body's outcomes in the model's memo, as ("K", node).
+  Both paths store, for each successor world they walk a Know node's body
+  at, the outcome: True, False, or the CheckerError raised, as a stored
+  error raised again on a later visit.  The verdict at a world depends
+  only on its successor set, so the table also keeps one outcome per
+  successor set: the successor that decides it (the first erroring one in
+  world order, else the first failing one), or None when the body holds at
+  every successor.  A world whose set was seen before, as every world of
+  an S5 cell after the first, reads that entry and walks nothing.  World
+  keys (strings and (base, trace) pairs) never equal a set key.  The table
+  serves one env, held by identity and by a snapshot of its items
+  (_made_for, the rule the step table below follows too), so a changed env
+  starts an empty one.  Keying by the node is sound because equal formulas
+  are one node (formula.Formula): a text parsed again builds the node the
+  memo keeps alive and finds its table.  A model keeps one table per
+  distinct Know node evaluated on it, and frees them with itself.
   evaluate then walks the body with a trail at one world only: the
   witness, the first failing successor in world order.
 * Trails render on demand.  evaluate records, per node, the formula node,
@@ -53,9 +55,8 @@ Conventions that matter and are easy to get wrong:
   trail, as it walks a Know node's witness.  A precondition walk or product
   build that raises stores nothing, so the same error is raised again.  It
   serves one env by the rule the Know table follows (_made_for), so it is
-  sound for any precondition, whatever its nodes.  The table is on the
-  model, not on a node, because its key names no formula: the point is
-  shared by every formula that runs it.
+  sound for any precondition, whatever its nodes.  Its key names no
+  formula: the point is shared by every formula that runs it.
 * An obligation O{i}(t | phi) is the conjunction of (1) <t> phi at the
   current world of the current ambient model, evaluated first, and (2) the
   expectation atom for running t, whose carrier is built from the agent's
@@ -86,7 +87,6 @@ batch drivers record them per context instead of aborting.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional
@@ -334,18 +334,27 @@ def _decide(model, world, f, env, table, succ):
     return witness
 
 
+class _KTable:
+    """A K outcome table: the outcomes of one Know node's body on one model,
+    for one env.  outcomes maps each successor world walked to True, False,
+    or the CheckerError the walk raised, stored, and each successor set seen
+    to the successor that decides the node there, or None.  env and snapshot
+    are what _made_for reads."""
+
+    __slots__ = ("env", "snapshot", "outcomes")
+
+    def __init__(self):
+        self.env = self.snapshot = None
+
+
 def _outcomes(f: Know, model, env) -> dict:
-    """f's table for (model, env): {successor world: outcome of f.sub}, True,
-    False, or the CheckerError the walk raised, stored, and
-    {successor set: the successor that decides f, or None}.  The model
-    is held weakly, and env as _made_for states, so a table made for another
-    model or env, or for env before a change, is replaced by an empty one."""
-    held = f._outcomes
-    if held is not None and held[0]() is model and _made_for(env, held[1], held[2]):
-        return held[3]
-    table: dict = {}
-    object.__setattr__(f, "_outcomes", (weakref.ref(model), env, dict(env), table))
-    return table
+    """The outcomes of f's K table on model for env, memoised as ("K", f).
+    A table made for another env, or for env before a change, starts
+    empty."""
+    table = model.memo(("K", f), _KTable)
+    if not _made_for(env, table.env, table.snapshot):  # also a new table
+        table.env, table.snapshot, table.outcomes = env, dict(env), {}
+    return table.outcomes
 
 
 def _made_for(env, held_env, snapshot) -> bool:

@@ -1,8 +1,13 @@
-"""Formula AST: construction, canonical text, complexity measure."""
+"""Formula AST: construction, interning, canonical text, complexity measure."""
+
+import gc
+import weakref
 
 import pytest
 
+from oughtcheck import formula
 from oughtcheck.errors import ValidationError
+from oughtcheck.generate import run_axiom_suite
 from oughtcheck.formula import (
     And,
     Atom,
@@ -36,6 +41,54 @@ def test_nodes_are_hashable_values():
     assert And(Atom("p"), Atom("q")) == And(Atom("p"), Atom("q"))
 
 
+class _Marked(Atom):
+    __slots__ = ()
+
+
+def test_equal_nodes_are_one_object():
+    p = Atom("p")
+    assert Truth() is TRUE and Falsity() is FALSE and Atom("p") is p
+    assert And(p, Not(p)) is And(Atom("p"), Not(Atom("p")))
+    assert Know("a", p) is Know("a", p) and Know("a", p) is not Know("b", p)
+    steps = (("U", "a"), ("V", "b"))
+    assert Diamond([["U", "a"], ["V", "b"]], p) is Diamond(steps, p)
+    assert Ought("i", steps, p) is Ought("i", list(steps), p)
+    assert ExpAtom("i", steps) is ExpAtom("i", steps) is not ExpAtom("j", steps)
+    # == is identity and hash is the object's: neither reads the fields
+    for cls in (Truth, Falsity, Atom, ExpAtom, Not, And, Know, Diamond, Ought):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    # a subclass interns under its own class
+    assert _Marked("p") is _Marked("p") is not p and type(_Marked("p")) is _Marked
+
+
+def test_the_intern_table_drops_a_node_that_dies():
+    baseline = len(formula._live)
+    held = weakref.ref(And(Atom("interned-only-here"), Not(Atom("and-here"))))
+    assert held() is None and len(formula._live) == baseline
+    f = Know("a", Atom("interned-only-here"))
+    assert len(formula._live) == baseline + 2
+    del f
+    assert len(formula._live) == baseline
+
+
+def test_no_trial_leaves_nodes_in_the_intern_table(monkeypatch):
+    """Formulas generated by axiom-suite trials die with their trials, so
+    the table returns to its size before them and nothing leaks across
+    trials."""
+    run_axiom_suite(1, 3, frame="S5")  # whatever is built once, at first use
+    gc.collect()
+    baseline = len(formula._live)
+    died = []
+    forget = formula._forget
+    monkeypatch.setattr(formula, "_forget", lambda ref: died.append(1) or forget(ref))
+    for seed in range(4):
+        report = run_axiom_suite(1, seed, frame="S5")
+        assert report.as_dict()["trials"] == 1
+        gc.collect()
+        assert len(formula._live) == baseline
+    assert len(died) > 400  # each trial built and dropped its formulas
+
+
 def test_nodes_are_frozen():
     with pytest.raises(Exception):
         Atom("p").name = "q"
@@ -52,10 +105,10 @@ def test_make_trace_rejects_empty_and_adjacent_repeats():
 
 
 def test_make_trace_keeps_a_normal_trace_and_still_validates_it():
-    normal = (("U", "a"), ("V", "b"))
+    normal = (("U", "a"), ("V", "kept"))  # in no other live node, so it is this one's
     assert make_trace(normal) is normal
     assert Diamond(normal, TRUE).steps is normal
-    for raw in ([["U", "a"], ["V", "b"]], [("U", "a"), ("V", "b")], (["U", "a"], ("V", "b"))):
+    for raw in ([["U", "a"], ["V", "kept"]], [("U", "a"), ("V", "kept")], (["U", "a"], ("V", "kept"))):
         t = make_trace(raw)
         assert t == normal and all(type(step) is tuple for step in t)
 

@@ -5,8 +5,9 @@ rules for stored errors and world keys are each written in one module
 only, only product and submodel build a model without normalising its
 input, only the public entries that apply the nesting limit catch a
 RecursionError, the node classes a valuation decides are stated once
-and read by the decision point alone, and only an expectation carrier asks
-the product build to relate fewer agents than its model has.
+and read by the decision point alone, only an expectation carrier asks
+the product build to relate fewer agents than its model has, and no
+formula node is built or changed around its interning constructor.
 
 No linter ships with the test dependencies, so this reads each module's
 syntax tree with `ast`.  An imported name counts as used when any `Name`
@@ -98,6 +99,12 @@ def test_readme_lists_every_memo_kind():
     listed = set(re.findall(r'`\("(\w+)"', paragraph))
     stored = set().union(*(memo_kinds(p.read_text(encoding="utf-8")) for p in MODULES))
     assert listed == stored
+
+
+def test_readme_names_the_k_table_memo_kind():
+    text = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = text.split("**One memo per model.**", 1)[1].split("\n\n", 1)[0]
+    assert '`("K", node)`' in paragraph
 
 
 def test_the_memo_guard_reads_names_bound_to_keys():
@@ -472,3 +479,65 @@ def test_the_agents_guard_sees_each_spelling():
     assert narrow_updates(source) == [
         ("_carrier", 4), ("other", 6), ("other", 8), ("other", 9)
     ]
+
+
+def constructor_bypasses(source: str):
+    """(what, line) of each way to build or change an object around its
+    class's constructor: object.__new__, dataclasses.replace (or replace
+    imported from dataclasses), and object.__setattr__ outside an __init__,
+    where a model or a decision point binds its own attributes.  A formula
+    node's constructor returns the one live node with its fields, so a node
+    built or changed around it would be a second node equal to the first
+    but not it.  Only formula.py, whose constructors intern, uses them."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            spelled = f"{node.value.id}.{node.attr}"
+            if spelled in ("object.__new__", "dataclasses.replace"):
+                found.append((spelled, node.lineno))
+            elif spelled == "object.__setattr__" and where != "__init__":
+                found.append((spelled, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.extend(("dataclasses.replace", node.lineno) for a in node.names if a.name == "replace")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found, key=lambda item: item[1])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_node_is_built_around_its_constructor(path):
+    found = constructor_bypasses(path.read_text(encoding="utf-8"))
+    assert bool(found) == (path.name == "formula.py"), found
+
+
+def test_the_constructor_guard_sees_each_spelling():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import fields, replace as swap\n"
+        "class M:\n"
+        "    def __init__(self, a):\n"
+        "        bind = object.__setattr__\n"
+        "        bind(self, 'a', a)\n"
+        "def rebuild(f, g):\n"
+        "    node = object.__new__(type(f))\n"
+        "    object.__setattr__(node, 'sub', g)\n"
+        "    return dataclasses.replace(f, sub=g), fields(f)\n"
+    )
+    assert constructor_bypasses(source) == [
+        ("dataclasses.replace", 2), ("object.__new__", 8), ("object.__setattr__", 9),
+        ("dataclasses.replace", 10),
+    ]
+
+
+def test_know_keeps_no_table():
+    """A K outcome table lives in the model's memo under ("K", node), not on
+    the node."""
+    from oughtcheck.formula import Know
+
+    assert Know.__slots__ == ("agent", "sub")
+    assert not any("_outcomes" in getattr(cls, "__slots__", ()) for cls in Know.__mro__)

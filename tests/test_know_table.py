@@ -1,12 +1,14 @@
 """The outcome table of a knowledge node (semantics._know).
 
-evaluate_plain and evaluate keep, on each `Know` node, the outcome of its
-body at each successor world they walked, for one (model, env); evaluate
-walks the body with a trail again only at the first failing successor.
-These tests pin that a warm table never changes an answer: verdicts and
-errors equal a cold walk on a fresh copy, the explained walk, warm and
-cold, and the brute-force oracle, and a table is dropped when its model or
-env changes.
+evaluate_plain and evaluate keep, in each model's memo under ("K", node),
+the outcome of a `Know` node's body at each successor world they walked,
+for one env; evaluate walks the body with a trail again only at the first
+failing successor.  These tests pin that a warm table never changes an
+answer: verdicts and errors equal a cold walk of the same node on a
+freshly built twin of the model, the explained walk, warm and cold, and
+the brute-force oracle; a table is dropped with its model and not read
+under another env; and a text parsed again on a warm model finds its
+table.
 """
 
 import copy
@@ -26,8 +28,19 @@ from oughtcheck.errors import CheckerError, InternalError, Unsatisfiable
 from oughtcheck.formula import FALSE, TRUE, And, Atom, Diamond, ExpAtom, Know, Not, subformulas
 from oughtcheck.generate import GenParams, gen_decision_point, gen_formula, gen_model
 from oughtcheck.kripke import GradedKripkeModel
+from oughtcheck.parser import parse
 from oughtcheck.product import product
 from oughtcheck.semantics import evaluate, evaluate_plain
+
+
+def twin(m):
+    """A freshly built model equal to m: its memo, and so every K table and
+    step table in it, starts empty."""
+    return GradedKripkeModel(
+        m.agents, m.atoms, m.worlds, m.relations, m.valuation, m.desirability,
+        frame=m.frame, root=m.root, agent_filter=m.agent_filter, eval_only=m.eval_only,
+        name=m.name,
+    )
 
 
 def _outcome(call):
@@ -92,14 +105,13 @@ def test_a_warm_table_answers_as_a_cold_walk(frame, monkeypatch):
             f = Know(rng.choice(agents), Know(rng.choice(agents), body))
             if rng.random() < 0.5:
                 f = And(Not(f), Know(rng.choice(agents), f))
-            for w in m.worlds:  # one object at every world: later ones hit its tables
+            for w in m.worlds:  # one model at every world: later ones hit its tables
                 warm, n = own_visits(f, lambda: evaluate_plain(m, w, f, env))
                 warm_visits += n
-                fresh = copy.deepcopy(f)
-                cold, n = own_visits(fresh, lambda: evaluate_plain(m, w, fresh, env))
+                fresh = twin(m)
+                cold, n = own_visits(f, lambda: evaluate_plain(fresh, w, f, env))
                 cold_visits += n
-                cold_told = copy.deepcopy(f)
-                told = _outcome(lambda: evaluate(m, w, cold_told, env).holds)
+                told = _outcome(lambda: evaluate(twin(m), w, f, env).holds)
                 warm_told = _outcome(lambda: evaluate(m, w, f, env).holds)
                 where = f"{f} at {w}"
                 assert warm == cold == told == warm_told, where
@@ -226,24 +238,22 @@ def test_only_checker_errors_are_stored():
     for _ in range(2):
         with pytest.raises(TypeError, match="not a formula"):
             evaluate_plain(m, "w1", f, env)
-    assert f._outcomes[-1] == {}
+    assert semantics._outcomes(f, m, env) == {}
 
 
 def test_copies_carry_no_table():
+    """A copy or a pickle of a node is the node itself, so it reads the
+    tables keyed by the node; nothing rides on the node."""
     m = _two_worlds()
     inner = Know("i", Atom("p"))
-    f = And(Atom("p"), Know("i", inner))
-    evaluate_plain(m, "w1", f, {})
-    assert inner._outcomes is not None
+    f, env = And(Atom("p"), Know("i", inner)), {}
+    evaluate_plain(m, "w1", f, env)
+    assert semantics._outcomes(inner, m, env) != {}
     assert [fld.name for fld in dataclasses.fields(Know)] == ["agent", "sub"]
-    for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f)), copy.copy(f)):
-        assert twin == f and hash(twin) == hash(f) and repr(twin) == repr(f)
-        if twin.right is not f.right:
-            assert twin.right._outcomes is None
-        if twin.right.sub is not inner:
-            assert twin.right.sub._outcomes is None
-    assert copy.deepcopy(f).right.sub is not inner
-    assert pickle.loads(pickle.dumps(ExpAtom("i", (("U", "go"),)))) == ExpAtom("i", (("U", "go"),))
+    for copied in (copy.deepcopy(f), pickle.loads(pickle.dumps(f)), copy.copy(f)):
+        assert copied is f
+    atom = ExpAtom("i", (("U", "go"),))
+    assert pickle.loads(pickle.dumps(atom)) is atom is ExpAtom("i", [("U", "go")])
 
 
 def _cell(n):
@@ -292,14 +302,12 @@ def test_an_error_read_per_set_is_the_cold_walks_error(monkeypatch):
     calls = _counting_ordered(monkeypatch)
     for w in m.worlds:
         warm = _outcome(lambda: evaluate_plain(m, w, f, env))
-        cold = copy.deepcopy(f)
-        assert warm == _outcome(lambda: evaluate_plain(m, w, cold, env))
+        assert warm == _outcome(lambda: evaluate_plain(twin(m), w, f, env))
         assert warm == ("UnknownProductWorld", "w2 does not survive U.go")
-        told = copy.deepcopy(f)
-        assert _outcome(lambda: evaluate(m, w, told, env)) == warm
+        assert _outcome(lambda: evaluate(twin(m), w, f, env)) == warm
         assert _outcome(lambda: evaluate(m, w, f, env)) == warm
-    # each deep copy ran the loop once, cold, at its world; the shared node
-    # ran it once, at w0, and raised from its per-set entry everywhere else
+    # each twin ran the loop once, cold, at its world; the warm model ran
+    # it once, at w0, and raised from its per-set entry everywhere else
     assert calls == ["w0"] + [w for w in m.worlds for _ in range(2)]
 
 
@@ -308,6 +316,54 @@ def test_a_warm_witness_trail_is_the_cold_one():
     f = Know("i", Know("i", Atom("p")))
     warm = [evaluate(m, w, f, env) for w in m.worlds]
     for w, told in zip(m.worlds, warm):
-        cold = evaluate(m, w, copy.deepcopy(f), env)
+        cold = evaluate(twin(m), w, f, env)
         assert told.pretty() == cold.pretty()
         assert not told.holds and told.note == "fails at successor w0"
+
+
+def _counting_decide(monkeypatch):
+    calls = []
+    decide = semantics._decide
+
+    def counted(model, world, f, env, table, succ):
+        calls.append(world)
+        return decide(model, world, f, env, table, succ)
+
+    monkeypatch.setattr(semantics, "_decide", counted)
+    return calls
+
+
+def test_a_text_parsed_again_on_a_warm_model_decides_nothing(monkeypatch):
+    """The model's memo keeps each Know node it has a table for, so parsing
+    the text again builds that very node, and every world reads its table."""
+    m, env = _k_frame(), {}
+    text = "(K{a} K{b} p & !K{b} !p)"
+    calls = _counting_decide(monkeypatch)
+    first = [evaluate_plain(m, w, parse(text, env), env) for w in m.worlds]
+    assert calls  # the first pass decided each successor set
+    held = weakref.ref(parse(text, env).left)
+    gc.collect()
+    assert held() is parse(text, env).left
+    calls.clear()
+    again = [evaluate_plain(m, w, parse(text, env), env) for w in m.worlds]
+    told = [evaluate(m, w, parse(text, env), env).holds for w in m.worlds]
+    assert again == told == first and calls == []
+    assert first == [o_eval(omodel(m), w, parse(text, env), env) for w in m.worlds]
+
+
+def test_a_table_made_for_one_env_is_not_read_under_another(monkeypatch):
+    """One S5 cell decides K{i} <U.go> true once per env: a changed env,
+    or another env, decides it again, and its verdict is the fresh one."""
+    m, env = _cell(6)
+    f = Know("i", Diamond((("U", "go"),), TRUE))
+    calls = _counting_decide(monkeypatch)
+    assert [evaluate_plain(m, w, f, env) for w in m.worlds] == [False] * 6
+    assert calls == ["w0"]
+    env["U"] = _point(TRUE)  # the same dict, changed
+    assert [evaluate_plain(m, w, f, env) for w in m.worlds] == [True] * 6
+    assert calls == ["w0", "w0"]
+    other = {"U": DecisionPoint("U", "i", ("go", "stay"), {"go": FALSE, "stay": TRUE})}
+    assert [evaluate_plain(m, w, f, other) for w in m.worlds] == [False] * 6
+    assert calls == ["w0", "w0", "w0"]
+    assert [evaluate(m, w, f, other).holds for w in m.worlds] == [False] * 6
+    assert calls == ["w0", "w0", "w0"]  # the explained walk read the same table

@@ -181,6 +181,29 @@ def test_a_formula_at_the_limit_goes_through_every_walk(text):
     assert evaluate_plain(model, "w2", out, env) == verdict.holds
 
 
+def _deeper(frames, call):
+    """call(), run `frames` frames deeper than the caller."""
+    return call() if frames == 0 else _deeper(frames - 1, call)
+
+
+def test_the_deepest_output_compares_hashes_and_copies():
+    """translate's output for <U.gamma> K{a}^63 A nests 316 deep, five times
+    its input.  ==, hash and copies of it read no field, as equal nodes are
+    one object, so they finish even 600 frames deeper than a test's stack
+    (a walk over the fields took about 950 frames)."""
+    model, points = allergy_model()
+    env = env_of(points)
+    text = "<U.gamma> " + "K{a} " * (MAX_DEPTH - 1) + "A"
+    out = translate(parse(text, env), env).result
+    assert depth(out) > 4 * MAX_DEPTH
+    again = translate(parse(text, env), env).result
+    assert out is again
+    assert _deeper(600, lambda: out == again and hash(out) == hash(again))
+    assert _deeper(600, lambda: copy.deepcopy(out) is out and copy.copy(out) is out)
+    assert _deeper(600, lambda: {out: 1}[again] == 1)
+    assert pickle.loads(pickle.dumps(out)) is out
+
+
 def test_readme_states_the_limit():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     stated = re.findall(r"nest at most \*\*(\d+)\*\* levels", readme)

@@ -1,7 +1,6 @@
 """Truth evaluation: hand-checked verdicts, the explanation mirror, and
 agreement with the brute-force oracle on random instances."""
 
-import copy
 import gc
 import importlib
 import random
@@ -53,6 +52,7 @@ from oughtcheck.submodel import agent_submodel, horizon
 import oughtcheck.expect
 import oughtcheck.semantics
 import oughtcheck.submodel
+from test_know_table import twin
 
 
 @pytest.fixture
@@ -284,10 +284,9 @@ def test_knowledge_raises_the_first_successor_error_in_world_order(reverse):
         error, names_first = UnknownProductWorld, "t does not survive U.a"
     else:
         error, names_first = IsolatedRoot, "reaches nothing from s"
-    fresh = [copy.deepcopy(f), copy.deepcopy(f)]
-    for run in (
-        lambda: evaluate_plain(m, "r", fresh[0], env),
-        lambda: evaluate(m, "r", fresh[1], env),
+    for run in (  # cold on freshly built twins of the model, then warm on it
+        lambda: evaluate_plain(twin(m), "r", f, env),
+        lambda: evaluate(twin(m), "r", f, env),
         lambda: evaluate_plain(m, "r", f, env),
         lambda: evaluate(m, "r", f, env),  # after the plain walk: reads its table
     ):

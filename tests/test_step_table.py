@@ -20,7 +20,9 @@ from oughtcheck.actions import DecisionPoint
 from oughtcheck.errors import (
     CheckerError, EmptyProduct, InternalError, UnknownEvent, UnknownWorld,
 )
-from oughtcheck.formula import FALSE, TRUE, And, Atom, Diamond, ExpAtom, Know, Not, Ought
+from oughtcheck.formula import (
+    FALSE, TRUE, And, Atom, Diamond, ExpAtom, Know, Not, Ought, subformulas,
+)
 from oughtcheck.kripke import GradedKripkeModel
 from oughtcheck.parser import parse
 from oughtcheck.product import product
@@ -207,7 +209,9 @@ def test_another_env_gets_fresh_verdicts():
 def test_a_shared_step_is_decided_once_per_world(monkeypatch):
     """A work gate, counted rather than timed: 10 formulas that all run U.a,
     evaluated at every world of a 30-world model, walk U.a's precondition
-    once per world and ask for the product once."""
+    once per world and ask for the product once.  Equal formulas are one
+    node, so the precondition, p & true, is one that no formula contains:
+    a walk of it is a run's."""
     semantics = import_module("oughtcheck.semantics")
     worlds = [f"w{k}" for k in range(30)]
     cells = [worlds[k::3] for k in range(3)]
@@ -218,7 +222,7 @@ def test_a_shared_step_is_decided_once_per_world(monkeypatch):
         desirability={w: k % 5 for k, w in enumerate(worlds)},
         frame="S5",
     )
-    point = DecisionPoint("U", "i", ["a", "b"], {"a": P, "b": TRUE})
+    point = DecisionPoint("U", "i", ["a", "b"], {"a": And(P, TRUE), "b": TRUE})
     env = {"U": point}
     product(model, point)  # built up front, so only the runs' walks are counted
     texts = [
@@ -229,6 +233,7 @@ def test_a_shared_step_is_decided_once_per_world(monkeypatch):
     walks, products = [], []
     walk, build = semantics._walk, semantics.product
     pre = point.pre["a"]
+    assert not any(pre is g for f in formulas for g in subformulas(f))
 
     def counted_walk(m, w, f, e, rec):
         if f is pre:
