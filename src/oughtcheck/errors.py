@@ -72,7 +72,9 @@ class NonTermination(InternalError):
 
 class Stored:
     """What a memo keeps of a CheckerError to raise it again: its class and
-    args, without the traceback and so without the frames it holds."""
+    args, without the traceback and so without the frames it holds.  of()
+    keeps one error as one Stored, however many entries it passes through:
+    the one it was rebuilt from, or the one first made for it."""
 
     __slots__ = ("cls", "args")
 
@@ -80,5 +82,14 @@ class Stored:
         self.cls = type(exc)
         self.args = exc.args
 
+    @classmethod
+    def of(cls, exc: CheckerError) -> "Stored":
+        kept = exc.__dict__.get("_stored")
+        if kept is None:
+            kept = exc._stored = cls(exc)
+        return kept
+
     def rebuild(self) -> CheckerError:
-        return self.cls(*self.args)
+        exc = self.cls(*self.args)
+        exc._stored = self
+        return exc

@@ -91,6 +91,18 @@ def _forget(ref, live=_live) -> None:
         del live[ref.key]
 
 
+def _hit(key):
+    """The live node under key, steps as given, or None.  A node whose steps
+    are a trace is found before make_trace runs: its key holds the trace
+    made once, and steps equal to it are that trace.  Steps that cannot be
+    hashed (a list) find nothing and are made a trace first."""
+    try:
+        ref = _lookup(key)
+    except TypeError:
+        return None
+    return None if ref is None else ref()
+
+
 _new = object.__new__
 _bind = object.__setattr__
 
@@ -99,7 +111,7 @@ class Formula:
     """A formula node.  Each node class's constructor returns the one live
     node of that class with those field values (hash-consing), so equal
     formulas are one object: == is identity, hash is object.__hash__, and a
-    result keyed by a node (the K outcome table in a model's memo) serves
+    result keyed by a node (its entry in a model's outcome store) serves
     every formula that contains it.  A subclass of a node class interns
     under its own class.  A node leaves the table when it dies."""
 
@@ -182,6 +194,9 @@ class ExpAtom(Formula):
     steps: Trace
 
     def __new__(cls, agent, steps):
+        node = _hit((cls, agent, steps))
+        if node is not None:
+            return node
         steps = make_trace(steps)
         key = (cls, agent, steps)
         ref = _lookup(key)
@@ -240,7 +255,7 @@ class And(Formula):
 @dataclass(frozen=True, eq=False, init=False)
 class Know(Formula):
     """K{agent} phi.  The evaluator keeps phi's outcomes at successor worlds
-    in each model's memo, keyed by this node (semantics._know)."""
+    in each model's outcome store, in phi's entry (semantics._decide)."""
 
     __slots__ = ("agent", "sub")
     agent: str
@@ -270,6 +285,9 @@ class Diamond(Formula):
     sub: Formula
 
     def __new__(cls, steps, sub):
+        node = _hit((cls, steps, sub))
+        if node is not None:
+            return node
         steps = make_trace(steps)
         key = (cls, steps, sub)
         ref = _lookup(key)
@@ -295,6 +313,9 @@ class Ought(Formula):
     body: Formula
 
     def __new__(cls, agent, steps, body):
+        node = _hit((cls, agent, steps, body))
+        if node is not None:
+            return node
         steps = make_trace(steps)
         key = (cls, agent, steps, body)
         ref = _lookup(key)

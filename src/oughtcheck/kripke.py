@@ -178,8 +178,12 @@ class GradedKripkeModel(ReadOnly):
             return self.worlds
         return tuple(w for w in self.worlds if w not in self.eval_only)
 
+    def world_order(self) -> Dict:
+        """{world: its position in world order}, built once."""
+        return self.memo(("world_index",), _index_of, self.worlds)
+
     def world_index(self, world) -> int:
-        return self.memo(("world_index",), _index_of, self.worlds)[world]
+        return self.world_order()[world]
 
     def pairs(self, agent: str):
         """Relation pairs in deterministic (world order, then world order) order."""
@@ -210,7 +214,7 @@ def _index_of(worlds) -> Dict:
 
 
 def _in_world_order(model: GradedKripkeModel, worlds) -> Tuple:
-    return tuple(sorted(worlds, key=model.world_index))
+    return tuple(sorted(worlds, key=model.world_order().__getitem__))
 
 
 def _basic_check(m: GradedKripkeModel) -> None:

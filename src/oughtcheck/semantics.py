@@ -21,24 +21,27 @@ Conventions that matter and are easy to get wrong:
   successor, in world order, so an undefined instance inside someone's
   horizon always raises, and the error raised is that of the first
   erroring successor in world order.
-* Knowledge keeps its body's outcomes in the model's memo, as ("K", node).
-  Both paths store, for each successor world they walk a Know node's body
-  at, the outcome: True, False, or the CheckerError raised, as a stored
-  error raised again on a later visit.  The verdict at a world depends
-  only on its successor set, so the table also keeps one outcome per
-  successor set: the successor that decides it (the first erroring one in
-  world order, else the first failing one), or None when the body holds at
-  every successor.  A world whose set was seen before, as every world of
-  an S5 cell after the first, reads that entry and walks nothing.  World
-  keys (strings and (base, trace) pairs) never equal a set key.  The table
-  serves one env, held by identity and by a snapshot of its items
-  (_made_for, the rule the step table below follows too), so a changed env
-  starts an empty one.  Keying by the node is sound because equal formulas
-  are one node (formula.Formula): a text parsed again builds the node the
-  memo keeps alive and finds its table.  A model keeps one table per
-  distinct Know node evaluated on it, and frees them with itself.
-  evaluate then walks the body with a trail at one world only: the
-  witness, the first failing successor in world order.
+* One outcome store per model keeps what the walker decided there, for one
+  env, in the model's memo as ("outcomes",).  A verdict is a property of
+  (model, world, formula), so for every Diamond, Ought and ExpAtom node,
+  and for every Know body whatever its class, the store keeps the outcome
+  at each world walked: True, False, or the CheckerError raised, as a
+  stored error raised again on a later visit (_kept, _decide).  The plain
+  walk reads the entry before it runs the clause and fills it after;
+  evaluate runs the clause with its trail and fills it too.  It is filled
+  lazily, top-down, so the short-circuit and error-order conventions
+  above hold as they do without it.  A Know node keeps, per successor set,
+  what decides it there (its witness, the first failing successor in
+  world order; the error of the first erroring one; or None when the body
+  holds at every successor): a world whose set was seen before, as every
+  world of an S5 cell after the first, reads it and walks nothing, and
+  evaluate walks the body with a trail at the witness only.  Each decision
+  point run from the model has a step table there too (_steps).  The store
+  serves one env, taken by its items (_made_for, applied where the store is
+  fetched), so an env whose items differ starts it empty.  Keying by the
+  node is sound because equal formulas are one node (formula.Formula): a
+  text parsed again builds the node the store keeps alive and finds its
+  entry.  The store dies with its model.
 * Trails render on demand.  evaluate records, per node, the formula node,
   the world key and, for an expectation node, (carrier, instance, agent);
   a Verdict's text, where, note and values render on first read and are
@@ -46,17 +49,13 @@ Conventions that matter and are easy to get wrong:
   expectation node keeps its carrier alive until its values are read.
 * The after-run diamond is strict: every step's precondition must hold at
   the current world before descending.
-* Runs keep their steps on the model.  Each (model, decision point) has a
-  step table, memoised as ("steps", point): the model's product by the
+* A run reads each step from its step table: the model's product by the
   point, built at the first available step, and for each (world, event)
   asked so far the world key reached, or None where the precondition
   fails.  Both paths read and fill it, so a step is decided once per
   (model, world, event), and evaluate walks the precondition again with a
   trail, as it walks a Know node's witness.  A precondition walk or product
-  build that raises stores nothing, so the same error is raised again.  It
-  serves one env by the rule the Know table follows (_made_for), so it is
-  sound for any precondition, whatever its nodes.  Its key names no
-  formula: the point is shared by every formula that runs it.
+  build that raises keeps no step, so the same error is raised again.
 * An obligation O{i}(t | phi) is the conjunction of (1) <t> phi at the
   current world of the current ambient model, evaluated first, and (2) the
   expectation atom for running t, whose carrier is built from the agent's
@@ -88,7 +87,7 @@ batch drivers record them per context instead of aborting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, List, Optional
 
 from .errors import CheckerError, Stored, UnknownProductWorld, ValidationError
@@ -292,13 +291,16 @@ _UNSEEN = object()  # no entry yet for a successor set
 
 
 def _know(model, world, f, env, rec) -> bool:
-    table = _outcomes(f, model, env)
+    store = _store(model, env)
+    sets = store.witnesses.get(f)
+    if sets is None:
+        sets = store.witnesses[f] = {}
     succ = model.successors(f.agent, world)
-    witness = table.get(succ, _UNSEEN)
+    witness = sets.get(succ, _UNSEEN)
     if witness is _UNSEEN:
-        witness = _decide(model, world, f, env, table, succ)
-    elif witness is not None and table[witness].__class__ is Stored:
-        raise table[witness].rebuild()
+        witness = _decide(model, world, f, env, store, sets, succ)
+    elif witness.__class__ is Stored:
+        raise witness.rebuild()
     if rec is None:
         return witness is None
     if witness is None:
@@ -309,60 +311,108 @@ def _know(model, world, f, env, rec) -> bool:
     return _node(rec, False, f, world, "knowledge", kids, note)
 
 
-def _decide(model, world, f, env, table, succ):
-    """Walk f.sub at every successor, in world order, and keep under succ the
-    one that decides f: the first that raises (raised again), else the first
-    that fails, else None.  Evaluated over the whole horizon, not lazily, and
-    in world order: which successor's error raises must not depend on set
-    order."""
+def _decide(model, world, f, env, store, sets, succ):
+    """Read f.sub's outcome at every successor, in world order, from its entry
+    in the store, walking it where there is none, and keep under succ in
+    sets what decides f: the error of the first that raises (raised again),
+    else the first that fails, else None.  Evaluated over the whole horizon,
+    not lazily, and in world order: which successor's error raises must not
+    depend on set order."""
+    body, index, raised = f.sub, store.index, store.raised
+    codes = store.nodes.get(body)
+    if codes is None:
+        codes = store.nodes[body] = bytearray(len(index))
     witness = None
     for u in model.ordered_successors(f.agent, world):
-        holds = table.get(u)
-        if holds is None:
+        i = index[u]
+        code = codes[i]
+        if code == _RAISED:
+            error = sets[succ] = raised[body][i]
+            raise error.rebuild()
+        if code:
+            holds = code == _TRUE
+        else:
             try:
-                holds = table[u] = _walk(model, u, f.sub, env, None)
+                holds = _walk(model, u, body, env, None)
             except CheckerError as exc:
-                table[u] = Stored(exc)
-                table[succ] = u
+                codes[i] = _RAISED
+                sets[succ] = raised.setdefault(body, {})[i] = Stored.of(exc)
                 raise
-        elif holds.__class__ is Stored:
-            table[succ] = u
-            raise holds.rebuild()
+            codes[i] = _TRUE if holds else _FALSE
         if not holds and witness is None:
             witness = u
-    table[succ] = witness
+    sets[succ] = witness
     return witness
 
 
-class _KTable:
-    """A K outcome table: the outcomes of one Know node's body on one model,
-    for one env.  outcomes maps each successor world walked to True, False,
-    or the CheckerError the walk raised, stored, and each successor set seen
-    to the successor that decides the node there, or None.  env and snapshot
-    are what _made_for reads."""
-
-    __slots__ = ("env", "snapshot", "outcomes")
-
-    def __init__(self):
-        self.env = self.snapshot = None
+# The codes of a node's entry in the outcome store, one byte per world.
+_FALSE, _TRUE, _RAISED = 1, 2, 3
 
 
-def _outcomes(f: Know, model, env) -> dict:
-    """The outcomes of f's K table on model for env, memoised as ("K", f).
-    A table made for another env, or for env before a change, starts
+class _Store:
+    """The outcome store of one model, for one env.  index is the model's
+    world order.  nodes maps each node kept to its entry: a bytearray with
+    one code per world in world order, 0 where no walk has decided it yet;
+    raised maps a node to {world index: the CheckerError a walk raised
+    there, stored}.  witnesses maps each Know node to {successor set: what
+    decides the node there}; steps maps each decision point id to its step
+    table.  snapshot is the env's items when the store last started
     empty."""
-    table = model.memo(("K", f), _KTable)
-    if not _made_for(env, table.env, table.snapshot):  # also a new table
-        table.env, table.snapshot, table.outcomes = env, dict(env), {}
-    return table.outcomes
+
+    __slots__ = ("index", "snapshot", "nodes", "raised", "witnesses", "steps")
+
+    def __init__(self, model):
+        self.index = model.world_order()
+        self.snapshot = None
 
 
-def _made_for(env, held_env, snapshot) -> bool:
-    """The env rule of the walker's tables, the K outcome table and the step
-    table: a table made for held_env, whose items were then snapshot (a
-    dict), serves env only when env is that very object and its items are
-    unchanged."""
-    return held_env is env and snapshot == env
+def _store(model, env) -> _Store:
+    """The model's outcome store for env, memoised as ("outcomes",).  A store
+    made for an env whose items differ from env's starts empty again."""
+    store = model.memo(("outcomes",), _Store, model)
+    if not _made_for(env, store.snapshot):  # also a new store
+        store.snapshot = dict(env)
+        store.nodes, store.raised, store.witnesses, store.steps = {}, {}, {}, {}
+    return store
+
+
+def _made_for(env, snapshot) -> bool:
+    """The env rule of the outcome store: a store started for an env whose
+    items were then snapshot (a dict) serves env when env has those items.
+    Decision points compare by identity, so an equal env names the very
+    points, and every outcome kept was decided by them."""
+    return snapshot == env
+
+
+def _kept(clause, model, world, f, env, rec) -> bool:
+    """f's outcome at (model, world), read from f's entry in the store or
+    decided by clause and kept there.  A walk with a trail runs the clause
+    to record it, and keeps its outcome too.  A world outside the model has
+    no place in an entry: the clause runs, and raises."""
+    store = _store(model, env)
+    i = store.index.get(world)
+    if i is None:
+        return clause(model, world, f, env, rec)
+    codes = store.nodes.get(f)
+    if codes is None:
+        codes = store.nodes[f] = bytearray(len(store.index))
+    code = codes[i]
+    if code and rec is None:
+        if code == _RAISED:
+            raise store.raised[f][i].rebuild()
+        return code == _TRUE
+    # taken before the clause runs: a product build in it walks preconditions
+    # under the point's own env, which may start this store again, and the
+    # outcome then belongs with codes, not in the new store
+    raised = store.raised
+    try:
+        holds = clause(model, world, f, env, rec)
+    except CheckerError as exc:
+        codes[i] = _RAISED
+        raised.setdefault(f, {})[i] = Stored.of(exc)
+        raise
+    codes[i] = _TRUE if holds else _FALSE
+    return holds
 
 
 def _diamond(model, world, f, env, rec) -> bool:
@@ -395,6 +445,9 @@ def _ought(model, world, f, env, rec) -> bool:
     return holds if rec is None else _node(rec, holds, f, world, "obligation", kids)
 
 
+# The clauses of the nodes that do work read and fill their entries in the
+# outcome store (_kept); a Know node keeps a witness per successor set and
+# its body's outcomes in the body's entry (_decide).
 _CLAUSES = {
     Atom: _atom,
     Truth: _truth,
@@ -402,33 +455,32 @@ _CLAUSES = {
     Not: _not,
     And: _and,
     Know: _know,
-    Diamond: _diamond,
-    ExpAtom: _exp_atom,
-    Ought: _ought,
+    Diamond: partial(_kept, _diamond),
+    ExpAtom: partial(_kept, _exp_atom),
+    Ought: partial(_kept, _ought),
 }
 
 
 class _Steps:
-    """A step table: the runs of one decision point from one model, for one
-    env.  product is the model's product by the point, built at the first
-    available step; decided maps (world, event) to the world key reached, or
-    to None where the event's precondition fails.  env and snapshot are
-    what _made_for reads."""
+    """A step table: the runs of one decision point from one model, for the
+    env of the store that holds it.  product is the model's product by the
+    point, built at the first available step; decided maps (world, event)
+    to the world key reached, or to None where the event's precondition
+    fails."""
 
-    __slots__ = ("point", "product", "env", "snapshot", "decided")
+    __slots__ = ("point", "product", "decided")
 
-    def __init__(self):
-        self.product = self.env = self.snapshot = None
+    def __init__(self, point):
+        self.point, self.product, self.decided = point, None, {}
 
 
 def _steps(model, env, dp_id) -> _Steps:
-    """The step table of (model, the point env names dp_id) for env.  A table
-    made for another env, or for env before a change, starts its entries
-    again; its product does not depend on env, so it is kept."""
-    point = point_of(env, dp_id)
-    table = model.memo(("steps", point), _Steps)
-    if not _made_for(env, table.env, table.snapshot):  # also a new table
-        table.point, table.env, table.snapshot, table.decided = point, env, dict(env), {}
+    """The step table of (model, the point env names dp_id), kept in the
+    model's outcome store for env."""
+    tables = _store(model, env).steps
+    table = tables.get(dp_id)
+    if table is None:
+        table = tables[dp_id] = _Steps(point_of(env, dp_id))
     return table
 
 

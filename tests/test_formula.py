@@ -124,6 +124,31 @@ def test_make_trace_keeps_a_normal_trace_and_still_validates_it():
             Ought("i", bad, TRUE)
 
 
+def test_an_interning_hit_makes_no_trace(monkeypatch):
+    """A run-carrying node given steps that a live node holds is found before
+    make_trace runs.  Steps given as lists are made a trace first, and a
+    trace that no live node holds is made, and checked, as before."""
+    calls = []
+    made = formula.make_trace
+    monkeypatch.setattr(formula, "make_trace", lambda steps: calls.append(steps) or made(steps))
+    steps = (("U", "hit"), ("V", "b"))
+
+    def build(s):
+        return [Diamond(s, TRUE), Ought("i", s, TRUE), ExpAtom("i", s)]
+
+    nodes = build(steps)
+    assert len(calls) == 3
+    for _ in range(3):
+        assert all(a is b for a, b in zip(build(tuple(steps)), nodes))
+    assert len(calls) == 3
+    assert all(a is b for a, b in zip(build([list(step) for step in steps]), nodes))
+    assert len(calls) == 6
+    for bad in ((("U", "hit"), ("U", "b")), ()):
+        for carrier in (lambda s: Diamond(s, TRUE), lambda s: Ought("i", s, TRUE), lambda s: ExpAtom("i", s)):
+            with pytest.raises(ValidationError):
+                carrier(bad)
+
+
 def test_trace_validation_applies_to_every_trace_carrier():
     for build in (
         lambda s: Diamond(s, TRUE),

@@ -1,7 +1,8 @@
 """Source hygiene: every module of the package uses each name it imports,
 README names every kind of memo entry the package stores, only kripke
 touches the dict behind model.memo, no nested function names itself, the
-rules for stored errors and world keys are each written in one module
+env rule of the outcome store is applied at one call site and its memo
+key is named in semantics alone, the rules for stored errors and world keys are each written in one module
 only, only product and submodel build a model without normalising its
 input, only the public entries that apply the nesting limit catch a
 RecursionError, the node classes a valuation decides are stated once
@@ -101,10 +102,10 @@ def test_readme_lists_every_memo_kind():
     assert listed == stored
 
 
-def test_readme_names_the_k_table_memo_kind():
+def test_readme_names_the_outcome_store_memo_kind():
     text = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
     paragraph = text.split("**One memo per model.**", 1)[1].split("\n\n", 1)[0]
-    assert '`("K", node)`' in paragraph
+    assert '`("outcomes",)`' in paragraph
 
 
 def test_the_memo_guard_reads_names_bound_to_keys():
@@ -114,6 +115,52 @@ def test_the_memo_guard_reads_names_bound_to_keys():
         "    return m.memo(key, g) + m.memo(('other',), g)\n"
     )
     assert memo_kinds(source) == {"kind", "other"}
+
+
+def env_rule_calls(source: str):
+    """Lines of each call of `_made_for`, the env rule of the outcome store.
+    The store keeps every outcome and step the walker decides on a model,
+    so one call, where the store is fetched, serves them all."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_made_for"
+    )
+
+
+def test_the_env_rule_has_one_call_site():
+    found = {p.name: env_rule_calls(p.read_text(encoding="utf-8")) for p in MODULES}
+    assert {name: len(lines) for name, lines in found.items() if lines} == {"semantics.py": 1}
+
+
+def store_key_names(source: str):
+    """Lines of each string constant "outcomes", the kind of the outcome
+    store's memo key: only semantics, which owns the store, may name it."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and node.value == "outcomes"
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_semantics_names_the_store_key(path):
+    found = store_key_names(path.read_text(encoding="utf-8"))
+    assert bool(found) == (path.name == "semantics.py"), found
+
+
+def test_the_store_guards_see_each_spelling():
+    source = (
+        "def f(model, env, store):\n"
+        "    hit = model.memo(('outcomes',), g)\n"
+        "    return _made_for(env, store.snapshot) or semantics._made_for(env, {})\n"
+        "def g():\n"
+        "    \"\"\"outcomes\"\"\"\n"
+        "    return _made_for, 'outcome'\n"
+    )
+    assert env_rule_calls(source) == [3, 3]
+    assert store_key_names(source) == [2, 5]
 
 
 def cache_reads(source: str):
@@ -535,8 +582,8 @@ def test_the_constructor_guard_sees_each_spelling():
 
 
 def test_know_keeps_no_table():
-    """A K outcome table lives in the model's memo under ("K", node), not on
-    the node."""
+    """A Know node's outcomes live in the model's outcome store, not on the
+    node."""
     from oughtcheck.formula import Know
 
     assert Know.__slots__ == ("agent", "sub")

@@ -1,14 +1,15 @@
-"""The outcome table of a knowledge node (semantics._know).
+"""What a knowledge node keeps (semantics._know).
 
-evaluate_plain and evaluate keep, in each model's memo under ("K", node),
-the outcome of a `Know` node's body at each successor world they walked,
-for one env; evaluate walks the body with a trail again only at the first
-failing successor.  These tests pin that a warm table never changes an
-answer: verdicts and errors equal a cold walk of the same node on a
-freshly built twin of the model, the explained walk, warm and cold, and
-the brute-force oracle; a table is dropped with its model and not read
-under another env; and a text parsed again on a warm model finds its
-table.
+evaluate_plain and evaluate keep, in each model's outcome store (the memo
+entry ("outcomes",)), the outcome of a `Know` node's body at each
+successor world they walked, in the body's entry, and the node's witness
+per successor set, for one env; evaluate walks the body with a trail
+again only at the first failing successor.  These tests pin that a warm
+store never changes an answer: verdicts and errors equal a cold walk of
+the same node on a freshly built twin of the model, the explained walk,
+warm and cold, and the brute-force oracle; a store is dropped with its
+model and not read under an env with other items; and a text parsed
+again on a warm model finds its entries.
 """
 
 import copy
@@ -34,13 +35,27 @@ from oughtcheck.semantics import evaluate, evaluate_plain
 
 
 def twin(m):
-    """A freshly built model equal to m: its memo, and so every K table and
-    step table in it, starts empty."""
+    """A freshly built model equal to m: its memo, and so its outcome store,
+    starts empty."""
     return GradedKripkeModel(
         m.agents, m.atoms, m.worlds, m.relations, m.valuation, m.desirability,
         frame=m.frame, root=m.root, agent_filter=m.agent_filter, eval_only=m.eval_only,
         name=m.name,
     )
+
+
+def kept(m, env, node):
+    """{world: outcome} that m's outcome store for env keeps in node's entry:
+    True, False, or the class of the error stored."""
+    store = semantics._store(m, env)
+    codes = store.nodes.get(node, bytes(len(store.index)))
+    out = {}
+    for w, i in store.index.items():
+        if codes[i] == semantics._RAISED:
+            out[w] = store.raised[node][i].cls
+        elif codes[i]:
+            out[w] = codes[i] == semantics._TRUE
+    return out
 
 
 def _outcome(call):
@@ -238,7 +253,7 @@ def test_only_checker_errors_are_stored():
     for _ in range(2):
         with pytest.raises(TypeError, match="not a formula"):
             evaluate_plain(m, "w1", f, env)
-    assert semantics._outcomes(f, m, env) == {}
+    assert kept(m, env, f.sub) == {} and semantics._store(m, env).witnesses[f] == {}
 
 
 def test_copies_carry_no_table():
@@ -248,7 +263,8 @@ def test_copies_carry_no_table():
     inner = Know("i", Atom("p"))
     f, env = And(Atom("p"), Know("i", inner)), {}
     evaluate_plain(m, "w1", f, env)
-    assert semantics._outcomes(inner, m, env) != {}
+    assert kept(m, env, inner.sub) == {"w1": True, "w2": False}
+    assert semantics._store(m, env).witnesses[inner] != {}
     assert [fld.name for fld in dataclasses.fields(Know)] == ["agent", "sub"]
     for copied in (copy.deepcopy(f), pickle.loads(pickle.dumps(f)), copy.copy(f)):
         assert copied is f
@@ -325,9 +341,9 @@ def _counting_decide(monkeypatch):
     calls = []
     decide = semantics._decide
 
-    def counted(model, world, f, env, table, succ):
+    def counted(model, world, *rest):
         calls.append(world)
-        return decide(model, world, f, env, table, succ)
+        return decide(model, world, *rest)
 
     monkeypatch.setattr(semantics, "_decide", counted)
     return calls
@@ -352,13 +368,17 @@ def test_a_text_parsed_again_on_a_warm_model_decides_nothing(monkeypatch):
 
 
 def test_a_table_made_for_one_env_is_not_read_under_another(monkeypatch):
-    """One S5 cell decides K{i} <U.go> true once per env: a changed env,
-    or another env, decides it again, and its verdict is the fresh one."""
+    """One S5 cell decides K{i} <U.go> true once per env, an env being its
+    items: an equal env, even a fresh dict, reads what was decided, and a
+    changed env, or an env with another point, decides it again, and its
+    verdict is the fresh one."""
     m, env = _cell(6)
     f = Know("i", Diamond((("U", "go"),), TRUE))
     calls = _counting_decide(monkeypatch)
     assert [evaluate_plain(m, w, f, env) for w in m.worlds] == [False] * 6
     assert calls == ["w0"]
+    assert [evaluate_plain(m, w, f, {**env}) for w in m.worlds] == [False] * 6
+    assert calls == ["w0"]  # an equal env read the store
     env["U"] = _point(TRUE)  # the same dict, changed
     assert [evaluate_plain(m, w, f, env) for w in m.worlds] == [True] * 6
     assert calls == ["w0", "w0"]

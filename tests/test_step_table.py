@@ -1,13 +1,13 @@
 """The step table of a run (semantics._steps).
 
 Every run, obligation and carrier reads one table per (model, decision
-point), memoised as ("steps", point): the point's product, and for each
+point), kept in the model's outcome store: the point's product, and for each
 (world, event) asked so far the world reached or "unavailable".  These
 tests pin that a warm table never changes an answer: a second pass over
 the same formulas, and the explained walk, agree with the first pass and
 with the brute-force oracle on S5, KD45 and K models; a raising step is
-raised again; a table made for another env, or for env before a change,
-is not read; and a step shared by many formulas is decided once per world.
+raised again; a table made for an env with other items, or for env before
+a change, is not read; and a step shared by many formulas is decided once per world.
 """
 
 from importlib import import_module
