@@ -34,7 +34,7 @@ from .errors import (
     UnknownProductWorld,
     ValidationError,
 )
-from .formula import to_text, trace_text
+from .formula import distinct_nodes, to_text, trace_text
 from .generate import EXPECTED_CLEAN, run_axiom_suite
 from .expect import component_value
 from .kripke import base_of, frame_violations, world_id
@@ -186,6 +186,7 @@ def cmd_translate(args) -> int:
         doc = {
             "input": to_text(formula),
             "output": to_text(result.result),
+            "output_nodes": distinct_nodes(result.result),
             "mode": args.mode,
             "certified": result.certified,
         }

@@ -461,6 +461,29 @@ def subformulas(f: Formula):
             stack.append(g.body)
 
 
+def distinct_nodes(f: Formula) -> int:
+    """How many distinct nodes f has: a node shared by several branches
+    counts once, so this is the size of f as a DAG, while subformulas walks
+    it as a tree.  The walk keeps its own stack."""
+    seen = {f}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            children = (g.left, g.right)
+        elif isinstance(g, (Not, Know, Diamond)):
+            children = (g.sub,)
+        elif isinstance(g, Ought):
+            children = (g.body,)
+        else:
+            continue
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return len(seen)
+
+
 # The nesting limit.  Every walk but subformulas, depth and complexity
 # recurses once or more per level, and a formula this deep leaves room on
 # CPython's default stack for the deepest of them: the explained walk of

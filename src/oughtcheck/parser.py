@@ -21,7 +21,9 @@ Nesting is limited (formula.MAX_DEPTH): a formula may nest at most that
 many operators deep, counted on the core AST (`p | q` is `!(!p & !q)`,
 three levels), and its parentheses at most that many deep.  A text too
 short to pass the limit is read as it is; a longer one by _Nested, which
-counts while it reads and refuses at the first level past the limit.
+counts while it reads and refuses at the first level past the limit.  A
+long text is tokenised as the parse reads it, so a refused one costs the
+tokens up to the limit, not the length of the text.
 """
 
 from __future__ import annotations
@@ -72,8 +74,31 @@ _PREFIX = frozenset(["!", "<", "["])
 # recurses at most three calls per token.
 _SHORT = 2 * MAX_DEPTH // 3 + 1
 
+# A text of more characters than this is tokenised as it is read (_Pulled);
+# a shorter one, every formula of a few operators, all at once.
+_EAGER = 256
+
+
+class _Pulled(list):
+    """A long text's tokens, read from the text as the parser asks for
+    them, then None: a parse that stops early leaves the rest unread."""
+
+    __slots__ = ("_rest",)
+
+    def __init__(self, text: str):
+        super().__init__()
+        self._rest = _TOKEN.finditer(text)
+
+    def __getitem__(self, i: int):
+        while i >= len(self):
+            m = next(self._rest, None)
+            self.append(None if m is None else m.group(1))
+        return list.__getitem__(self, i)
+
 
 class _Parser:
+    """toks: the text's tokens, then None for its end."""
+
     def __init__(self, text: str, toks: list, env: Optional[dict]):
         self.text = text
         self.toks = toks
@@ -81,12 +106,12 @@ class _Parser:
         self.env = env
 
     def peek(self) -> Optional[str]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
+        return self.toks[self.i]
 
     def next(self) -> str:
-        if self.i >= len(self.toks):
-            raise ParseError(f"unexpected end of input in {self.text!r}")
         tok = self.toks[self.i]
+        if tok is None:
+            raise ParseError(f"unexpected end of input in {self.text!r}")
         self.i += 1
         return tok
 
@@ -103,7 +128,7 @@ class _Parser:
 
     def parse(self) -> Formula:
         f = self.binary()
-        if self.i != len(self.toks):
+        if self.peek() is not None:
             raise ParseError(f"trailing input {self.peek()!r} in {self.text!r}")
         return f
 
@@ -121,11 +146,10 @@ class _Parser:
         """The binary connective next in the input, read when its level is
         floor or more: its node and its right operand's floor.  None when
         there is none.  left, its left operand, is for _Nested to measure."""
-        i = self.i
-        op = _BINARY.get(self.toks[i]) if i < len(self.toks) else None
+        op = _BINARY.get(self.toks[self.i])
         if op is None or op[0] < floor:
             return None
-        self.i = i + 1
+        self.i += 1
         level, node, right = op
         return node, level if right else level + 1
 
@@ -153,7 +177,8 @@ class _Parser:
         return self.primary()
 
     def _brace_follows(self) -> bool:
-        return self.i + 1 < len(self.toks) and self.toks[self.i + 1] == "{"
+        # called at a token, so the end's None, at least, follows it
+        return self.toks[self.i + 1] == "{"
 
     def primary(self) -> Formula:
         tok = self.peek()
@@ -279,5 +304,9 @@ def parse(text: str, env: Optional[dict] = None) -> Formula:
     """Parse formula text.  `env` maps decision-point ids to DecisionPoints;
     when given, trace steps and ownership are validated during the parse.
     A text that nests past formula.MAX_DEPTH raises ParseError."""
+    if len(text) > _EAGER:
+        return _Nested(text, _Pulled(text), env).parse()
     toks = _TOKEN.findall(text)
-    return (_Parser if len(toks) <= _SHORT else _Nested)(text, toks, env).parse()
+    parser = _Parser if len(toks) <= _SHORT else _Nested
+    toks.append(None)
+    return parser(text, toks, env).parse()

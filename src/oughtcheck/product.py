@@ -48,8 +48,7 @@ def _update(model: GradedKripkeModel, action, agents) -> GradedKripkeModel:
     """The update of `model` by `action`, relating `agents` only.  product
     relates every agent of the model; an expectation carrier relates only
     its own agent, the one relation an expectation reads."""
-    from .semantics import evaluate_plain  # late import: semantics uses products
-
+    evaluate_plain = semantics.evaluate_plain
     env = action.env
     pres = [(key, action.pre_formula(key)) for key in action.event_keys]
     # a propositional point's surviving events depend on the valuation only,
@@ -143,3 +142,8 @@ def apply_sequence(model: GradedKripkeModel, actions) -> GradedKripkeModel:
     for action in actions:
         out = product(out, action)
     return out
+
+
+# semantics imports this module's functions, so it is bound after them; read
+# through the module, evaluate_plain is the one semantics holds at the call
+from . import semantics  # noqa: E402

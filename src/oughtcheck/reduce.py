@@ -12,12 +12,20 @@ Diamond rewrites follow the usual structural argument of update logics and
 are logged uncertified.  A step budget guards against bugs: exceeding it
 raises NonTermination, which no well-formed input should ever do.
 
-The certificate costs nothing until it is read.  The log keeps each step's
-two sides; the first read of any weight (or of `certified`) measures every
-step, in log order, with one `formula._Measure` over the env as it was
-during the translation, then keeps only the integers.  That read cannot
-raise: the measure resolves the steps of the runs it weighs, and the
-rewriter has resolved every one of them before `translate` returns.
+One translation rewrites each distinct node once.  Nodes are hash-consed,
+and a diamond holds its pending run, so a node alone says what its rewrite
+is: `rec` keeps each node's rewrite and the span of steps it logged, and
+when the node comes again it returns that rewrite and appends the same
+step objects again.  The log, and the budget that counts it, is what a
+rewriter that kept nothing would log; only the work is done once.
+
+The certificate costs nothing until it is read.  It keeps each distinct
+step's two sides; the first read of any weight (or of `certified`)
+measures them all, in the order logged, with one `formula._Measure` over
+the env as it was during the translation, then keeps only the integers.
+That read cannot raise: the measure resolves the steps of the runs it
+weighs, and the rewriter has resolved every one of them before `translate`
+returns.
 
 One corner is inexpressible rather than wrong: an after-run diamond whose
 body is an expectation atom for the very run just taken (the atom refers to
@@ -73,7 +81,7 @@ MODES = ("standard", "literal")
 
 class _Certificate:
     """One translation's step weights, measured on first read.  Until then
-    it holds each logged step's (before, after) nodes and a snapshot of the
+    it holds each distinct step's (before, after) nodes and a snapshot of the
     env, so a later change to the env changes no weight; `settle` measures
     them all with one `_Measure` and lets go of the nodes and the env."""
 
@@ -81,7 +89,7 @@ class _Certificate:
 
     def __init__(self, env):
         self.env = dict(env)
-        self.sides = []  # (before, after) per logged step
+        self.sides = []  # (before, after) per distinct step, at its _index
         self.weights = None  # (c(before), c(after)) per step, once settled
 
     def settle(self):
@@ -160,7 +168,8 @@ def q_event_alternatives(steps, agent: str, env):
 
 
 class _Rewriter:
-    """Clauses return (rule, rewrite); `rec` alone logs, spends budget and continues."""
+    """Clauses return (rule, rewrite); `rec` alone logs, spends budget and
+    continues, and keeps each node's rewrite for the rest of the translation."""
 
     def __init__(self, env: Dict, mode: str, budget: int):
         if mode not in MODES:
@@ -170,43 +179,92 @@ class _Rewriter:
         self.budget = budget
         self.steps: List[RewriteStep] = []
         self.certificate = None  # made at the first logged step
+        self.done = {}  # node -> (its rewrite, start, end): it logged steps[start:end]
 
-    def log(self, rule: str, before: Formula, after: Formula):
-        n = len(self.steps)
-        if n >= self.budget:
+    def spend(self, n: int) -> None:
+        if len(self.steps) + n > self.budget:
             raise NonTermination(
                 "rewriting exceeded its step budget; this is a bug, not an input error"
             )
+
+    def log(self, rule: str, before: Formula, after: Formula):
+        if len(self.steps) >= self.budget:
+            self.spend(1)  # raises
         certificate = self.certificate
         if certificate is None:
             certificate = self.certificate = _Certificate(self.env)
-        certificate.sides.append((before, after))
-        self.steps.append(RewriteStep(rule, isinstance(before, Ought), certificate, n))
+        sides = certificate.sides
+        step = RewriteStep(rule, isinstance(before, Ought), certificate, len(sides))
+        sides.append((before, after))
+        self.steps.append(step)
 
     def rec(self, f: Formula) -> Formula:
         rewrites, clause = _REC.get(f.__class__) or _REC[node_class(f)]
-        while rewrites:  # an obligation or a diamond: one logged step, then go on
+        if clause is None:  # a leaf is its own rewrite and logs nothing
+            return f
+        done, steps = self.done, self.steps
+        kept = done.get(f)
+        if kept is not None:
+            return self.again(kept)
+        start = len(steps)
+        if not rewrites:
+            out = clause(self, f)
+            done[f] = (out, start, len(steps))
+            return out
+        # an obligation or a diamond: one logged step, then go on in this
+        # frame (a call per step would deepen the stack at the nesting
+        # limit); each node on the way is kept with the steps from it on
+        chain = [(f, start)]
+        while True:
             rule, after = clause(self, f)
             self.log(rule, f, after)
             f = after
             rewrites, clause = _REC.get(f.__class__) or _REC[node_class(f)]
-        return clause(self, f)
+            if clause is None:
+                out = f
+                break
+            kept = done.get(f)
+            if kept is not None:
+                out = self.again(kept)
+                break
+            chain.append((f, len(steps)))
+            if not rewrites:
+                out = clause(self, f)
+                break
+        end = len(steps)
+        for node, start in chain:
+            done[node] = (out, start, end)
+        return out
 
-    def _leaf(self, f):
-        return f
+    def again(self, kept) -> Formula:
+        """A node's kept rewrite, and the steps it logged appended again:
+        the same objects, counted against the budget."""
+        out, start, end = kept
+        if end != start:
+            self.spend(end - start)
+            steps = self.steps
+            steps += steps[start:end]
+        return out
 
     def _exp_atom(self, f):
         check_owner(self.env, f.agent, f.steps, "expectation atom")
         return f
 
+    # a copy whose children come back unchanged is f itself, unless f is of
+    # a subclass, which rewrites to its node class
     def _not(self, f):
-        return Not(self.rec(f.sub))
+        sub = self.rec(f.sub)
+        return f if sub is f.sub and f.__class__ is Not else Not(sub)
 
     def _and(self, f):
-        return And(self.rec(f.left), self.rec(f.right))
+        left, right = self.rec(f.left), self.rec(f.right)
+        if left is f.left and right is f.right and f.__class__ is And:
+            return f
+        return And(left, right)
 
     def _know(self, f):
-        return Know(f.agent, self.rec(f.sub))
+        sub = self.rec(f.sub)
+        return f if sub is f.sub and f.__class__ is Know else Know(f.agent, sub)
 
     # -- after-run diamonds ----------------------------------------------------
 
@@ -308,11 +366,12 @@ def _refuse_a_long_run(steps) -> None:
 
 # Each node class's clause, looked up by type(f), and by formula.node_class
 # when a subclass misses.  _REC's flag marks the classes rewritten in place
-# (one logged step at a time); the others are copied, their children rewritten.
+# (one logged step at a time); the others are copied, their children
+# rewritten, except the leaves, which have no clause: each is its own rewrite.
 _REC = {
-    Atom: (False, _Rewriter._leaf),
-    Truth: (False, _Rewriter._leaf),
-    Falsity: (False, _Rewriter._leaf),
+    Atom: (False, None),
+    Truth: (False, None),
+    Falsity: (False, None),
     ExpAtom: (False, _Rewriter._exp_atom),
     Not: (False, _Rewriter._not),
     And: (False, _Rewriter._and),

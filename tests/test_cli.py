@@ -304,6 +304,7 @@ def test_translate_json(capsys, scenario_docs):
     doc = json.loads(out)
     assert doc["certified"] is True
     assert doc["mode"] == "standard"
+    assert 0 < doc["output_nodes"] < len(doc["output"])
     assert all(s["decreasing"] for s in doc["steps"] if s["obligation_step"])
 
 
@@ -315,8 +316,11 @@ def test_translate_trace_pins_readme_headline(capsys, scenario_docs):
         capsys, "translate", "--actions", ap, "--formula", headline, "--json", "--trace"
     )
     assert code == 0
-    steps = json.loads(out)["steps"]
+    doc = json.loads(out)
+    steps = doc["steps"]
     assert len(steps) == 19
+    # 34 nodes as a tree, 21 distinct
+    assert doc["output_nodes"] == 21
     assert [
         (s["rule"], s["complexity_before"], s["complexity_after"], s["obligation_step"])
         for s in steps[:3]

@@ -27,6 +27,7 @@ from oughtcheck.formula import (
     complexity,
     contains_diamond,
     contains_ought,
+    distinct_nodes,
     make_trace,
     pre_formula,
     to_text,
@@ -59,6 +60,18 @@ def test_equal_nodes_are_one_object():
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
     # a subclass interns under its own class
     assert _Marked("p") is _Marked("p") is not p and type(_Marked("p")) is _Marked
+
+
+def test_distinct_nodes_counts_a_shared_node_once():
+    p = Atom("p")
+    steps = (("U", "a"),)
+    assert distinct_nodes(p) == 1
+    assert distinct_nodes(And(p, p)) == 2
+    assert distinct_nodes(Ought("i", steps, Diamond(steps, Know("a", Not(p))))) == 5
+    shared = p
+    for _ in range(5_000):  # 2**5000 branches as a tree, deeper than the stack
+        shared = And(shared, Not(shared))
+    assert distinct_nodes(shared) == 1 + 2 * 5_000
 
 
 def test_the_intern_table_drops_a_node_that_dies():

@@ -24,7 +24,8 @@ from oughtcheck.formula import (
     MAX_DEPTH, TRUE, And, Atom, Box, Diamond, ExpAtom, Implies, Know, Not, Or, Ought, depth, to_text,
 )
 from oughtcheck.kripke import GradedKripkeModel
-from oughtcheck.parser import _TOKEN, _Nested, _Parser, parse
+import oughtcheck.parser as parser
+from oughtcheck.parser import _TOKEN, _Nested, _Parser, _Pulled, parse
 from oughtcheck.reduce import translate
 from oughtcheck.scenarios import allergy_model
 from oughtcheck.semantics import evaluate, evaluate_plain, holds_globally
@@ -100,15 +101,48 @@ def test_a_deep_text_is_refused_without_recursing(n):
             parse(text)
 
 
+class _CountingTokens:
+    """Stands in for the parser's token pattern and counts what it reads."""
+
+    def __init__(self):
+        self.read = 0
+
+    def finditer(self, text):
+        for m in _TOKEN.finditer(text):
+            self.read += 1
+            yield m
+
+    def findall(self, text):
+        raise AssertionError("a long text was tokenised all at once")
+
+
+@pytest.mark.parametrize("kind", sorted(_TEXTS))
+def test_a_long_deep_text_is_refused_after_reading_up_to_the_limit(kind, allergy, monkeypatch):
+    """A work gate, counted: a text of a million characters or more that
+    nests too deeply is refused after reading at most 6 tokens per level
+    of the limit, whatever its length."""
+    _, env = allergy
+    text = _TEXTS[kind](10**6)
+    assert len(text) >= 10**6
+    tokens = _CountingTokens()
+    monkeypatch.setattr(parser, "_TOKEN", tokens)
+    with pytest.raises(ParseError, match=f"more than {MAX_DEPTH} levels deep, the nesting limit"):
+        parse(text, env)
+    assert 0 < tokens.read <= 6 * MAX_DEPTH
+
+
 def test_the_counting_parser_reads_every_pool_text_as_the_plain_one():
-    """Both parsers give the same AST; the pool's texts are all short, so
-    the counting parser is forced here."""
+    """Both parsers give the same AST, and so does the counting parser
+    reading tokens as it goes; the pool's texts are all short, so the
+    counting parser and the lazy tokens are forced here."""
     pool = json.loads(BENCH.read_text(encoding="utf-8"))
     texts = [t for entry in pool["models"] for t in entry["formulas"]]
     assert len(texts) == 800
     for text in texts:
-        toks = _TOKEN.findall(text)
-        assert _Nested(text, toks, None).parse() == _Parser(text, toks, None).parse()
+        toks = _TOKEN.findall(text) + [None]
+        plain = _Parser(text, toks, None).parse()
+        assert _Nested(text, toks, None).parse() == plain
+        assert _Nested(text, _Pulled(text), None).parse() == plain
 
 
 def test_an_ast_past_the_limit_is_refused_at_every_entry(allergy):
