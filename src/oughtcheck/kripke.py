@@ -79,17 +79,20 @@ class GradedKripkeModel(ReadOnly):
     relations: agent -> world -> frozenset of successor worlds, one object
     per distinct set (valuations likewise).  Attributes cannot be rebound,
     and relations (outer and per agent), valuation and desirability are
-    read-only mappings, so that what memo stores stays sound.
+    read-only mappings, so that what memo stores stays sound.  Each mapping
+    keyed by world lists the worlds in world order, so its values can be
+    read in step with `worlds`.
 
     The constructor normalises what it is given: every valuation and
     successor set becomes a frozenset shared per distinct set, and every
     desirability an int.  `_derived=True` skips that step and binds the
     mappings as given; only product and submodel pass it.  They derive
     every model from one already built: their mappings are keyed by exactly
-    `worlds`, hold the parent's valuation objects and ints, hold successor
-    sets they have shared one object per distinct set, and are not touched
-    again once handed over.  So normalising them again would change
-    nothing.  The model check (_basic_check) runs on every model.
+    `worlds`, in world order, hold the parent's valuation objects and ints,
+    hold successor sets they have shared one object per distinct set, and
+    are not touched again once handed over.  So normalising them again
+    would change nothing.  The model check (_basic_check) runs on every
+    model.
     """
 
     def __init__(

@@ -24,6 +24,10 @@ short to pass the limit is read as it is; a longer one by _Nested, which
 counts while it reads and refuses at the first level past the limit.  A
 long text is tokenised as the parse reads it, so a refused one costs the
 tokens up to the limit, not the length of the text.
+
+A ParseError quotes a text of at most _EAGER characters whole, and a longer
+one by the _WINDOW characters on either side of where the failing token
+starts, so its message stays short whatever the text's length.
 """
 
 from __future__ import annotations
@@ -78,21 +82,30 @@ _SHORT = 2 * MAX_DEPTH // 3 + 1
 # a shorter one, every formula of a few operators, all at once.
 _EAGER = 256
 
+# How many characters a ParseError quotes on either side of the failing
+# token of a text longer than _EAGER.
+_WINDOW = 40
+
 
 class _Pulled(list):
     """A long text's tokens, read from the text as the parser asks for
-    them, then None: a parse that stops early leaves the rest unread."""
+    them, then None: a parse that stops early leaves the rest unread.
+    starts holds where each token read starts, and the text's length for
+    the None."""
 
-    __slots__ = ("_rest",)
+    __slots__ = ("_rest", "_end", "starts")
 
     def __init__(self, text: str):
         super().__init__()
         self._rest = _TOKEN.finditer(text)
+        self._end = len(text)
+        self.starts = []
 
     def __getitem__(self, i: int):
         while i >= len(self):
             m = next(self._rest, None)
             self.append(None if m is None else m.group(1))
+            self.starts.append(self._end if m is None else m.start(1))
         return list.__getitem__(self, i)
 
 
@@ -108,28 +121,52 @@ class _Parser:
     def peek(self) -> Optional[str]:
         return self.toks[self.i]
 
+    def quote(self, k: int) -> str:
+        """The text as an error at token k quotes it: whole when it has at
+        most _EAGER characters, else the _WINDOW characters on either side
+        of where token k starts, and that position."""
+        text = self.text
+        if len(text) <= _EAGER:
+            return repr(text)
+        at = self.toks.starts[k]
+        lo, hi = max(0, at - _WINDOW), at + _WINDOW
+        cut = "..." if lo else ""
+        rest = "..." if hi < len(text) else ""
+        return f"{cut}{text[lo:hi]!r}{rest} (at character {at} of {len(text)})"
+
+    def shown(self, tok: str) -> str:
+        """A token as an error names it: whole, or, in a text quoted by a
+        window, its first _WINDOW characters when it is longer."""
+        if len(tok) <= _WINDOW or len(self.text) <= _EAGER:
+            return repr(tok)
+        return f"{tok[:_WINDOW]!r}..."
+
     def next(self) -> str:
         tok = self.toks[self.i]
         if tok is None:
-            raise ParseError(f"unexpected end of input in {self.text!r}")
+            raise ParseError(f"unexpected end of input in {self.quote(self.i)}")
         self.i += 1
         return tok
 
     def expect(self, want: str) -> None:
         got = self.next()
         if got != want:
-            raise ParseError(f"expected {want!r} but found {got!r} in {self.text!r}")
+            raise ParseError(
+                f"expected {want!r} but found {self.shown(got)} in {self.quote(self.i - 1)}"
+            )
 
     def ident(self, what: str) -> str:
         tok = self.next()
         if not _IDENT.match(tok):
-            raise ParseError(f"expected {what} but found {tok!r} in {self.text!r}")
+            raise ParseError(
+                f"expected {what} but found {self.shown(tok)} in {self.quote(self.i - 1)}"
+            )
         return tok
 
     def parse(self) -> Formula:
         f = self.binary()
         if self.peek() is not None:
-            raise ParseError(f"trailing input {self.peek()!r} in {self.text!r}")
+            raise ParseError(f"trailing input {self.shown(self.peek())} in {self.quote(self.i)}")
         return f
 
     def binary(self, floor: int = 1) -> Formula:
@@ -217,7 +254,7 @@ class _Parser:
             return FALSE
         if _IDENT.match(tok):
             return Atom(tok)
-        raise ParseError(f"unexpected {tok!r} in {self.text!r}")
+        raise ParseError(f"unexpected {self.shown(tok)} in {self.quote(self.i - 1)}")
 
     def trace(self):
         steps = [self.step()]

@@ -26,11 +26,17 @@ Conventions that matter and are easy to get wrong:
   (model, world, formula), so for every Diamond, Ought and ExpAtom node,
   and for every Know body whatever its class, the store keeps the outcome
   at each world walked: True, False, or the CheckerError raised, as a
-  stored error raised again on a later visit (_kept, _decide).  The plain
-  walk reads the entry before it runs the clause and fills it after;
-  evaluate runs the clause with its trail and fills it too.  It is filled
-  lazily, top-down, so the short-circuit and error-order conventions
-  above hold as they do without it.  A Know node keeps, per successor set,
+  stored error raised again on a later visit (_kept, _decide).  It keeps
+  one outcome per slot of alike worlds (alike_worlds: same trace,
+  valuation, evaluation-only status and successor sets), as every formula
+  holds at all worlds of a slot or at none, so the first walk at one of
+  them decides them all.  An error is kept for the world it was raised at:
+  at a slot-mate the clause runs again, so the error names the world asked
+  and the first in world order is the one raised.  The plain walk reads
+  the entry before it runs the clause and fills it after; evaluate runs
+  the clause with its trail and fills it too.  It is filled lazily,
+  top-down, so the short-circuit and error-order conventions above hold
+  as they do without it.  A Know node keeps, per successor set,
   what decides it there (its witness, the first failing successor in
   world order; the error of the first erroring one; or None when the body
   holds at every successor): a world whose set was seen before, as every
@@ -317,18 +323,22 @@ def _decide(model, world, f, env, store, sets, succ):
     sets what decides f: the error of the first that raises (raised again),
     else the first that fails, else None.  Evaluated over the whole horizon,
     not lazily, and in world order: which successor's error raises must not
-    depend on set order."""
+    depend on set order.  A successor whose slot raised at an alike world,
+    but not at it, is walked, so the error raised is its own."""
     body, index, raised = f.sub, store.index, store.raised
     codes = store.nodes.get(body)
     if codes is None:
-        codes = store.nodes[body] = bytearray(len(index))
+        codes = store.nodes[body] = bytearray(store.size)
     witness = None
     for u in model.ordered_successors(f.agent, world):
         i = index[u]
         code = codes[i]
         if code == _RAISED:
-            error = sets[succ] = raised[body][i]
-            raise error.rebuild()
+            error = raised[body].get(u)
+            if error is not None:
+                sets[succ] = error
+                raise error.rebuild()
+            code = 0
         if code:
             holds = code == _TRUE
         else:
@@ -336,7 +346,7 @@ def _decide(model, world, f, env, store, sets, succ):
                 holds = _walk(model, u, body, env, None)
             except CheckerError as exc:
                 codes[i] = _RAISED
-                sets[succ] = raised.setdefault(body, {})[i] = Stored.of(exc)
+                sets[succ] = raised.setdefault(body, {})[u] = Stored.of(exc)
                 raise
             codes[i] = _TRUE if holds else _FALSE
         if not holds and witness is None:
@@ -345,25 +355,45 @@ def _decide(model, world, f, env, store, sets, succ):
     return witness
 
 
-# The codes of a node's entry in the outcome store, one byte per world.
+# The codes of a node's entry in the outcome store, one byte per slot.
 _FALSE, _TRUE, _RAISED = 1, 2, 3
 
 
 class _Store:
-    """The outcome store of one model, for one env.  index is the model's
-    world order.  nodes maps each node kept to its entry: a bytearray with
-    one code per world in world order, 0 where no walk has decided it yet;
-    raised maps a node to {world index: the CheckerError a walk raised
-    there, stored}.  witnesses maps each Know node to {successor set: what
-    decides the node there}; steps maps each decision point id to its step
-    table.  snapshot is the env's items when the store last started
-    empty."""
+    """The outcome store of one model, for one env.  index maps each world
+    to its slot (alike_worlds), and size is the number of slots.  nodes maps
+    each node kept to its entry: a bytearray with one code per slot, 0
+    where no walk has decided it yet; raised maps a node to {world: the
+    CheckerError a walk raised there, stored}.  witnesses maps each Know
+    node to {successor set: what decides the node there}; steps maps each
+    decision point id to its step table.  snapshot is the env's items when
+    the store last started empty."""
 
-    __slots__ = ("index", "snapshot", "nodes", "raised", "witnesses", "steps")
+    __slots__ = ("index", "size", "snapshot", "nodes", "raised", "witnesses", "steps")
 
     def __init__(self, model):
-        self.index = model.world_order()
+        self.index, self.size = alike_worlds(model)
         self.snapshot = None
+
+
+def alike_worlds(model):
+    """({world: its slot}, the number of slots), in one pass over the worlds.
+    Worlds are alike, and share a slot, when they have the same trace,
+    valuation, evaluation-only status and successor set for every agent.
+    Relating each to the other, and every other world to itself, is a
+    bisimulation that keeps every horizon sum and successor count, so every
+    formula holds at both or at neither, and raises at both or at neither.
+    The model's mappings list the worlds in world order, so their values are
+    read in step with the worlds, without hashing a world key per mapping;
+    a model without evaluation-only worlds has one status for all."""
+    worlds = model.worlds
+    columns = [map(trace_of, worlds), model.valuation.values()]
+    columns += [model.relations[a].values() for a in model.agents]
+    if model.eval_only:
+        columns.append(map(model.eval_only.__contains__, worlds))
+    slots: Dict = {}
+    index = {w: slots.setdefault(kind, len(slots)) for w, kind in zip(worlds, zip(*columns))}
+    return index, len(slots)
 
 
 def _store(model, env) -> _Store:
@@ -386,21 +416,26 @@ def _made_for(env, snapshot) -> bool:
 
 def _kept(clause, model, world, f, env, rec) -> bool:
     """f's outcome at (model, world), read from f's entry in the store or
-    decided by clause and kept there.  A walk with a trail runs the clause
-    to record it, and keeps its outcome too.  A world outside the model has
-    no place in an entry: the clause runs, and raises."""
+    decided by clause and kept there, for every world of the slot.  A walk
+    with a trail runs the clause to record it, and keeps its outcome too.
+    An error is kept for the world it was raised at: where an alike world
+    raised, the clause runs again, so the error names the world asked.  A
+    world outside the model has no place in an entry: the clause runs, and
+    raises."""
     store = _store(model, env)
     i = store.index.get(world)
     if i is None:
         return clause(model, world, f, env, rec)
     codes = store.nodes.get(f)
     if codes is None:
-        codes = store.nodes[f] = bytearray(len(store.index))
+        codes = store.nodes[f] = bytearray(store.size)
     code = codes[i]
     if code and rec is None:
-        if code == _RAISED:
-            raise store.raised[f][i].rebuild()
-        return code == _TRUE
+        if code != _RAISED:
+            return code == _TRUE
+        error = store.raised[f].get(world)
+        if error is not None:
+            raise error.rebuild()
     # taken before the clause runs: a product build in it walks preconditions
     # under the point's own env, which may start this store again, and the
     # outcome then belongs with codes, not in the new store
@@ -409,7 +444,7 @@ def _kept(clause, model, world, f, env, rec) -> bool:
         holds = clause(model, world, f, env, rec)
     except CheckerError as exc:
         codes[i] = _RAISED
-        raised.setdefault(f, {})[i] = Stored.of(exc)
+        raised.setdefault(f, {})[world] = Stored.of(exc)
         raise
     codes[i] = _TRUE if holds else _FALSE
     return holds
@@ -606,10 +641,12 @@ def _carrier(model: GradedKripkeModel, root, agent: str, h, point):
     world), the submodel would copy the model, so the carrier is the
     model's own product by the point, with every agent: the very product
     the run's goal conjunct descends into.  An EmptyProduct raised there
-    names the model, not a copy of it."""
+    names the model, not a copy of it.  A carrier that every root of h
+    shares is named for h, not for the root that built it, so an error it
+    keeps is true at each root that raises it again."""
     try:
         if len(h) == len(model.worlds):
             return product(model, point)
-        return _update(_restrict(model, root, h, agent), point, (agent,))
+        return _update(_restrict(model, root, h, agent, root in h), point, (agent,))
     except CheckerError as exc:
         return Stored(exc)

@@ -39,7 +39,12 @@ def _reach(model: GradedKripkeModel, root):
     return seen
 
 
-def _restrict(model: GradedKripkeModel, root, domain, agent_filter):
+def _restrict(model: GradedKripkeModel, root, domain, agent_filter, shared=False):
+    """The submodel of domain rooted at root.  Its name renders the root, or,
+    when shared, the domain: a shared submodel stands for every root inside
+    it (an expectation carrier's), so what names it must hold for each.
+    The domain is rendered by its first _NAMED worlds in world order and
+    how many more it has, so the name stays short and cheap to make."""
     root_in = root in domain
     worlds = [w for w in model.worlds if w in domain]
     if not root_in:
@@ -71,9 +76,20 @@ def _restrict(model: GradedKripkeModel, root, domain, agent_filter):
         root=root,
         agent_filter=agent_filter,
         eval_only=eval_only,
-        name=f"{model.name or 'model'}|{agent_filter or '*'}@{world_id(root)}",
+        name=f"{model.name or 'model'}|{agent_filter or '*'}@"
+        + (_domain_name(worlds) if shared else world_id(root)),
         _derived=True,
     )
+
+
+# How many worlds a shared submodel's name lists before it counts the rest.
+_NAMED = 3
+
+
+def _domain_name(worlds) -> str:
+    more = len(worlds) - _NAMED
+    shown = ", ".join(map(world_id, worlds[:_NAMED]))
+    return "{" + shown + (f" and {more} more" if more > 0 else "") + "}"
 
 
 def generated_submodel(model: GradedKripkeModel, root) -> GradedKripkeModel:

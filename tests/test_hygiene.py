@@ -2,7 +2,9 @@
 README names every kind of memo entry the package stores, only kripke
 touches the dict behind model.memo, no nested function names itself, the
 env rule of the outcome store is applied at one call site and its memo
-key is named in semantics alone, the rules for stored errors and world keys are each written in one module
+key is named in semantics alone, the rule of which worlds share a slot of
+the store is stated once and its slot index touched in semantics alone,
+the rules for stored errors and world keys are each written in one module
 only, only product and submodel build a model without normalising its
 input, only the public entries that apply the nesting limit catch a
 RecursionError, the node classes a valuation decides are stated once
@@ -161,6 +163,60 @@ def test_the_store_guards_see_each_spelling():
     )
     assert env_rule_calls(source) == [3, 3]
     assert store_key_names(source) == [2, 5]
+
+
+def slot_rule_sites(source: str):
+    """("def" or "call", line) of each definition and each call of
+    alike_worlds, the rule of which worlds share a slot of the outcome
+    store.  It is stated in one function and applied in one place, where a
+    store starts, so the slots are never a second world order."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "alike_worlds":
+            sites.append(("def", node.lineno))
+        elif isinstance(node, ast.Call) and (
+            getattr(node.func, "id", getattr(node.func, "attr", None)) == "alike_worlds"
+        ):
+            sites.append(("call", node.lineno))
+    return sorted(sites, key=lambda site: site[1])
+
+
+def test_the_slot_rule_is_stated_and_applied_once():
+    found = {p.name: slot_rule_sites(p.read_text(encoding="utf-8")) for p in MODULES}
+    found = {name: [kind for kind, _ in sites] for name, sites in found.items() if sites}
+    assert found == {"semantics.py": ["call", "def"]}
+
+
+def index_reads(source: str):
+    """Lines that read or write an `.index` attribute, other than to call a
+    method of that name: the outcome store's slot index, which only
+    semantics, which owns the store, may touch."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "index" and id(node) not in called
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_semantics_reads_the_slot_index(path):
+    found = index_reads(path.read_text(encoding="utf-8"))
+    assert bool(found) == (path.name == "semantics.py"), found
+
+
+def test_the_slot_guards_see_each_spelling():
+    source = (
+        "def alike_worlds(model):\n"
+        "    return {}, 0\n"
+        "def f(store, words):\n"
+        "    store.index, size = semantics.alike_worlds(m)\n"
+        "    slot = store.index.get(w), words.index('p')\n"
+        "    return alike_worlds(m), getattr(store, 'index')\n"
+    )
+    assert slot_rule_sites(source) == [("def", 1), ("call", 4), ("call", 6)]
+    assert index_reads(source) == [4, 5]
 
 
 def cache_reads(source: str):

@@ -45,14 +45,16 @@ def twin(m):
 
 
 def kept(m, env, node):
-    """{world: outcome} that m's outcome store for env keeps in node's entry:
-    True, False, or the class of the error stored."""
+    """{world: outcome} that m's outcome store for env keeps in node's entry,
+    read at the world's slot: True, False, or the class of the error stored
+    for the world (CheckerError where only an alike world's error is)."""
     store = semantics._store(m, env)
-    codes = store.nodes.get(node, bytes(len(store.index)))
+    codes = store.nodes.get(node, bytes(store.size))
+    errors = store.raised.get(node, {})
     out = {}
     for w, i in store.index.items():
         if codes[i] == semantics._RAISED:
-            out[w] = store.raised[node][i].cls
+            out[w] = errors[w].cls if w in errors else CheckerError
         elif codes[i]:
             out[w] = codes[i] == semantics._TRUE
     return out

@@ -187,3 +187,51 @@ def test_parse_fuzz_raises_only_checker_errors(text, with_env):
         parse(text, _SOUP_ENV if with_env else None)
     except CheckerError:
         pass
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p q", "trailing input 'q' in 'p q'"),
+        ("(p & q", "unexpected end of input in '(p & q'"),
+        ("K{1} p", "expected an agent name but found '1' in 'K{1} p'"),
+        ("p & & q", "unexpected '&' in 'p & & q'"),
+        ("<U.a p", "expected '>' but found 'p' in '<U.a p'"),
+        ("(p & q" + " " * 250, f"unexpected end of input in {'(p & q' + ' ' * 250!r}"),
+        ("p " + "x" * 60, f"trailing input {'x' * 60!r} in {'p ' + 'x' * 60!r}"),
+    ],
+)
+def test_a_short_text_is_quoted_whole(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "p " * 500000,
+            f"trailing input 'p' in {'p ' * 21!r}... (at character 2 of 1000000)",
+        ),
+        (
+            "p" + " " * 200 + "q" + " " * 200,
+            f"trailing input 'q' in ...{' ' * 40 + 'q' + ' ' * 39!r}... (at character 201 of 402)",
+        ),
+        (
+            "p " + "x" * 10**6,
+            f"trailing input {'x' * 40!r}... in {'p ' + 'x' * 40!r}... (at character 2 of 1000002)",
+        ),
+        (
+            "(p & " + " " * 300,
+            f"unexpected end of input in ...{' ' * 40!r} (at character 305 of 305)",
+        ),
+    ],
+)
+def test_a_long_text_is_quoted_around_the_failing_token(text, message):
+    """A ParseError quotes at most 40 characters on either side of where the
+    failing token starts, and of the token, and says where it starts: the
+    message of a text of 10^6 characters stays short."""
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message and len(message) < 160

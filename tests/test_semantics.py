@@ -679,7 +679,29 @@ def test_a_carrier_that_raises_is_built_once(line_model, monkeypatch):
             evaluate_plain(line_model, w, atom, env)
         raised.append((type(info.value), str(info.value)))
     assert builds == [("x",)]
-    assert raised[0] == raised[1] == raised[2] and "'Z'" in raised[0][1]
+    # the carrier is x's cell's, shared by w0 and w1: its error names the
+    # cell, so it is true at whichever root raises it
+    message = "no world of model|x@{w0, w1} satisfies any precondition of 'Z'"
+    assert raised == [(EmptyProduct, message)] * 3
+
+
+def test_a_shared_carrier_names_its_horizon_by_its_first_worlds():
+    """x's cell {w0, ..., w4} has no world where Z is available, though w5
+    has one: the cell's carrier raises, and its name lists three worlds of
+    the horizon and counts the rest, whichever root asks."""
+    worlds = [f"w{k}" for k in range(6)]
+    cells = [worlds[:5], worlds[5:]]
+    m = GradedKripkeModel(
+        ["x"], ["p"], worlds, {"x": {w: set(c) for c in cells for w in c}},
+        {w: {"p"} if w == "w5" else set() for w in worlds}, {w: 1 for w in worlds},
+        frame="S5",
+    )
+    env = env_of([DecisionPoint("Z", "x", ["a", "b"], {"a": Atom("p"), "b": Atom("p")})])
+    message = "no world of model|x@{w0, w1, w2 and 2 more} satisfies any precondition of 'Z'"
+    for w in ("w3", "w0"):
+        with pytest.raises(EmptyProduct) as info:
+            evaluate_plain(m, w, ExpAtom("x", (("Z", "a"),)), env)
+        assert str(info.value) == message
 
 
 def _one_cell():
