@@ -8,7 +8,8 @@ The core objects:
 - :class:`~oughtcheck.actions.DecisionPoint` — a deliberate choice among
   two or more precondition-guarded events, owned by one agent.
 - :func:`~oughtcheck.product.product` — restricted product update of a
-  model with a decision point (or a composition of them).
+  model with a decision point; :func:`~oughtcheck.product.apply_sequence`
+  updates by several, one after another.
 - :func:`~oughtcheck.semantics.evaluate_plain` /
   :func:`~oughtcheck.semantics.evaluate` — truth at a world, without or
   with an explanation tree.
@@ -20,7 +21,7 @@ The core objects:
   examples ("miners", "allergy").
 """
 
-from .actions import ComposedAction, DecisionPoint, compose_all, env_of
+from .actions import DecisionPoint, env_of
 from .errors import (
     CheckerError,
     CyclicPrecondition,
@@ -74,19 +75,19 @@ from .docio import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "And", "Atom", "Box", "CheckerError", "ComposedAction",
-    "CyclicPrecondition", "DecisionPoint", "Diamond", "EmptyProduct",
-    "ExpAtom", "Formula", "GenParams", "GradedKripkeModel", "InternalError",
-    "IsolatedRoot", "Know", "NonTermination", "NoSuccessors", "Not",
-    "Ought", "ParseError", "SCENARIO_NAMES", "ScenarioReport", "TRUE",
-    "Translation", "UnknownAgent", "UnknownEvent",
-    "UnknownProductWorld", "UnknownWorld", "Unsatisfiable",
-    "ValidationError", "Verdict", "actions_from_doc", "actions_to_doc",
-    "agent_submodel", "apply_sequence", "complexity", "component_value",
-    "compose_all", "env_of", "evaluate", "evaluate_plain",
-    "expected_value", "frame_violations", "gen_decision_point",
-    "gen_formula", "gen_model", "generated_submodel", "holds_globally",
-    "load_actions_file", "load_model_file", "model_from_doc",
-    "model_to_doc", "parse", "product", "run_axiom_suite", "run_scenario",
-    "to_dot", "to_text", "trace_text", "translate", "world_id",
+    "And", "Atom", "Box", "CheckerError", "CyclicPrecondition",
+    "DecisionPoint", "Diamond", "EmptyProduct", "ExpAtom", "Formula",
+    "GenParams", "GradedKripkeModel", "InternalError", "IsolatedRoot",
+    "Know", "NonTermination", "NoSuccessors", "Not", "Ought",
+    "ParseError", "SCENARIO_NAMES", "ScenarioReport", "TRUE",
+    "Translation", "UnknownAgent", "UnknownEvent", "UnknownProductWorld",
+    "UnknownWorld", "Unsatisfiable", "ValidationError", "Verdict",
+    "actions_from_doc", "actions_to_doc", "agent_submodel",
+    "apply_sequence", "complexity", "component_value", "env_of",
+    "evaluate", "evaluate_plain", "expected_value", "frame_violations",
+    "gen_decision_point", "gen_formula", "gen_model",
+    "generated_submodel", "holds_globally", "load_actions_file",
+    "load_model_file", "model_from_doc", "model_to_doc", "parse",
+    "product", "run_axiom_suite", "run_scenario", "to_dot", "to_text",
+    "trace_text", "translate", "world_id",
 ]

@@ -1,4 +1,4 @@
-"""Decision points (single-owner action models) and their composition.
+"""Decision points (single-owner action models).
 
 A decision point bundles at least two mutually exclusive-feeling events,
 each guarded by a precondition in the obligation-free fragment.  Event
@@ -6,11 +6,9 @@ relations default to the identity for every agent (an agent can always tell
 which event happened); extra edges are accepted but flagged, since most of
 the theory is exercised with identity relations only.
 
-Composition pairs every event of the first point with every event of the
-second.  Composed events are flattened traces, their preconditions are
-after-run formulas over the first point, and relations are pairwise.  With
-product worlds keyed by (base, trace), updating by a composition yields the
-very same model as updating twice, which the tests assert as equality.
+A run of several points is an update by each point in turn
+(product.apply_sequence); the tests check that this equals the update by
+their composition, enumerated directly.
 """
 
 from __future__ import annotations
@@ -22,34 +20,12 @@ from .errors import (
     CyclicPrecondition, OughtInPrecondition, UnknownAgent, UnknownEvent, ValidationError,
 )
 from .formula import (
-    MAX_DEPTH, _VALUATION_NODES, Diamond, ExpAtom, Formula, Ought, Trace, depth, make_trace,
-    pre_formula, subformulas,
+    MAX_DEPTH, _VALUATION_NODES, Diamond, ExpAtom, Formula, Ought, Trace, depth, subformulas,
 )
 from .kripke import ReadOnly
 
 
-class _Action(ReadOnly):
-    """What a decision point and a composition share.  Every action-like
-    object exposes: event_keys, pre_formula, q_related, related, owner, and
-    propositional, true when every precondition is built from atoms, true,
-    false, ! and & only, so that the valuation of a world decides it."""
-
-    def related(self, agent: str) -> Dict[Trace, frozenset]:
-        """Event key -> the event keys `agent` cannot tell apart from it, by
-        q_related, one object per distinct set; built once per agent, as
-        every product by this action reads it."""
-        table = self._related.get(agent)
-        if table is None:
-            keys = self.event_keys
-            table = self._related[agent] = {}
-            shared = {}
-            for k1 in keys:
-                ok = frozenset([k2 for k2 in keys if self.q_related(agent, k1, k2)])
-                table[k1] = shared.setdefault(ok, ok)
-        return table
-
-
-class DecisionPoint(_Action):
+class DecisionPoint(ReadOnly):
     """A named decision point owned by one agent.
 
     events: ordered tuple of event names (at least two).
@@ -138,58 +114,22 @@ class DecisionPoint(_Action):
             return k1 == k2
         return (k1[0][1], k2[0][1]) in rel
 
+    def related(self, agent: str) -> Dict[Trace, frozenset]:
+        """Event key -> the event keys `agent` cannot tell apart from it, by
+        q_related, one object per distinct set; built once per agent, as
+        every product by this point reads it."""
+        table = self._related.get(agent)
+        if table is None:
+            keys = self.event_keys
+            table = self._related[agent] = {}
+            shared = {}
+            for k1 in keys:
+                ok = frozenset([k2 for k2 in keys if self.q_related(agent, k1, k2)])
+                table[k1] = shared.setdefault(ok, ok)
+        return table
+
     def __repr__(self):
         return f"DecisionPoint({self.id!r}, owner={self.owner!r}, events={self.events})"
-
-
-class ComposedAction(_Action):
-    """The composition of two action-like objects (left applied first).
-    Attributes cannot be rebound and env is a read-only mapping, as memoized
-    products are keyed by compositions too."""
-
-    def __init__(self, first, second):
-        make_trace(first.event_keys[0] + second.event_keys[0])  # no point after itself
-        bind = object.__setattr__
-        bind(self, "first", first)
-        bind(self, "second", second)
-        bind(self, "id", f"{first.id};{second.id}")
-        bind(self, "owner", second.owner)
-        # its preconditions name the points it composes, so env holds them
-        env = {**first.env, **second.env}
-        for part in (first, second):
-            if isinstance(part, DecisionPoint):
-                env[part.id] = part
-        bind(self, "env", MappingProxyType(env))
-        bind(self, "agents", tuple(dict.fromkeys(tuple(first.agents) + tuple(second.agents))))
-        bind(self, "event_keys", tuple(
-            ka + kb for ka in first.event_keys for kb in second.event_keys
-        ))
-        bind(self, "extra_edges", first.extra_edges or second.extra_edges)
-        # a composed precondition is an after-run formula, never propositional
-        bind(self, "propositional", False)
-        bind(self, "_related", {})  # agent -> related(agent)
-
-    def pre_formula(self, key: Trace) -> Formula:
-        return pre_formula(key, self.env)
-
-    def q_related(self, agent: str, k1: Trace, k2: Trace) -> bool:
-        split = len(k1) - len(self.second.event_keys[0])
-        return self.first.q_related(agent, k1[:split], k2[:split]) and self.second.q_related(
-            agent, k1[split:], k2[split:]
-        )
-
-    def __repr__(self):
-        return f"ComposedAction({self.id!r})"
-
-
-def compose_all(actions) -> object:
-    actions = list(actions)
-    if not actions:
-        raise ValidationError("nothing to compose")
-    out = actions[0]
-    for nxt in actions[1:]:
-        out = ComposedAction(out, nxt)
-    return out
 
 
 def validate_decision_point(point: DecisionPoint) -> list:

@@ -13,13 +13,14 @@ pipe into `head`, say): the output stops there, quietly.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .actions import compose_all, env_of
+from .actions import env_of
 from .docio import (
     dump_json,
     load_actions_file,
@@ -152,8 +153,11 @@ def cmd_expect(args) -> int:
     model.require_world(root)
     if args.agent not in model.agents:
         raise ValidationError(f"no agent {args.agent!r} in the model")
+    if not points:
+        raise ValidationError("the actions document declares no decision point")
     rows = []
-    for key in compose_all(points).event_keys:
+    # one run per choice of an event at each point, points in declaration order
+    for key in itertools.product(*([(p.id, ev) for ev in p.events] for p in points)):
         # valued in the agent's own carrier, as atoms and obligations are
         try:
             carrier, instance = atom_carrier(model, root, args.agent, key, env)

@@ -18,7 +18,7 @@ its class and field values, so equal formulas are one object, compared and
 hashed by identity (Formula states the rules).
 
 Each rule that makes a trace meaningful is stated here once, and the
-parser, the loaders, the evaluator, the rewriter and composition call it:
+parser, the loaders, the evaluator and the rewriter call it:
 check_adjacency, also through make_trace (a decision point never follows
 itself), point_of / pre_of (every step names a declared event),
 check_owner (the agent of an obligation owns the final decision point)
@@ -435,8 +435,8 @@ def check_owner(env, agent: str, steps: Trace, what: str) -> None:
 
 
 def pre_formula(steps: Trace, env) -> Formula:
-    """pre(t): the (composed) precondition of a trace's final event, the
-    formula that makes the run available."""
+    """pre(t): the precondition of a trace's final event, after the steps
+    before it: the formula that makes the run available."""
     last = pre_of(env, *steps[-1])
     if len(steps) == 1:
         return last

@@ -11,7 +11,7 @@ precondition of a decision point is propositional, which the point records
 when it is built, the surviving events are decided once per distinct
 valuation, at the first world in world order that has it, so the verdicts
 and the first error raised are those of walking every world.  Any other
-point, and every composition, has its preconditions walked at every world.
+point has its preconditions walked at every world.
 
 Worlds are ordered base-first, then by event order, which keeps every
 report deterministic.  Retained evaluation roots propagate: their images

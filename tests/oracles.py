@@ -130,6 +130,56 @@ def o_product(om, dp, env):
     }
 
 
+def o_composed(om, points, env):
+    """Update by the composition of several decision points, by direct
+    enumeration.  An event is a trace of one event per point, in order; it
+    survives at a world where pre(t), the final event's precondition after
+    the steps before it, holds.  Two images are related when their worlds
+    are and, step by step, every pair of events is (pairwise, by o_q).
+    Worlds are listed base-first, then by the traces in lexicographic
+    event order."""
+    traces = [()]
+    for dp in points:
+        traces = [t + ((dp.id, e),) for t in traces for e in dp.events]
+
+    def pre(t):
+        dp_id, ev = t[-1]
+        last = env[dp_id].pre[ev]
+        return Diamond(t[:-1], last) if len(t) > 1 else last
+
+    def image(w, t):
+        return (w[0], o_trace(w) + t) if o_trace(w) else (w, t)
+
+    survives = {}
+    for w in om["order"]:
+        ts = [t for t in traces if o_eval(om, w, pre(t), env)]
+        if ts:
+            survives[w] = ts
+    order = [image(w, t) for w in om["order"] for t in survives.get(w, ())]
+    eval_only = {image(w, t) for w in om["eval_only"] for t in survives.get(w, ())}
+    if set(order) <= eval_only:
+        raise OracleError("empty update")
+    rel = {}
+    for a in om["agents"]:
+        rel[a] = {
+            (image(w, t1), image(u, t2))
+            for (w, u) in om["rel"][a]
+            for t1 in survives.get(w, ())
+            for t2 in survives.get(u, ())
+            if all(o_q(dp, a, s1[1], s2[1]) for dp, s1, s2 in zip(points, t1, t2))
+        }
+    return {
+        "worlds": set(order),
+        "order": order,
+        "rel": rel,
+        "val": {image(w, t): om["val"][w] for w in survives for t in survives[w]},
+        "des": {image(w, t): om["des"][w] for w in survives for t in survives[w]},
+        "eval_only": eval_only,
+        "agents": om["agents"],
+        "atoms": om["atoms"],
+    }
+
+
 def o_reach(om, root, agent=None):
     """Worlds reachable from root in one or more steps."""
     agents = (agent,) if agent is not None else om["agents"]

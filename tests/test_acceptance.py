@@ -17,8 +17,8 @@ from fractions import Fraction
 import pytest
 
 from hostspeed import probes, scale
-from oracles import OracleError, o_product, omodel
-from oughtcheck.actions import DecisionPoint, compose_all, env_of
+from oracles import OracleError, o_composed, o_product, omodel
+from oughtcheck.actions import DecisionPoint, env_of
 from oughtcheck.docio import actions_from_doc, model_from_doc
 from oughtcheck.errors import (
     CheckerError,
@@ -434,19 +434,21 @@ def test_ac9_update_preservation_and_composition():
             seq = apply_sequence(m, [u, v])
         except EmptyProduct:
             seq = None
+        # the composition law: running u then v is the update by u;v,
+        # enumerated directly
         try:
-            comp = product(m, compose_all([u, v]))
-        except EmptyProduct:
+            comp = o_composed(omodel(m), [u, v], env)
+        except OracleError:
             comp = None
         assert (seq is None) == (comp is None)
         if seq is not None:
-            assert list(seq.worlds) == list(comp.worlds)
+            assert list(seq.worlds) == comp["order"]
             for agent in seq.agents:
-                assert set(seq.pairs(agent)) == set(comp.pairs(agent))
+                assert set(seq.pairs(agent)) == comp["rel"][agent]
             for w in seq.worlds:
-                assert seq.atoms_at(w) == comp.atoms_at(w)
-                assert seq.value_of(w) == comp.value_of(w)
-            assert seq.eval_only == comp.eval_only
+                assert seq.atoms_at(w) == comp["val"][w]
+                assert seq.value_of(w) == comp["des"][w]
+            assert seq.eval_only == comp["eval_only"]
         instances += 1
 
     # adversarial preconditions: emptiness must match a brute-force check
@@ -482,8 +484,8 @@ def test_ac9_update_preservation_and_composition():
             oracle_empty = True
         assert package_empty == oracle_empty
         empties += package_empty
-    print(f"[AC9] {instances} updates preserve facts and values, composing"
-          f" two points equals running them in turn, and emptiness matches"
+    print(f"[AC9] {instances} updates preserve facts and values, running two"
+          f" points in turn equals their composition enumerated directly, and emptiness matches"
           f" brute force on 80 adversarial points ({empties} empty): PASS")
     assert instances >= 200
 

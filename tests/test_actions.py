@@ -1,14 +1,8 @@
-"""Decision points and composition."""
+"""Decision points."""
 
 import pytest
 
-from oughtcheck.actions import (
-    ComposedAction,
-    DecisionPoint,
-    compose_all,
-    env_of,
-    validate_decision_point,
-)
+from oughtcheck.actions import DecisionPoint, env_of, validate_decision_point
 from oughtcheck.errors import (
     CyclicPrecondition,
     OughtInPrecondition,
@@ -110,53 +104,6 @@ def test_pre_formula_rejects_foreign_keys():
         d.pre_formula((("U", "zz"),))
 
 
-def test_composition_flattens():
-    u = _dp("U", "i", ("a", "b"), pre={"a": Atom("p"), "b": TRUE})
-    v = _dp("V", "j", ("x", "y"), pre={"x": Atom("q"), "y": TRUE})
-    c = ComposedAction(u, v)
-    assert c.id == "U;V"
-    assert c.owner == "j"
-    assert set(c.agents) == {"i", "j"}
-    assert c.event_keys == (
-        (("U", "a"), ("V", "x")),
-        (("U", "a"), ("V", "y")),
-        (("U", "b"), ("V", "x")),
-        (("U", "b"), ("V", "y")),
-    )
-    # the composed precondition defers the second guard past the first run
-    key = (("U", "a"), ("V", "x"))
-    assert c.pre_formula(key) == Diamond((("U", "a"),), Atom("q"))
-    assert c.env["U"] is u and c.env["V"] is v
-
-
-def test_composition_relations_are_pairwise():
-    u = _dp("U", "i", ("a", "b"))
-    v = _dp("V", "j", ("x", "y"), relations={"j": {("x", "y")}})
-    c = ComposedAction(u, v)
-    k = lambda e1, e2: ((("U", e1), ("V", e2)))
-    assert c.q_related("j", k("a", "x"), k("a", "y"))
-    assert not c.q_related("j", k("a", "x"), k("b", "y"))
-    assert not c.q_related("j", k("a", "y"), k("a", "x"))
-
-
-def test_no_back_to_back_composition_of_same_point():
-    u = _dp("U")
-    with pytest.raises(ValidationError):
-        ComposedAction(u, u)
-    v = _dp("V")
-    # U;V;U is fine: the occurrences are separated
-    c = compose_all([u, v, u])
-    assert c.event_keys[0] == (("U", "a"), ("V", "a"), ("U", "a"))
-
-
-def test_compose_all():
-    u, v = _dp("U"), _dp("V")
-    assert compose_all([u]) is u
-    assert isinstance(compose_all([u, v]), ComposedAction)
-    with pytest.raises(ValidationError):
-        compose_all([])
-
-
 def test_env_of_rejects_duplicates():
     u, v = _dp("U"), _dp("V")
     assert env_of([u, v]) == {"U": u, "V": v}
@@ -200,25 +147,32 @@ def test_decision_point_mappings_are_read_only():
 
 
 def test_a_composition_cannot_change_under_its_products():
+    """A point run after another (its precondition names U) keeps its env,
+    pre and relations as they were built, so its memoised product stays
+    sound."""
     both = {"w1": {"w1", "w2"}, "w2": {"w1", "w2"}}
     m = GradedKripkeModel(
         ["i"], ["p", "q"], ["w1", "w2"], {"i": both},
         {"w1": {"p"}, "w2": {"q"}}, {"w1": 1, "w2": 0}, frame="S5",
     )
     u = _dp("U", "i", ("a", "b", "c"))
-    v = _dp("V", "i", ("x", "y"), pre={"x": Atom("p"), "y": Atom("q")})
-    c = ComposedAction(u, v)
-    updated = product(m, c)
-    assert len(updated.worlds) == 6
+    v = _dp("V", "i", ("x", "y"), pre={"x": Diamond((("U", "a"),), Atom("p")), "y": Atom("q")},
+            env={"U": u})
+    updated = product(m, v)
+    assert len(updated.worlds) == 2
     with pytest.raises(TypeError):
-        c.env["V"] = _dp("V", "i", ("x", "y"))
+        v.env["U"] = _dp("U", "i", ("a", "b"))
+    with pytest.raises(TypeError):
+        v.pre["y"] = TRUE
+    with pytest.raises(TypeError):
+        v.relations["i"] = frozenset()
     with pytest.raises(AttributeError):
-        c.id = "U;W"
-    for name in ("first", "second", "owner", "env", "agents", "event_keys", "extra_edges"):
+        v.id = "W"
+    for name in ("owner", "env", "pre", "relations", "agents", "event_keys", "extra_edges"):
         with pytest.raises(AttributeError):
-            delattr(c, name)
-    assert c.env["V"] is v and c.id == "U;V"
-    assert product(m, c) is updated
+            delattr(v, name)
+    assert v.env["U"] is u and v.id == "V" and v.pre["y"] == Atom("q")
+    assert product(m, v) is updated
 
 
 _SELF_NAMING = {

@@ -206,6 +206,22 @@ def test_expect_unknown_agent(capsys, scenario_docs):
     assert code == 2
 
 
+def test_expect_on_an_empty_actions_document(capsys, scenario_docs, tmp_path):
+    """No decision point means no run to value: bad input, exit 2.  update
+    by no point leaves the model as it was."""
+    mp, _ = scenario_docs["allergy"]
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]\n")
+    code, out, err = run(
+        capsys, "expect", "--model", mp, "--actions", str(empty), "--agent", "a",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: the actions document declares no decision point\n"
+    code, out, _ = run(capsys, "update", "--model", mp, "--actions", str(empty))
+    assert code == 0
+    assert out == Path(mp).read_text(encoding="utf-8")
+
+
 def test_expect_no_surviving_run(capsys, tmp_path):
     model = {
         "agents": ["a"],

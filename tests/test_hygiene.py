@@ -1,5 +1,6 @@
 """Source hygiene: every module of the package uses each name it imports,
-README names every kind of memo entry the package stores, only kripke
+README names every kind of memo entry the package stores and lists only
+public names as its other entry points, only kripke
 touches the dict behind model.memo, no nested function names itself, the
 env rule of the outcome store is applied at one call site and its memo
 key is named in semantics alone, the rule of which worlds share a slot of
@@ -644,3 +645,15 @@ def test_know_keeps_no_table():
 
     assert Know.__slots__ == ("agent", "sub")
     assert not any("_outcomes" in getattr(cls, "__slots__", ()) for cls in Know.__mro__)
+
+
+def test_readme_entry_points_are_exported():
+    """Every name README's "Other entry points:" sentence lists is public,
+    so the list cannot keep a name the package no longer has."""
+    import oughtcheck
+
+    text = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.split(r"\.\s", text.split("Other entry points:", 1)[1], maxsplit=1)[0]
+    listed = re.findall(r"`(\w+)`", sentence)
+    assert len(listed) >= 10
+    assert [name for name in listed if name not in oughtcheck.__all__] == []

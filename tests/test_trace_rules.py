@@ -1,13 +1,13 @@
 """The trace rules of formula.py, through every entry point that applies them.
 
 Each rule is stated once (make_trace, point_of / pre_of, check_owner);
-these tests pin that the parser, the loaders, the evaluator, the rewriter
-and composition all reach it and raise the same error class.
+these tests pin that the parser, the loaders, the evaluator and the
+rewriter all reach it and raise the same error class.
 """
 
 import pytest
 
-from oughtcheck.actions import ComposedAction, DecisionPoint, env_of
+from oughtcheck.actions import DecisionPoint, env_of
 from oughtcheck.docio import actions_from_doc, actions_to_doc
 from oughtcheck.errors import ParseError, UnknownEvent, ValidationError
 from oughtcheck.formula import (
@@ -72,7 +72,6 @@ ADJACENCY = {
     "relative e, evaluate": lambda m, pts, env: evaluate(
         *_after_delta(m, env), ExpAtom("b", G), env
     ),
-    "compose": lambda m, pts, env: ComposedAction(env["U"], env["U"]),
     "actions_from_doc": lambda m, pts, env: actions_from_doc(
         _doc_with_pre(pts, "<U.delta;U.gamma> A")
     ),
