@@ -71,15 +71,13 @@ def _verdict_dict(v: Verdict) -> Dict:
     return out
 
 
-def _load(args, need_actions: bool = False):
+def _load(args):
     model, point = load_model_file(args.model)
     points: List = []
     if getattr(args, "actions", None):
         points, notes = load_actions_file(args.actions)
         for note in notes:
             print(f"note: {note}", file=sys.stderr)
-    elif need_actions:
-        raise ValidationError("this command needs --actions")
     return model, point, points, env_of(points)
 
 
@@ -129,7 +127,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_update(args) -> int:
-    model, point, points, _ = _load(args, need_actions=True)
+    model, point, points, _ = _load(args)
     updated = apply_sequence(model, points)
     carried = None
     if point is not None:
@@ -144,7 +142,7 @@ def cmd_update(args) -> int:
 
 
 def cmd_expect(args) -> int:
-    model, point, points, env = _load(args, need_actions=True)
+    model, point, points, env = _load(args)
     root = args.at if args.at is not None else point
     if root is None:
         raise ValidationError(

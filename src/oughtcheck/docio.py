@@ -369,10 +369,8 @@ def to_dot(model: GradedKripkeModel, include_loops: bool = True) -> str:
     for agent in model.agents:
         for w, u in model.pairs(agent):
             edges.setdefault((w, u), []).append(agent)
-    for (w, u), agents in sorted(
-        edges.items(),
-        key=lambda kv: (model.world_index(kv[0][0]), model.world_index(kv[0][1])),
-    ):
+    order = model.world_order()
+    for (w, u), agents in sorted(edges.items(), key=lambda kv: (order[kv[0][0]], order[kv[0][1]])):
         if w == u and not include_loops:
             continue
         lines.append(

@@ -185,9 +185,6 @@ class GradedKripkeModel(ReadOnly):
         """{world: its position in world order}, built once."""
         return self.memo(("world_index",), _index_of, self.worlds)
 
-    def world_index(self, world) -> int:
-        return self.world_order()[world]
-
     def pairs(self, agent: str):
         """Relation pairs in deterministic (world order, then world order) order."""
         for w in self.worlds:

@@ -24,13 +24,13 @@ Conventions that matter and are easy to get wrong:
 * One outcome store per model keeps what the walker decided there, for one
   env, in the model's memo as ("outcomes",).  A verdict is a property of
   (model, world, formula), so for every Diamond, Ought and ExpAtom node,
-  and for every Know body whatever its class, the store keeps the outcome
-  at each world walked: True, False, or the CheckerError raised, as a
-  stored error raised again on a later visit (_kept, _decide).  It keeps
-  one outcome per slot of alike worlds (alike_worlds: same trace,
-  valuation, evaluation-only status and successor sets), as every formula
-  holds at all worlds of a slot or at none, so the first walk at one of
-  them decides them all.  An error is kept for the world it was raised at:
+  and for every Know body and every precondition a run reads, whatever its
+  class, the store keeps the outcome at each world walked: True, False, or
+  the CheckerError raised, as a stored error raised again on a later visit
+  (_kept, _decide).  It keeps one outcome per slot of alike worlds
+  (alike_worlds: same trace, valuation, evaluation-only status and
+  successor sets), as every formula holds at all worlds of a slot or at
+  none, so the first walk at one of them decides them all.  An error is kept for the world it was raised at:
   at a slot-mate the clause runs again, so the error names the world asked
   and the first in world order is the one raised.  The plain walk reads
   the entry before it runs the clause and fills it after; evaluate runs
@@ -41,8 +41,7 @@ Conventions that matter and are easy to get wrong:
   world order; the error of the first erroring one; or None when the body
   holds at every successor): a world whose set was seen before, as every
   world of an S5 cell after the first, reads it and walks nothing, and
-  evaluate walks the body with a trail at the witness only.  Each decision
-  point run from the model has a step table there too (_steps).  The store
+  evaluate walks the body with a trail at the witness only.  The store
   serves one env, taken by its items (_made_for, applied where the store is
   fetched), so an env whose items differ starts it empty.  Keying by the
   node is sound because equal formulas are one node (formula.Formula): a
@@ -55,13 +54,12 @@ Conventions that matter and are easy to get wrong:
   expectation node keeps its carrier alive until its values are read.
 * The after-run diamond is strict: every step's precondition must hold at
   the current world before descending.
-* A run reads each step from its step table: the model's product by the
-  point, built at the first available step, and for each (world, event)
-  asked so far the world key reached, or None where the precondition
-  fails.  Both paths read and fill it, so a step is decided once per
-  (model, world, event), and evaluate walks the precondition again with a
-  trail, as it walks a Know node's witness.  A precondition walk or product
-  build that raises keeps no step, so the same error is raised again.
+* Run availability is the precondition node's outcome in the store, so a
+  step is decided once per (model, slot, precondition node), and every
+  event and point with that node shares it; evaluate walks the
+  precondition again with a trail.  An available step descends into the
+  model's product by the point (product's memo, which keeps a failed build
+  as its error).
 * An obligation O{i}(t | phi) is the conjunction of (1) <t> phi at the
   current world of the current ambient model, evaluated first, and (2) the
   expectation atom for running t, whose carrier is built from the agent's
@@ -112,7 +110,6 @@ from .formula import (
     check_adjacency,
     check_owner,
     node_class,
-    point_of,
     pre_of,
     refuse_past_limit,
     to_text,
@@ -365,11 +362,10 @@ class _Store:
     each node kept to its entry: a bytearray with one code per slot, 0
     where no walk has decided it yet; raised maps a node to {world: the
     CheckerError a walk raised there, stored}.  witnesses maps each Know
-    node to {successor set: what decides the node there}; steps maps each
-    decision point id to its step table.  snapshot is the env's items when
-    the store last started empty."""
+    node to {successor set: what decides the node there}.  snapshot is the
+    env's items when the store last started empty."""
 
-    __slots__ = ("index", "size", "snapshot", "nodes", "raised", "witnesses", "steps")
+    __slots__ = ("index", "size", "snapshot", "nodes", "raised", "witnesses")
 
     def __init__(self, model):
         self.index, self.size = alike_worlds(model)
@@ -402,7 +398,7 @@ def _store(model, env) -> _Store:
     store = model.memo(("outcomes",), _Store, model)
     if not _made_for(env, store.snapshot):  # also a new store
         store.snapshot = dict(env)
-        store.nodes, store.raised, store.witnesses, store.steps = {}, {}, {}, {}
+        store.nodes, store.raised, store.witnesses = {}, {}, {}
     return store
 
 
@@ -496,55 +492,22 @@ _CLAUSES = {
 }
 
 
-class _Steps:
-    """A step table: the runs of one decision point from one model, for the
-    env of the store that holds it.  product is the model's product by the
-    point, built at the first available step; decided maps (world, event)
-    to the world key reached, or to None where the event's precondition
-    fails."""
-
-    __slots__ = ("point", "product", "decided")
-
-    def __init__(self, point):
-        self.point, self.product, self.decided = point, None, {}
-
-
-def _steps(model, env, dp_id) -> _Steps:
-    """The step table of (model, the point env names dp_id), kept in the
-    model's outcome store for env."""
-    tables = _store(model, env).steps
-    table = tables.get(dp_id)
-    if table is None:
-        table = tables[dp_id] = _Steps(point_of(env, dp_id))
-    return table
-
-
 def _run(model, world, steps, env, rec):
     """Run the steps from (model, world), each only where its precondition
     holds; a trail records each precondition's Verdict.  Returns the model
     and world reached and None, or the model and world where the run stops
-    and the step that is not available there.  Each step is read from its
-    step table, and decided there on the first visit; the explained path
-    walks the precondition again with the trail."""
+    and the step that is not available there.  A step is available where
+    its precondition node's outcome, read from the node's entry in the
+    outcome store or decided there, holds; the step then descends into the
+    model's product by the point."""
     for step in steps:
         dp_id, ev = step
-        table = _steps(model, env, dp_id)
-        decided = table.decided  # a reset by a nested walk leaves this one aside
-        key = (world, ev)
-        reached = decided.get(key, _UNSEEN)
-        if reached is _UNSEEN or rec is not None:
-            available = _walk(model, world, pre_of(env, dp_id, ev), env, rec)
-            if rec is not None:
-                rec[-1].clause = f"precondition {dp_id}.{ev}"
-            if reached is _UNSEEN:
-                if available and table.product is None:
-                    table.product = product(model, table.point)
-                reached = decided[key] = (
-                    extend_world(world, (step,)) if available else None
-                )
-        if reached is None:
+        available = _kept(_walk, model, world, pre_of(env, dp_id, ev), env, rec)
+        if rec is not None:
+            rec[-1].clause = f"precondition {dp_id}.{ev}"
+        if not available:
             return model, world, step
-        model, world = table.product, reached
+        model, world = product(model, env[dp_id]), extend_world(world, (step,))
     return model, world, None
 
 
@@ -601,9 +564,7 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
     information cell in S5.  A root outside its horizon is retained in its
     submodel as an evaluation point and gets a carrier of its own.  A
     carrier build that raises is kept under the carrier's key as that
-    error, stored, and raises it again on a later visit.  The instance is
-    read from the step table where the goal conjunct has just run the final
-    step, and made afresh only where nothing ran it."""
+    error, stored, and raises it again on a later visit."""
     cur_m, cur_w = model, world
     if len(steps) > 1:
         cur_m, cur_w, stuck = _run(model, world, steps[:-1], env, None)
@@ -612,13 +573,8 @@ def atom_carrier(model: GradedKripkeModel, world, agent: str, steps, env: Dict):
                 f"{world_id(cur_w)} does not survive {stuck[0]}.{stuck[1]}"
             )
     dp_id, ev = steps[-1]
-    table = _steps(cur_m, env, dp_id)
-    point = table.point
-    # the goal conjunct of an obligation has just run this step here
-    instance = table.decided.get((cur_w, ev))
-    if instance is None:
-        pre_of(env, dp_id, ev)  # an unknown event raises here
-        instance = extend_world(cur_w, steps[-1:])
+    pre_of(env, dp_id, ev)  # an unknown point or event raises here
+    point, instance = env[dp_id], extend_world(cur_w, steps[-1:])
     h = horizon(cur_m, cur_w, agent)
     key = ("carrier", agent, h if cur_w in h else cur_w, point)
     carrier = cur_m.memo(key, _carrier, cur_m, cur_w, agent, h, point)

@@ -12,6 +12,7 @@ counterexample.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from oughtcheck.formula import (
     And,
     Atom,
     Diamond,
+    ExpAtom,
     FALSE,
     Know,
     Not,
@@ -51,6 +53,7 @@ from oughtcheck.parser import parse
 from oughtcheck.product import apply_sequence, product
 from oughtcheck.reduce import translate
 from oughtcheck.semantics import evaluate_plain
+from oughtcheck.submodel import agent_submodel, horizon
 
 
 # Probes timed at each end of the module; their median sets the time scale.
@@ -442,13 +445,7 @@ def test_ac9_update_preservation_and_composition():
             comp = None
         assert (seq is None) == (comp is None)
         if seq is not None:
-            assert list(seq.worlds) == comp["order"]
-            for agent in seq.agents:
-                assert set(seq.pairs(agent)) == comp["rel"][agent]
-            for w in seq.worlds:
-                assert seq.atoms_at(w) == comp["val"][w]
-                assert seq.value_of(w) == comp["des"][w]
-            assert seq.eval_only == comp["eval_only"]
+            _assert_same_update(seq, comp)
         instances += 1
 
     # adversarial preconditions: emptiness must match a brute-force check
@@ -484,10 +481,100 @@ def test_ac9_update_preservation_and_composition():
             oracle_empty = True
         assert package_empty == oracle_empty
         empties += package_empty
+
+    # second points whose preconditions read K{j} or the first point's run,
+    # over bases that may be an agent submodel rooted outside its horizon,
+    # which keeps the root as an evaluation-only world
+    per_world = eval_images = 0
+    stuck = Counter()
+    for k in range(AC9_RICH):
+        base = _ac9_base(rng, ("S5", "KD45", "K")[k % 3])
+        env = {}
+        try:
+            u = gen_decision_point(rng, base, "U", params, env=env)
+        except Unsatisfiable:
+            continue
+        env["U"] = u
+        pool = _ac9_pres(base, u)
+        v = DecisionPoint(
+            "V", rng.choice(base.agents), ("x", "y"),
+            {ev: rng.choice(pool) for ev in ("x", "y")}, agents=base.agents, env={"U": u},
+        )
+        env["V"] = v
+        try:
+            seq = apply_sequence(base, [u, v])
+        except EmptyProduct:
+            seq = "empty"
+        except CheckerError:
+            seq = "error"
+        try:
+            comp = o_composed(omodel(base), [u, v], env)
+        except OracleError as exc:
+            comp = "empty" if str(exc) == "empty update" else "error"
+        if isinstance(seq, str) or isinstance(comp, str):
+            assert seq == comp, (seq, comp)
+            stuck[seq] += 1
+            continue
+        _assert_same_update(seq, comp)
+        per_world += not v.propositional
+        eval_images += bool(seq.eval_only)
+    # both the per-world precondition path and evaluation-only images of a
+    # second update are compared with the oracle, counted at this seed
+    assert per_world >= AC9_PER_WORLD and eval_images >= AC9_EVAL_IMAGES, (
+        per_world, eval_images,
+    )
+
     print(f"[AC9] {instances} updates preserve facts and values, running two"
-          f" points in turn equals their composition enumerated directly, and emptiness matches"
+          f" points in turn equals their composition enumerated directly, also for"
+          f" {per_world} second points read world by world and {eval_images} updates"
+          f" with evaluation-only images ({stuck['empty']} empty and {stuck['error']}"
+          f" raising alike), and emptiness matches"
           f" brute force on 80 adversarial points ({empties} empty): PASS")
     assert instances >= 200
+
+
+# Drawn instances of AC9's second part, and how many of them must reach the
+# per-world precondition path and an evaluation-only image.
+AC9_RICH = 160
+AC9_PER_WORLD = 80
+AC9_EVAL_IMAGES = 20
+
+
+def _assert_same_update(seq, comp):
+    """seq, an update by two points in turn, is comp, o_composed's update."""
+    assert list(seq.worlds) == comp["order"]
+    for agent in seq.agents:
+        assert set(seq.pairs(agent)) == comp["rel"][agent]
+    for w in seq.worlds:
+        assert seq.atoms_at(w) == comp["val"][w]
+        assert seq.value_of(w) == comp["des"][w]
+    assert seq.eval_only == comp["eval_only"]
+
+
+def _ac9_base(rng, frame):
+    """A drawn model of the frame, or, where one exists and a coin says so,
+    its agent submodel at a root outside the root's own horizon."""
+    m = gen_model(rng, GenParams(max_worlds=4, frame=frame))
+    outside = [
+        (w, a) for a in m.agents for w in m.worlds
+        if m.successors(a, w) and w not in horizon(m, w, a)
+    ]
+    if outside and rng.random() < 0.7:
+        return agent_submodel(m, *rng.choice(outside))
+    return m
+
+
+def _ac9_pres(m, u):
+    """Preconditions for a point after u: literals, what an agent knows, and
+    after-run and expectation atoms about u's events."""
+    atoms = [Atom(a) for a in m.atoms]
+    pool = atoms + [Not(a) for a in atoms]
+    for j in m.agents:
+        pool += [Know(j, a) for a in atoms] + [Not(Know(j, Not(a))) for a in atoms]
+    for ev in u.events:
+        step = (("U", ev),)
+        pool += [Diamond(step, a) for a in atoms] + [ExpAtom(u.owner, step)]
+    return pool
 
 
 # -- the cold path of a sweep stays linear --------------------------------------------

@@ -222,6 +222,19 @@ def test_expect_on_an_empty_actions_document(capsys, scenario_docs, tmp_path):
     assert out == Path(mp).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", ["update", "expect"])
+def test_a_command_that_runs_points_needs_actions(capsys, scenario_docs, command):
+    """update and expect without --actions are refused by the argument
+    parser, exit 2, before any document is read."""
+    mp, _ = scenario_docs["allergy"]
+    argv = [command, "--model", mp] + (["--agent", "a"] if command == "expect" else [])
+    with pytest.raises(SystemExit) as caught:
+        cli.main(argv)
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --actions" in err
+
+
 def test_expect_no_surviving_run(capsys, tmp_path):
     model = {
         "agents": ["a"],

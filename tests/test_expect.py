@@ -15,6 +15,8 @@ from oughtcheck.errors import (
     NoDecisionContext,
     NoSuccessors,
     Unsatisfiable,
+    UnknownAgent,
+    UnknownWorld,
 )
 from oughtcheck.expect import (
     atom_holds,
@@ -82,6 +84,16 @@ def test_no_successors():
     # y has no edge out of u
     with pytest.raises(NoSuccessors):
         expected_value(sub, "y")
+
+
+def test_a_component_names_an_unknown_world_before_an_unknown_agent():
+    m = _chain()
+    with pytest.raises(UnknownWorld, match="'nowhere'"):
+        component_value(m, "nowhere", "zz")
+    with pytest.raises(UnknownWorld, match="'nowhere'"):
+        component_value(m, "nowhere", "x")
+    with pytest.raises(UnknownAgent, match="'zz'"):
+        component_value(m, "u", "zz")
 
 
 def test_components(line_model, pick):

@@ -89,6 +89,11 @@ def test_construction_validations():
         _tiny(root="zz")
 
 
+def test_duplicate_agent_names_are_refused():
+    with pytest.raises(ValidationError, match="^duplicate agent names$"):
+        _tiny(agents=["a", "a"])
+
+
 def test_desirability_bound_is_inclusive():
     m = _tiny(desirability={"u": MAX_DESIRABILITY, "v": -MAX_DESIRABILITY})
     assert m.value_of("u") == MAX_DESIRABILITY

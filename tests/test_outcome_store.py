@@ -161,9 +161,9 @@ def test_the_store_dies_with_its_model_without_the_collector():
             except semantics.CheckerError:
                 pass
     store = semantics._store(m, env)
-    assert store.nodes and store.raised and store.witnesses and store.steps
-    # the step table's product is a model only the store and the memo hold
-    held, kept = weakref.ref(m), weakref.ref(store.steps["U"].product)
+    assert store.nodes and store.raised and store.witnesses
+    # the runs' product is a model only the memo holds
+    held, kept = weakref.ref(m), weakref.ref(product(m, env["U"]))
     del store
     enabled = gc.isenabled()
     gc.disable()

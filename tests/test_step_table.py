@@ -1,13 +1,14 @@
-"""The step table of a run (semantics._steps).
+"""The steps of a run (semantics._run).
 
-Every run, obligation and carrier reads one table per (model, decision
-point), kept in the model's outcome store: the point's product, and for each
-(world, event) asked so far the world reached or "unavailable".  These
-tests pin that a warm table never changes an answer: a second pass over
-the same formulas, and the explained walk, agree with the first pass and
-with the brute-force oracle on S5, KD45 and K models; a raising step is
-raised again; a table made for an env with other items, or for env before
-a change, is not read; and a step shared by many formulas is decided once per world.
+A step is available where its precondition node's outcome, kept in the
+model's outcome store per slot of alike worlds, holds, and an available
+step descends into the model's product by the point, kept in the model's
+memo.  These tests pin that warm entries never change an answer: a second
+pass over the same formulas, and the explained walk, agree with the first
+pass and with the brute-force oracle on S5, KD45 and K models; a raising
+step is raised again; entries kept for an env with other items, or for env
+before a change, are not read; and a precondition node shared by many
+formulas, events or points is decided once per slot.
 """
 
 from importlib import import_module
@@ -21,11 +22,10 @@ from oughtcheck.errors import (
     CheckerError, EmptyProduct, InternalError, UnknownEvent, UnknownWorld,
 )
 from oughtcheck.formula import (
-    FALSE, TRUE, And, Atom, Diamond, ExpAtom, Know, Not, Ought, subformulas,
+    FALSE, TRUE, And, Atom, Diamond, ExpAtom, Know, Not, Ought, subformulas, to_text,
 )
 from oughtcheck.kripke import GradedKripkeModel
 from oughtcheck.parser import parse
-from oughtcheck.product import product
 from oughtcheck.semantics import evaluate, evaluate_plain
 from test_successor_sets import _relation
 
@@ -206,46 +206,81 @@ def test_another_env_gets_fresh_verdicts():
     assert evaluate_plain(m, "w1", f, {"U": u, "V": v_open})
 
 
-def test_a_shared_step_is_decided_once_per_slot(monkeypatch):
-    """A work gate, counted rather than timed: 10 formulas that all run U.a,
-    evaluated at every world of a 30-world model, walk U.a's precondition
-    once per slot of alike worlds and ask for the product once.  wk lies in
-    cell k % 3 with valuation k % 4, so there are 12 slots, and w0, ..., w11
-    are the first worlds of each.  Equal formulas are one node, so the
-    precondition, p & true, is one that no formula contains: a walk of it
-    is a run's."""
-    semantics = import_module("oughtcheck.semantics")
+def _thirty_worlds():
+    """30 worlds over p and q for agent i: wk lies in cell k % 3 with
+    valuation k % 4, so there are 12 slots of alike worlds, and w0, ...,
+    w11 are the first worlds of each."""
     worlds = [f"w{k}" for k in range(30)]
     cells = [worlds[k::3] for k in range(3)]
-    model = GradedKripkeModel(
+    return GradedKripkeModel(
         agents=["i"], atoms=["p", "q"], worlds=worlds,
         relations={"i": {w: cell for cell in cells for w in cell}},
         valuation={w: [("p", "q"), ("p",), ("q",), ()][k % 4] for k, w in enumerate(worlds)},
         desirability={w: k % 5 for k, w in enumerate(worlds)},
         frame="S5",
     )
+
+
+def _count_runs(monkeypatch, pre, env):
+    """(walks, builds): the worlds where a run walks pre under env, and one
+    entry per product build.  A product build walks preconditions under its
+    point's own env, so its walks are not a run's."""
+    semantics = import_module("oughtcheck.semantics")
+    products = import_module("oughtcheck.product")
+    walks, builds = [], []
+    walk, update = semantics._walk, products._update
+
+    def counted_walk(m, w, f, e, rec):
+        if f is pre and e is env:
+            walks.append(w)
+        return walk(m, w, f, e, rec)
+
+    monkeypatch.setattr(semantics, "_walk", counted_walk)
+    monkeypatch.setattr(products, "_update", lambda *args: builds.append(1) or update(*args))
+    return walks, builds
+
+
+def test_a_shared_step_is_decided_once_per_slot(monkeypatch):
+    """A work gate, counted rather than timed: 10 formulas that all run U.a,
+    evaluated at every world of a 30-world model, walk U.a's precondition
+    once per slot of alike worlds and build the product once.  Equal
+    formulas are one node, so the precondition, p & true, is one that no
+    formula contains: a walk of it is a run's."""
+    model = _thirty_worlds()
     point = DecisionPoint("U", "i", ["a", "b"], {"a": And(P, TRUE), "b": TRUE})
     env = {"U": point}
-    product(model, point)  # built up front, so only the runs' walks are counted
     texts = [
         "<U.a> p", "<U.a> !p", "<U.a> q", "<U.a> (p & q)", "!<U.a> q",
         "<U.a> K{i} p", "K{i} <U.a> p", "<U.a> true", "<U.a> !K{i} q", "p & <U.a> q",
     ]
     formulas = [parse(text, env) for text in texts]
-    walks, products = [], []
-    walk, build = semantics._walk, semantics.product
     pre = point.pre["a"]
     assert not any(pre is g for f in formulas for g in subformulas(f))
-
-    def counted_walk(m, w, f, e, rec):
-        if f is pre:
-            walks.append(w)
-        return walk(m, w, f, e, rec)
-
-    monkeypatch.setattr(semantics, "_walk", counted_walk)
-    monkeypatch.setattr(semantics, "product", lambda *args: products.append(1) or build(*args))
+    walks, builds = _count_runs(monkeypatch, pre, env)
     for f in formulas:
-        for w in worlds:
+        for w in model.worlds:
             evaluate_plain(model, w, f, env)
-    assert walks == worlds[:12]
-    assert len(products) == 1
+    assert walks == list(model.worlds[:12])
+    assert len(builds) == 1
+
+
+def test_a_shared_precondition_is_decided_once_per_slot_in_total(monkeypatch):
+    """Two events of U and one of V have one precondition node, p & true:
+    runs of all three, at every world of the 30-world model, walk it once
+    per slot in total, and each point's product is built once."""
+    model = _thirty_worlds()
+    shared = And(P, TRUE)
+    u = DecisionPoint("U", "i", ["a", "b"], {"a": shared, "b": And(Atom("p"), TRUE)})
+    v = DecisionPoint("V", "i", ["x", "y"], {"x": And(P, TRUE), "y": Not(P)})
+    env = {"U": u, "V": v}
+    assert u.pre["b"] is shared and v.pre["x"] is shared
+    texts = ["<U.a> q", "<U.b> !q", "<V.x> q", "K{i} <V.x> p", "<U.b> K{i} q"]
+    formulas = [parse(text, env) for text in texts]
+    assert not any(shared is g for f in formulas for g in subformulas(f))
+    walks, builds = _count_runs(monkeypatch, shared, env)
+    verdicts = [[evaluate_plain(model, w, f, env) for w in model.worlds] for f in formulas]
+    assert walks == list(model.worlds[:12])
+    assert len(builds) == 2
+    om = omodel(model)
+    for f, row in zip(formulas, verdicts):
+        assert row == [o_eval(om, w, f, env) for w in model.worlds], to_text(f)
